@@ -13,7 +13,7 @@ from .cohort import (
     Cohort,
     EdgeId,
     EdgeMask,
-    FeatureVector,
+    Features,
     PlantedEdge,
     RegionAtlas,
     Subject,
@@ -51,7 +51,6 @@ from .learner import (
     LearnResult,
     Rule,
     Score,
-    brute_force_learn,
     covers,
     enumerate_candidates,
     hypothesis_to_text,

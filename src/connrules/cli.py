@@ -22,13 +22,7 @@ from .cohort import (
     mask_to_json,
     save_cohort,
 )
-from .forest import (
-    ForestParams,
-    fit_forest,
-    forest_from_json,
-    forest_importance,
-    forest_to_json,
-)
+from .forest import ForestParams, fit_forest, forest_from_obj, forest_importance, forest_to_json
 from .inference import evaluate, metrics_to_obj, predict, predictions_to_csv
 from .learner import (
     hypothesis_from_json,
@@ -46,9 +40,8 @@ from .taskgen import (
     load_task,
     partition_tasks,
     serialize_task,
-    task_to_json,
 )
-from .tree import TreeParams, fit_tree, tree_from_json, tree_importance, tree_to_json
+from .tree import TreeParams, fit_tree, tree_from_obj, tree_importance, tree_to_json
 
 
 def _parse_planted(spec: str) -> PlantedEdge:
@@ -60,9 +53,7 @@ def _parse_planted(spec: str) -> PlantedEdge:
 
 def _load_model(path: Path):
     obj = json.loads(Path(path).read_text())
-    if "trees" in obj:
-        return forest_from_json(json.dumps(obj))
-    return tree_from_json(json.dumps(obj))
+    return forest_from_obj(obj) if "trees" in obj else tree_from_obj(obj)
 
 
 def cmd_synth(args) -> int:
@@ -84,12 +75,12 @@ def cmd_mask(args) -> int:
 def cmd_train(args) -> int:
     cohort = load_cohort(args.cohort)
     mask = mask_from_json(Path(args.mask).read_text())
-    vectors = apply_mask(cohort, mask)
+    features = apply_mask(cohort, mask)
     if args.model == "dt":
-        model = fit_tree(vectors, TreeParams())
+        model = fit_tree(features, TreeParams())
         Path(args.out).write_text(tree_to_json(model))
     else:
-        model = fit_forest(vectors, ForestParams(), seed=args.seed)
+        model = fit_forest(features, ForestParams(), seed=args.seed)
         Path(args.out).write_text(forest_to_json(model))
     print(f"wrote {args.out}")
     return 0
@@ -123,8 +114,7 @@ def cmd_build_task(args) -> int:
     cohort = load_cohort(args.cohort)
     mask = mask_from_json(Path(args.mask).read_text())
     selected = _load_selected(args.selected)
-    vectors = apply_mask(cohort, mask)
-    examples = build_examples(vectors, selected, args.base_pen)
+    examples = build_examples(apply_mask(cohort, mask), selected, args.base_pen)
     space = build_space(selected, examples, args.max_body_edges)
     partition = partition_tasks(examples, space, args.ad_subsets,
                                 args.base_pen, seed=args.seed)
@@ -132,7 +122,6 @@ def cmd_build_task(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     for k, task in enumerate(partition.tasks):
         serialize_task(task, out_dir / f"task_{k:03d}.las")
-        (out_dir / f"task_{k:03d}.json").write_text(task_to_json(task))
     print(f"wrote {len(partition.tasks)} task(s) to {out_dir}")
     return 0
 
@@ -165,17 +154,13 @@ def cmd_infer(args) -> int:
     cohort = load_cohort(args.cohort)
     hypothesis = _load_hypothesis(args.hypothesis)
     edges = sorted({l.edge for r in hypothesis.rules for l in r.body})
-    predictions = []
-    labels = []
-    for s in cohort.subjects:
-        ctx = context_from_weights(s.weights, edges)
-        predictions.append(predict(hypothesis, ctx, s.id))
-        labels.append(s.diagnosis)
+    contexts = [context_from_weights(s.weights, edges) for s in cohort.subjects]
+    labels = [s.diagnosis for s in cohort.subjects]
+    predictions = [predict(hypothesis, ctx, s.id) for s, ctx in zip(cohort.subjects, contexts)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictions_to_csv(predictions, labels, out_dir / "predictions.csv")
-    metrics = evaluate(hypothesis, [
-        (s.diagnosis, context_from_weights(s.weights, edges)) for s in cohort.subjects])
+    metrics = evaluate(hypothesis, list(zip(labels, contexts)))
     (out_dir / "metrics.json").write_text(json.dumps(metrics_to_obj(metrics), indent=1))
     print(f"accuracy {metrics.accuracy:.4f} over {len(cohort)} subjects")
     return 0
@@ -299,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("learn", help="solve task(s) and union the hypotheses")
     p.add_argument("--task", action="append", required=True,
-                   help="task file (.las or .json); repeatable")
+                   help=".las task file, as build-task writes it; repeatable")
     p.add_argument("--budget", type=int, default=500_000)
     p.add_argument("--out", required=True, help="hypothesis JSON path")
     p.set_defaults(func=cmd_learn)

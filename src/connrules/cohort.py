@@ -1,5 +1,6 @@
-"""Cohort data model: weighted connectomes, group-level edge masking, feature
-vectors, and a synthetic cohort generator with planted discriminative edges."""
+"""Cohort data model: weighted connectomes, group-level edge masking into a
+features matrix, and a synthetic cohort generator with planted discriminative
+edges."""
 
 from __future__ import annotations
 
@@ -177,22 +178,31 @@ class EdgeMask:
 
 
 @dataclass(frozen=True, eq=False)
-class FeatureVector:
-    """Strengths of the kept edges for one subject, in canonical edge order."""
+class Features:
+    """Masked strengths of a cohort: row k is subject ids[k], column c is
+    edges[c]; is_ad is the one label field."""
 
-    values: np.ndarray
-    label: str
-    subject_id: str = ""
-    edges: tuple[EdgeId, ...] | None = None
+    X: np.ndarray
+    is_ad: np.ndarray
+    ids: tuple[str, ...]
+    edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-        if self.label not in LABELS:
-            raise ValueError(f"label must be AD or CN, got {self.label!r}")
-        if self.edges is not None and len(self.edges) != len(v):
-            raise ValueError("edge labels do not match value count")
+        X = np.asarray(self.X, dtype=float)
+        is_ad = np.asarray(self.is_ad, dtype=bool)
+        if X.ndim != 2 or len(X) == 0:
+            raise ValueError("empty sample set")
+        if is_ad.shape != (len(X),) or len(self.ids) != len(X):
+            raise ValueError("labels and ids must match the row count")
+        if len(self.edges) != X.shape[1]:
+            raise ValueError("edge labels do not match the column count")
+        X.flags.writeable = False
+        is_ad.flags.writeable = False
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "is_ad", is_ad)
+
+    def __len__(self) -> int:
+        return len(self.X)
 
 
 # ---------------------------------------------------------------------------
@@ -225,16 +235,18 @@ def compute_mask(cohort: Cohort, keep_ratio: float) -> EdgeMask:
     return EdgeMask(tuple(all_edges[t] for t in kept), keep_ratio)
 
 
-def apply_mask(cohort: Cohort, mask: EdgeMask) -> list[FeatureVector]:
+def apply_mask(cohort: Cohort, mask: EdgeMask) -> Features:
     """Flatten each subject's connectome to the masked feature space."""
     if len(mask) == 0:
         raise ValueError("empty feature space: mask keeps no edges")
     rows = np.array([e.i for e in mask.edges])
     cols = np.array([e.j for e in mask.edges])
-    return [
-        FeatureVector(s.weights[rows, cols], s.diagnosis, s.id, mask.edges)
-        for s in cohort.subjects
-    ]
+    return Features(
+        np.stack([s.weights[rows, cols] for s in cohort.subjects]),
+        np.array([s.diagnosis == AD for s in cohort.subjects]),
+        tuple(s.id for s in cohort.subjects),
+        mask.edges,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import Cohort, EdgeId, EdgeMask, apply_mask, compute_mask
+from .cohort import AD, Cohort, EdgeId, EdgeMask, Features, apply_mask, compute_mask
 from .forest import (
     Forest,
     ForestParams,
@@ -186,14 +186,14 @@ def fit_fold(
 ) -> FoldArtifacts:
     """Learn every artifact of one fold from its training split alone."""
     mask = compute_mask(train, config.keep_ratio)
-    vectors = apply_mask(train, mask)
+    features = apply_mask(train, mask)
 
     dt = None
     rf = None
     if config.pipeline == "dt" or config.fit_reference_models:
-        dt = fit_tree(vectors, TreeParams())
+        dt = fit_tree(features, TreeParams())
     if config.pipeline == "rf" or config.fit_reference_models:
-        rf = fit_forest(vectors, ForestParams(), seed=model_seed)
+        rf = fit_forest(features, ForestParams(), seed=model_seed)
 
     if config.pipeline == "dt":
         selected = select_global(tree_importance(dt), config.selector.k_global)
@@ -215,7 +215,7 @@ def fit_fold(
             raise ValueError("no explanations for any training subject")
         selected = aggregate_frequency(local, config.selector.k_total)
 
-    examples = build_examples(vectors, selected, config.base_pen)
+    examples = build_examples(features, selected, config.base_pen)
     space = build_space(selected, examples, config.max_body_edges)
     partition = partition_tasks(
         examples, space, config.n_ad_subsets, config.base_pen, seed=partition_seed)
@@ -340,6 +340,11 @@ def report_to_json(report: RunReport) -> str:
 # Driver
 # ---------------------------------------------------------------------------
 
+def _accuracy(predict_one, model, features: Features) -> float:
+    return float(np.mean(
+        [(predict_one(model, x) == AD) == a for x, a in zip(features.X, features.is_ad)]))
+
+
 def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
     explanations = None
     if config.pipeline == "external_explanations":
@@ -368,15 +373,13 @@ def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
             dt_val_acc = rf_val_acc = None
             dt_atoms = rf_atoms = None
             if arts.dt is not None or arts.rf is not None:
-                val_vectors = apply_mask(val, arts.mask)
+                val_features = apply_mask(val, arts.mask)
             if arts.dt is not None:
                 dt_atoms = tree_atom_count(arts.dt)
-                dt_val_acc = float(np.mean(
-                    [predict_tree(arts.dt, v) == v.label for v in val_vectors]))
+                dt_val_acc = _accuracy(predict_tree, arts.dt, val_features)
             if arts.rf is not None:
                 rf_atoms = forest_atom_count(arts.rf)
-                rf_val_acc = float(np.mean(
-                    [predict_forest(arts.rf, v) == v.label for v in val_vectors]))
+                rf_val_acc = _accuracy(predict_forest, arts.rf, val_features)
 
             folds_out.append(FoldResult(
                 repeat=r, fold=f, n_train=len(train), n_val=len(val),

@@ -5,16 +5,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, FeatureVector, canonical_edges
+from .cohort import AD, CN, EdgeId, Features
 from .tree import (
     DecisionTree,
     ImportanceRanking,
     TreeParams,
-    _as_matrix,
     _fit_arrays,
     predict_tree,
     tree_atom_count,
@@ -55,7 +52,7 @@ def _n_features_per_split(max_features, n_features: int) -> int | None:
 
 
 def fit_forest(
-    samples: Sequence[FeatureVector],
+    features: Features,
     params: ForestParams | None = None,
     seed: int = 0,
     bootstrap: bool = True,
@@ -64,16 +61,13 @@ def fit_forest(
 
     Tree t uses sub-seed (seed, t); each node draws its feature subset from
     sub-seed (seed, t, node_id) with node ids assigned in preorder, so the
-    result is a pure function of (samples, params, seed). The bootstrap flag
+    result is a pure function of (features, params, seed). The bootstrap flag
     exists for reduction-to-CART tests only.
     """
     params = params or ForestParams()
-    X, is_ad = _as_matrix(samples)
+    X, is_ad = features.X, features.is_ad
     if X.shape[0] < 2:
         raise ValueError("fit_forest needs at least 2 samples")
-    feature_order = samples[0].edges or tuple(canonical_edges()[: X.shape[1]])
-    if len(feature_order) != X.shape[1]:
-        raise ValueError("feature_order length does not match feature count")
     m_features = _n_features_per_split(params.max_features, X.shape[1])
     tree_params = TreeParams(params.max_depth, params.min_samples_split)
     base = seed % 2**32
@@ -90,7 +84,7 @@ def fit_forest(
             def sampler(node_id, nf, _t=t):
                 node_rng = np.random.default_rng([base, _t, node_id])
                 return np.sort(node_rng.choice(nf, size=m_features, replace=False))
-        trees.append(_fit_arrays(X[idx], is_ad[idx], tree_params, tuple(feature_order), sampler))
+        trees.append(_fit_arrays(X[idx], is_ad[idx], tree_params, features.edges, sampler))
     return Forest(trees, params, seed)
 
 
@@ -135,7 +129,10 @@ def forest_to_json(forest: Forest) -> str:
     return json.dumps(obj)
 
 
-def forest_from_json(text: str) -> Forest:
-    obj = json.loads(text)
+def forest_from_obj(obj: dict) -> Forest:
     params = ForestParams(**obj["params"])
     return Forest([tree_from_obj(t) for t in obj["trees"]], params, obj["seed"])
+
+
+def forest_from_json(text: str) -> Forest:
+    return forest_from_obj(json.loads(text))

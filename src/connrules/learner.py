@@ -509,36 +509,6 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes)
 
 
-def brute_force_learn(
-    task: LearningTask, max_rules: int = 3, max_candidates: int = 300
-) -> LearnResult:
-    """Exhaustive oracle: every rule subset up to max_rules, same candidate
-    set and tie-break as learn. Errors out on oversized instances."""
-    cands = enumerate_candidates(task)
-    if len(cands) > max_candidates:
-        raise ValueError(
-            f"instance too large: {len(cands)} candidates exceeds {max_candidates}")
-    table = _PenaltyTable(task.examples)
-    best_key = (table.total(0, 0), _hyp_key(0, ()))
-    best: tuple[Candidate, ...] = ()
-    for m in range(1, max_rules + 1):
-        for combo in combinations(cands, m):
-            union = 0
-            atoms = 0
-            for c in combo:
-                union |= c.fires
-                atoms += c.rule.atom_count
-            total = table.total(atoms, union)
-            if total > best_key[0]:
-                continue
-            key = (total, _hyp_key(atoms, (c.rule for c in combo)))
-            if key < best_key:
-                best_key = key
-                best = combo
-    hypothesis = Hypothesis(tuple(c.rule for c in best))
-    return LearnResult(hypothesis, score(hypothesis, task), True)
-
-
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:
     """Set union of rules across tasks, canonically ordered."""
     if not per_task:
@@ -560,20 +530,34 @@ def hypothesis_to_text(hyp: Hypothesis, atlas: RegionAtlas | None = None) -> str
 
 
 _RULE_LINE = re.compile(r"ad :- (.*)\.(?:\s*%.*)?")
-_CONN = re.compile(r"connection\(region\((\d+)\), region\((\d+)\), V(\d+)\)")
-_CMP = re.compile(r"V(\d+) (>=|>|<=|<) (-?\d+)")
+_CONN = r"connection\(region\((\d+)\), region\((\d+)\), V(\d+)\)"
+_CMP = r"V(\d+) (>=|>|<=|<) (-?\d+)"
+_LITERAL = re.compile(rf"{_CONN}|{_CMP}")
+_BODY = re.compile(rf"(?:{_CONN}|{_CMP})(?:, (?:{_CONN}|{_CMP}))*")
 
 
 def parse_rule_text(line: str) -> Rule:
+    """Inverse of Rule.to_text. Raises ValueError on any other literal and
+    on a variable bound or compared twice."""
     m = _RULE_LINE.fullmatch(line.strip())
     if not m:
         raise ValueError(f"unparseable rule: {line!r}")
     body = m.group(1)
-    edges = {cm.group(3): edge(int(cm.group(1)), int(cm.group(2)))
-             for cm in _CONN.finditer(body)}
-    comps = {cm.group(1): (cm.group(2), int(cm.group(3)))
-             for cm in _CMP.finditer(body)}
-    if not edges or set(edges) != set(comps):
+    if not _BODY.fullmatch(body):
+        raise ValueError(f"unrecognised body literal in rule: {line!r}")
+    edges: dict[str, EdgeId] = {}
+    comps: dict[str, tuple[str, int]] = {}
+    for lit in _LITERAL.finditer(body):
+        i, j, var, cvar, comp, thr = lit.groups()
+        if var is not None:
+            if var in edges:
+                raise ValueError(f"V{var} bound twice in rule: {line!r}")
+            edges[var] = edge(int(i), int(j))
+        else:
+            if cvar in comps:
+                raise ValueError(f"V{cvar} compared twice in rule: {line!r}")
+            comps[cvar] = (comp, int(thr))
+    if set(edges) != set(comps):
         raise ValueError(f"mismatched connection and comparison literals: {line!r}")
     return Rule(tuple(
         BodyLiteral(edges[v], comps[v][0], comps[v][1]) for v in sorted(edges)))

@@ -1,9 +1,10 @@
-"""Network-to-Knowledge Generator: compile selected edges plus labelled
-feature vectors into a symbolic learning task.
+"""Network-to-Knowledge Generator: compile selected edges plus a labelled
+features matrix into a symbolic learning task.
 
 A task bundles weighted examples (one per subject, with edge-strength context
-facts), a comparator-threshold hypothesis space over the selected edges, and
-an empty background program. Tasks serialize to a solver-ready text format::
+facts) and a comparator-threshold hypothesis space over the selected edges;
+the background program is empty. Tasks serialize to a solver-ready text
+format, which is also their only file format::
 
     % connectome rule-learning task
     % provenance: dt
@@ -23,17 +24,16 @@ hypothesis space; a solver treats them as comments.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_EVEN, Decimal
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, FeatureVector, edge
+from .cohort import EdgeId, Features, edge
 from .selection import SelectedEdges
 
 COMPARATORS = (">=", ">", "<", "<=")
@@ -56,35 +56,17 @@ def context_from_weights(weights: np.ndarray, edges: Sequence[EdgeId]) -> dict[E
 
 @dataclass(frozen=True)
 class Example:
-    """Weighted context-dependent example for one subject.
-
-    subject_id is bookkeeping for reports and stays outside the example
-    identity (the solver-facing tuple is id, penalty, labels, context).
-    """
+    """Weighted context-dependent example for one subject: an AD example
+    includes {ad} and excludes {cn}, a CN example the reverse."""
 
     id: str
     penalty: int
-    inclusions: frozenset[str]
-    exclusions: frozenset[str]
+    is_ad: bool
     context: dict[EdgeId, int]
-    subject_id: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.penalty < 1:
             raise ValueError("penalty must be >= 1")
-        pair = (frozenset(self.inclusions), frozenset(self.exclusions))
-        if pair not in ((frozenset({AD}), frozenset({CN})), (frozenset({CN}), frozenset({AD}))):
-            raise ValueError("example must include one label and exclude the other")
-        object.__setattr__(self, "inclusions", pair[0])
-        object.__setattr__(self, "exclusions", pair[1])
-
-    @property
-    def is_ad(self) -> bool:
-        return AD in self.inclusions
-
-    @property
-    def label(self) -> str:
-        return AD if self.is_ad else CN
 
 
 @dataclass(frozen=True)
@@ -99,13 +81,10 @@ class HypothesisSpace:
     edges: SelectedEdges
     max_body_edges: int
     threshold_domain: dict[EdgeId, tuple[int, ...]]
-    comparators: tuple[str, ...] = COMPARATORS
 
     def __post_init__(self):
         if self.max_body_edges < 1:
             raise ValueError("max_body_edges must be >= 1")
-        if self.comparators != COMPARATORS:
-            raise ValueError("comparators are fixed to >=, >, <, <=")
 
     def count_rule_templates(self) -> int:
         """Number of rule shapes: choose 1..max_body_edges distinct edges,
@@ -121,7 +100,6 @@ class HypothesisSpace:
 class LearningTask:
     space: HypothesisSpace
     examples: tuple[Example, ...]
-    background: tuple[str, ...] = ()  # empty program: all signal is in contexts
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
@@ -136,7 +114,6 @@ class LearningTask:
 @dataclass(frozen=True)
 class TaskPartition:
     tasks: tuple[LearningTask, ...]
-    n_ad_subsets: int
 
 
 # ---------------------------------------------------------------------------
@@ -144,35 +121,28 @@ class TaskPartition:
 # ---------------------------------------------------------------------------
 
 def build_examples(
-    vectors: Sequence[FeatureVector],
+    features: Features,
     selected: SelectedEdges,
     base_pen: int = 1,
 ) -> list[Example]:
-    """One example per subject: AD subjects include {ad} and exclude {cn},
-    CN subjects the reverse; the context holds one scaled-strength fact per
-    selected edge."""
+    """One example per subject, numbered ad_NNN or cn_NNN within its class;
+    the context holds one scaled-strength fact per selected edge."""
     if len(selected) == 0:
         raise ValueError("no selected edges")
     if base_pen < 1:
         raise ValueError("base_pen must be >= 1")
+    cols = []
+    for e in selected.edges:
+        if e not in features.edges:
+            raise ValueError(f"features missing selected edge ({e.i}, {e.j})")
+        cols.append(features.edges.index(e))
     out = []
-    counters = {AD: 0, CN: 0}
-    for vec in vectors:
-        if vec.edges is None:
-            raise ValueError("feature vectors must carry their edge labels")
-        pos = {e: k for k, e in enumerate(vec.edges)}
-        context = {}
-        for e in selected.edges:
-            if e not in pos:
-                raise ValueError(
-                    f"subject {vec.subject_id!r} missing selected edge ({e.i}, {e.j})")
-            context[e] = scale_strength(vec.values[pos[e]])
-        k = counters[vec.label]
-        counters[vec.label] += 1
-        eid = f"{vec.label.lower()}_{k:03d}"
-        inc, exc = ({AD}, {CN}) if vec.label == AD else ({CN}, {AD})
-        out.append(Example(eid, base_pen, frozenset(inc), frozenset(exc),
-                           context, vec.subject_id))
+    counts = [0, 0]  # CN, AD
+    for row, is_ad in zip(features.X[:, cols], features.is_ad.tolist()):
+        context = {e: scale_strength(v) for e, v in zip(selected.edges, row)}
+        out.append(Example(f"{'ad' if is_ad else 'cn'}_{counts[is_ad]:03d}",
+                           base_pen, is_ad, context))
+        counts[is_ad] += 1
     return out
 
 
@@ -224,7 +194,7 @@ def partition_tasks(
         chunk = [replace(ad[k], penalty=pen) for k in range(len(ad)) if k in members]
         cns = [replace(ex, penalty=base_pen) for ex in cn]
         tasks.append(LearningTask(space, tuple(chunk + cns)))
-    return TaskPartition(tuple(tasks), n_ad_subsets)
+    return TaskPartition(tuple(tasks))
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +227,8 @@ def task_to_text(task: LearningTask) -> str:
     for ex in task.examples:
         facts = " ".join(_fact(e, ex.context[e])
                          for e in space.edges.edges if e in ex.context)
-        inc = ", ".join(sorted(a.lower() for a in ex.inclusions))
-        exc = ", ".join(sorted(a.lower() for a in ex.exclusions))
-        lines.append(f"#pos({ex.id}@{ex.penalty}, {{{inc}}}, {{{exc}}}, {{ {facts} }}).")
+        labels = "{ad}, {cn}" if ex.is_ad else "{cn}, {ad}"
+        lines.append(f"#pos({ex.id}@{ex.penalty}, {labels}, {{ {facts} }}).")
     return "\n".join(lines) + "\n"
 
 
@@ -271,38 +240,56 @@ def serialize_task(task: LearningTask, path) -> Path:
 
 _MODEB_CONN = re.compile(
     r"#modeb\(1, connection\(region\((\d+)\), region\((\d+)\), var\(strength\)\)\)\.")
+_DECLARATION = re.compile(  # fixed or derived lines: accepted, not read
+    r"#modeh\(ad\)\.|#modeb\(1, var\(strength\) (?:>=|>|<|<=) const\(threshold\)\)\."
+    r"|#constant\(threshold, -?\d+\)\.")
 _MAXV = re.compile(r"#maxv\((\d+)\)\.")
 _THRESHOLDS = re.compile(r"% thresholds\((\d+),(\d+)\): (.*)")
 _PROVENANCE = re.compile(r"% provenance: (\w+)")
-_POS = re.compile(r"#pos\((\w+)@(\d+), \{(\w+)\}, \{(\w+)\}, \{ ?(.*?) ?\}\)\.")
-_FACT = re.compile(r"connection\(region\((\d+)\), region\((\d+)\), (\d+)\)\.")
+_POS = re.compile(r"#pos\((\w+)@(\d+), \{(\w+)\}, \{(\w+)\}, \{ (.*) \}\)\.")
+_FACT = r"connection\(region\((\d+)\), region\((\d+)\), (\d+)\)\."
+_FACTS = re.compile(rf"(?:{_FACT}(?: {_FACT})*)?")
 
 
 def parse_task_text(text: str) -> LearningTask:
-    """Inverse of task_to_text for files this module produced."""
+    """Inverse of task_to_text. Blank and other % comment lines are
+    skipped; any other line this module does not write raises ValueError
+    with its 1-based line number."""
     edges = []
     provenance = "external"
     max_body = 1
     domain: dict[EdgeId, tuple[int, ...]] = {}
     examples = []
-    for line in text.splitlines():
-        line = line.rstrip()
-        if m := _PROVENANCE.fullmatch(line):
-            provenance = m.group(1)
-        elif m := _MODEB_CONN.fullmatch(line):
-            edges.append(edge(int(m.group(1)), int(m.group(2))))
-        elif m := _MAXV.fullmatch(line):
-            max_body = int(m.group(1))
-        elif m := _THRESHOLDS.fullmatch(line):
-            e = edge(int(m.group(1)), int(m.group(2)))
-            vals = tuple(int(v) for v in m.group(3).split()) if m.group(3).strip() else ()
-            domain[e] = vals
-        elif m := _POS.fullmatch(line):
-            eid, pen, inc, exc = m.group(1), int(m.group(2)), m.group(3), m.group(4)
-            context = {edge(int(i), int(j)): int(v)
-                       for i, j, v in _FACT.findall(m.group(5))}
-            examples.append(Example(eid, pen, frozenset({inc.upper()}),
-                                    frozenset({exc.upper()}), context))
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        try:
+            if m := _PROVENANCE.fullmatch(line):
+                provenance = m.group(1)
+            elif m := _MODEB_CONN.fullmatch(line):
+                edges.append(edge(int(m.group(1)), int(m.group(2))))
+            elif m := _MAXV.fullmatch(line):
+                max_body = int(m.group(1))
+            elif m := _THRESHOLDS.fullmatch(line):
+                domain[edge(int(m.group(1)), int(m.group(2)))] = tuple(
+                    int(v) for v in m.group(3).split())
+            elif m := _POS.fullmatch(line):
+                eid, pen, inc, exc, facts = m.groups()
+                if (inc, exc) not in (("ad", "cn"), ("cn", "ad")):
+                    raise ValueError(
+                        f"example {eid!r} must include one of ad, cn and exclude the other")
+                if not _FACTS.fullmatch(facts):
+                    raise ValueError(f"example {eid!r} has a malformed fact list")
+                found = re.findall(_FACT, facts)
+                context = {edge(int(i), int(j)): int(v) for i, j, v in found}
+                if len(context) != len(found):
+                    raise ValueError(f"example {eid!r} repeats an edge")
+                examples.append(Example(eid, int(pen), inc == "ad", context))
+            elif line and not line.startswith("%") and not _DECLARATION.fullmatch(line):
+                raise ValueError(f"unrecognised line {line!r}")
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {exc}") from None
+    if not examples:
+        raise ValueError("task has no examples")
     selected = SelectedEdges(tuple(edges), provenance)
     for e in selected.edges:
         domain.setdefault(e, ())
@@ -314,65 +301,4 @@ def load_task(path) -> LearningTask:
     path = Path(path)
     if not path.exists():
         raise ValueError(f"missing file: {path}")
-    if path.suffix == ".json":
-        return task_from_json(path.read_text())
     return parse_task_text(path.read_text())
-
-
-# ---------------------------------------------------------------------------
-# JSON mirror
-# ---------------------------------------------------------------------------
-
-def task_to_obj(task: LearningTask) -> dict:
-    space = task.space
-    return {
-        "background": list(task.background),
-        "space": {
-            "edges": [[e.i, e.j] for e in space.edges.edges],
-            "provenance": space.edges.provenance,
-            "max_body_edges": space.max_body_edges,
-            "threshold_domain": {
-                f"{e.i}-{e.j}": list(space.threshold_domain[e])
-                for e in space.edges.edges
-            },
-        },
-        "examples": [
-            {
-                "id": ex.id,
-                "penalty": ex.penalty,
-                "inclusions": sorted(ex.inclusions),
-                "exclusions": sorted(ex.exclusions),
-                "subject_id": ex.subject_id,
-                "context": [[e.i, e.j, ex.context[e]] for e in sorted(ex.context)],
-            }
-            for ex in task.examples
-        ],
-    }
-
-
-def task_from_obj(obj: dict) -> LearningTask:
-    sp = obj["space"]
-    selected = SelectedEdges(tuple(edge(i, j) for i, j in sp["edges"]), sp["provenance"])
-    domain = {}
-    for key, vals in sp["threshold_domain"].items():
-        i, j = key.split("-")
-        domain[edge(int(i), int(j))] = tuple(vals)
-    space = HypothesisSpace(selected, sp["max_body_edges"], domain)
-    examples = tuple(
-        Example(
-            rec["id"], rec["penalty"], frozenset(rec["inclusions"]),
-            frozenset(rec["exclusions"]),
-            {edge(i, j): v for i, j, v in rec["context"]},
-            rec.get("subject_id", ""),
-        )
-        for rec in obj["examples"]
-    )
-    return LearningTask(space, examples, tuple(obj.get("background", ())))
-
-
-def task_to_json(task: LearningTask) -> str:
-    return json.dumps(task_to_obj(task), indent=1)
-
-
-def task_from_json(text: str) -> LearningTask:
-    return task_from_obj(json.loads(text))

@@ -1,4 +1,4 @@
-"""Binary CART classifier over edge-strength feature vectors.
+"""Binary CART classifier over a features matrix of edge strengths.
 
 Splits minimize Gini impurity. Conventions fixed for reproducibility:
 thresholds are midpoints between consecutive distinct sorted values, values
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, FeatureVector, canonical_edges, edge
+from .cohort import AD, CN, EdgeId, Features, edge
 
 
 @dataclass(frozen=True)
@@ -139,20 +139,11 @@ def _split_arrays(
     return f, float(thr), best
 
 
-def _as_matrix(samples: Sequence[FeatureVector]) -> tuple[np.ndarray, np.ndarray]:
-    if not samples:
-        raise ValueError("empty sample set")
-    X = np.stack([np.asarray(s.values, dtype=float) for s in samples])
-    is_ad = np.array([s.label == AD for s in samples])
-    return X, is_ad
-
-
-def best_split(samples: Sequence[FeatureVector]) -> tuple[int, float, float] | None:
+def best_split(features: Features) -> tuple[int, float, float] | None:
     """Exhaustive best split over all features; None if nothing improves."""
-    X, is_ad = _as_matrix(samples)
-    if X.shape[0] < 2:
+    if len(features) < 2:
         raise ValueError("best_split needs at least 2 samples")
-    return _split_arrays(X, is_ad)
+    return _split_arrays(features.X, features.is_ad)
 
 
 # ---------------------------------------------------------------------------
@@ -201,23 +192,9 @@ def _fit_arrays(
     return DecisionTree(root, params, feature_order)
 
 
-def fit_tree(
-    samples: Sequence[FeatureVector],
-    params: TreeParams | None = None,
-    feature_order: Sequence[EdgeId] | None = None,
-) -> DecisionTree:
-    """Fit a CART tree. The edge labels default to the samples' own edge
-    annotation, falling back to the first F canonical edges."""
-    params = params or TreeParams()
-    X, is_ad = _as_matrix(samples)
-    if feature_order is None:
-        feature_order = samples[0].edges
-    if feature_order is None:
-        feature_order = canonical_edges()[: X.shape[1]]
-    feature_order = tuple(feature_order)
-    if len(feature_order) != X.shape[1]:
-        raise ValueError("feature_order length does not match feature count")
-    return _fit_arrays(X, is_ad, params, feature_order)
+def fit_tree(features: Features, params: TreeParams | None = None) -> DecisionTree:
+    """Fit a CART tree whose feature k is the edge features.edges[k]."""
+    return _fit_arrays(features.X, features.is_ad, params or TreeParams(), features.edges)
 
 
 def _route(node: TreeNode, values: np.ndarray) -> Leaf:
@@ -227,8 +204,8 @@ def _route(node: TreeNode, values: np.ndarray) -> Leaf:
 
 
 def predict_tree(tree: DecisionTree, x) -> str:
-    """Predict AD or CN for one feature vector."""
-    values = np.asarray(x.values if isinstance(x, FeatureVector) else x, dtype=float)
+    """Predict AD or CN for one row of strengths in the tree's edge order."""
+    values = np.asarray(x, dtype=float)
     if values.shape != (len(tree.feature_order),):
         raise ValueError(
             f"length mismatch: vector has {values.shape}, tree expects {len(tree.feature_order)}")
@@ -272,9 +249,9 @@ def tree_atom_count(tree: DecisionTree) -> int:
     return walk(tree.root, 0)
 
 
-def tree_accuracy(tree: DecisionTree, samples: Sequence[FeatureVector]) -> float:
-    hits = sum(predict_tree(tree, s) == s.label for s in samples)
-    return hits / len(samples)
+def tree_accuracy(tree: DecisionTree, features: Features) -> float:
+    hits = sum((predict_tree(tree, x) == AD) == a for x, a in zip(features.X, features.is_ad))
+    return hits / len(features)
 
 
 # ---------------------------------------------------------------------------

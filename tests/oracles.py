@@ -1,14 +1,18 @@
 """Independent reference implementations used as test oracles.
 
-These deliberately use plain scalar Python (and exact rational arithmetic
-where it matters) rather than the library's vectorized paths.
+These deliberately use plain scalar Python (exact rational arithmetic where
+it matters, exhaustive search for the learner) rather than the library's
+vectorized or pruned paths.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
+
+from connrules.learner import Hypothesis, LearnResult, enumerate_candidates, score
 
 
 def oracle_gini_exact(n_ad: int, n_cn: int) -> float:
@@ -70,3 +74,41 @@ def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:
                 hits = (la if lpred_ad else ll - la) + (rr - ra if lpred_ad else ra)
                 best = max(best, hits)
     return best / n
+
+
+def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> LearnResult:
+    """Exhaustive search over every subset of at most max_rules candidates
+    from the unpruned enumerate_candidates, with learn's tie-break: lowest
+    score, then fewest atoms, then the smallest sorted rule list. Errors out
+    on oversized instances."""
+    cands = enumerate_candidates(task)
+    if len(cands) > max_candidates:
+        raise ValueError(
+            f"instance too large: {len(cands)} candidates exceeds {max_candidates}")
+    groups: dict[tuple[bool, int], int] = {}  # (is_ad, penalty) -> example bitmask
+    for k, ex in enumerate(task.examples):
+        groups[ex.is_ad, ex.penalty] = groups.get((ex.is_ad, ex.penalty), 0) | (1 << k)
+
+    def total(atoms: int, union: int) -> int:
+        # an AD example pays its penalty when no rule fires, a CN example when one does
+        return atoms + sum(pen * ((mask & ~union) if is_ad else (mask & union)).bit_count()
+                           for (is_ad, pen), mask in groups.items())
+
+    best_key = (total(0, 0), 0, ())
+    best = ()
+    for m in range(1, max_rules + 1):
+        for combo in combinations(cands, m):
+            union = 0
+            atoms = 0
+            for c in combo:
+                union |= c.fires
+                atoms += c.rule.atom_count
+            t = total(atoms, union)
+            if t > best_key[0]:
+                continue
+            key = (t, atoms, tuple(sorted(c.rule.sort_key for c in combo)))
+            if key < best_key:
+                best_key = key
+                best = combo
+    hypothesis = Hypothesis(tuple(c.rule for c in best))
+    return LearnResult(hypothesis, score(hypothesis, task), True)

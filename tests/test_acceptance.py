@@ -18,8 +18,10 @@ from connrules.cohort import (
     CN,
     N_REGIONS,
     Cohort,
+    Features,
     PlantedEdge,
     Subject,
+    canonical_edges,
     check_connectome,
     default_atlas,
     edge,
@@ -30,7 +32,6 @@ from connrules.crossval import CVConfig, run_pipeline
 from connrules.learner import (
     BodyLiteral,
     Rule,
-    brute_force_learn,
     enumerate_candidates,
     hypothesis_to_text,
     learn,
@@ -41,7 +42,7 @@ from connrules.learner import (
 from connrules.selection import SelectedEdges, SelectorConfig
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, partition_tasks
 from connrules.tree import ClassCounts, Internal, Leaf, TreeParams, fit_tree, gini, tree_accuracy
-from oracles import oracle_best_split, oracle_gini_exact
+from oracles import brute_force_learn, oracle_best_split, oracle_gini_exact
 
 PLANTED = PlantedEdge(edge(2, 5), 2.0, "low")
 
@@ -75,8 +76,7 @@ def noisy_report():
 
 
 def make_example(eid, label, context, penalty=1):
-    inc, exc = ({AD}, {CN}) if label == AD else ({CN}, {AD})
-    return Example(eid, penalty, frozenset(inc), frozenset(exc), context, eid)
+    return Example(eid, penalty, label == AD, context)
 
 
 EDGE_POOL = [edge(1, 2), edge(3, 4), edge(5, 9)]
@@ -121,8 +121,6 @@ def test_c1_gini_oracle():
 
 def test_c2_cart_oracle_equivalence():
     t0 = time.time()
-    from connrules.cohort import FeatureVector
-
     rng = np.random.default_rng(202)
     for trial in range(100):
         n = int(rng.integers(4, 51))
@@ -131,9 +129,9 @@ def test_c2_cart_oracle_equivalence():
         labels = [AD if rng.random() < 0.5 else CN for _ in range(n)]
         if len(set(labels)) == 1:
             labels[0] = AD if labels[0] == CN else CN
-        samples = [FeatureVector(row, lab, f"s{k}")
-                   for k, (row, lab) in enumerate(zip(X, labels))]
         is_ad = np.array([l == AD for l in labels])
+        samples = Features(X, is_ad, tuple(f"s{k}" for k in range(n)),
+                           tuple(canonical_edges()[:f]))
 
         stump = fit_tree(samples, TreeParams(max_depth=1))
         want = oracle_best_split(X, is_ad)

@@ -40,6 +40,7 @@ class TestWalkthrough:
         assert (workspace / "cohort.json").exists()
         assert len(json.loads((workspace / "mask.json").read_text())) == 1046
         assert (workspace / "hypothesis.lp").exists()
+        assert {p.suffix for p in (workspace / "tasks").iterdir()} == {".las"}
 
     def test_selected_contains_planted_edge(self, workspace):
         selected = json.loads((workspace / "selected.json").read_text())
@@ -125,3 +126,11 @@ class TestExitCodes:
 
     def test_bad_planted_spec_is_2(self, tmp_path):
         assert main(["synth", "--planted", "1,2,3", "--out", str(tmp_path)]) == 2
+
+    def test_garbage_task_is_2(self, tmp_path, capsys):
+        task = tmp_path / "garbage.las"
+        task.write_text("garbage\n")
+        out = tmp_path / "h.json"
+        assert main(["learn", "--task", str(task), "--out", str(out)]) == 2
+        assert "line 1: unrecognised line 'garbage'" in capsys.readouterr().err
+        assert not out.exists()

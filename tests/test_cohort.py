@@ -199,17 +199,17 @@ class TestApplyMask:
     def test_shapes_and_order(self):
         cohort = make_cohort([make_weights(fill=1.0)] * 10, labels=[AD] * 10)
         mask = EdgeMask(tuple(canonical_edges()[:5]), 5 / N_EDGES)
-        vectors = apply_mask(cohort, mask)
-        assert len(vectors) == 10
-        assert all(len(v.values) == 5 for v in vectors)
-        assert vectors[0].edges == mask.edges
+        features = apply_mask(cohort, mask)
+        assert features.X.shape == (10, 5)
+        assert features.is_ad.tolist() == [True] * 10
+        assert features.ids == tuple(s.id for s in cohort.subjects)
+        assert features.edges == mask.edges
 
     def test_zero_weight_kept_as_zero(self):
         w = make_weights({(0, 1): 1.0})  # edge (0, 2) is zero
         cohort = make_cohort([w])
         mask = EdgeMask((edge(0, 1), edge(0, 2)), 2 / N_EDGES)
-        vec = apply_mask(cohort, mask)[0]
-        assert vec.values.tolist() == [1.0, 0.0]
+        assert apply_mask(cohort, mask).X.tolist() == [[1.0, 0.0]]
 
     def test_empty_mask_rejected(self):
         cohort = make_cohort([make_weights(fill=1.0)])

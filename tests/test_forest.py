@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from connrules.cohort import AD, CN, FeatureVector, PlantedEdge, apply_mask, compute_mask, edge, generate_synthetic
+from connrules.cohort import (
+    AD, CN, Features, PlantedEdge, apply_mask, canonical_edges, compute_mask, edge,
+    generate_synthetic)
 from connrules.forest import (
     Forest,
     ForestParams,
@@ -25,8 +27,10 @@ from connrules.tree import (
 
 
 def vectors(X, labels):
+    """Features over the first canonical edges, one row per label."""
     X = np.asarray(X, dtype=float)
-    return [FeatureVector(row, lab, f"s{k}") for k, (row, lab) in enumerate(zip(X, labels))]
+    return Features(X, np.array([lab == AD for lab in labels], dtype=bool),
+                    tuple(f"s{k}" for k in range(len(X))), tuple(canonical_edges()[:X.shape[1]]))
 
 
 def stump(feature, threshold, left_label, right_label, n=4):
@@ -50,8 +54,7 @@ class TestDeterminism:
         a = fit_forest(samples, params, seed=99)
         b = fit_forest(samples, params, seed=99)
         assert forest_to_json(a) == forest_to_json(b)
-        probe = vectors(rng.uniform(0, 10, size=(20, 6)), [CN] * 20)
-        for p in probe:
+        for p in rng.uniform(0, 10, size=(20, 6)):
             assert predict_forest(a, p) == predict_forest(b, p)
 
     def test_different_seeds_differ(self):
@@ -77,8 +80,8 @@ class TestReductionToCart:
             bootstrap=False,
         )
         tree = fit_tree(samples)
-        for s in samples:
-            assert predict_forest(forest, s) == predict_tree(tree, s)
+        for x in samples.X:
+            assert predict_forest(forest, x) == predict_tree(tree, x)
 
 
 class TestVoting:
@@ -156,8 +159,9 @@ class TestOnSyntheticCohort:
         test_vecs = apply_mask(test, mask)
         tree = fit_tree(train_vecs)
         forest = fit_forest(train_vecs, ForestParams(n_estimators=50), seed=0)
-        tree_acc = np.mean([predict_tree(tree, v) == v.label for v in test_vecs])
-        forest_acc = np.mean([predict_forest(forest, v) == v.label for v in test_vecs])
+        rows = list(zip(test_vecs.X, test_vecs.is_ad))
+        tree_acc = np.mean([(predict_tree(tree, x) == AD) == a for x, a in rows])
+        forest_acc = np.mean([(predict_forest(forest, x) == AD) == a for x, a in rows])
         assert forest_acc >= tree_acc - 0.05
 
 

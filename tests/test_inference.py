@@ -83,8 +83,7 @@ class TestAgreementWithCovers:
         for _ in range(50):
             label = AD if rng.random() < 0.5 else CN
             ctx = {E1: int(rng.integers(0, 200)), E2: int(rng.integers(0, 20))}
-            inc, exc = ({AD}, {CN}) if label == AD else ({CN}, {AD})
-            ex = Example("x", 1, frozenset(inc), frozenset(exc), ctx)
+            ex = Example("x", 1, label == AD, ctx)
             hyp = Hypothesis((
                 Rule((BodyLiteral(E1, "<", 100),)),
                 Rule((BodyLiteral(E1, ">=", 150), BodyLiteral(E2, "<=", 10))),

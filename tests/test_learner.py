@@ -6,7 +6,6 @@ from connrules.learner import (
     BodyLiteral,
     Hypothesis,
     Rule,
-    brute_force_learn,
     covers,
     enumerate_candidates,
     hypothesis_from_json,
@@ -14,6 +13,7 @@ from connrules.learner import (
     hypothesis_to_text,
     learn,
     parse_hypothesis_text,
+    parse_rule_text,
     rule_fires,
     score,
     snap_rule_to_domain,
@@ -21,14 +21,14 @@ from connrules.learner import (
 )
 from connrules.selection import SelectedEdges
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space
+from oracles import brute_force_learn
 
 E1, E2, E3 = edge(1, 2), edge(3, 4), edge(5, 9)
 EDGE_POOL = [E1, E2, E3]
 
 
 def make_example(eid, label, context, penalty=1):
-    inc, exc = ({AD}, {CN}) if label == AD else ({CN}, {AD})
-    return Example(eid, penalty, frozenset(inc), frozenset(exc), context, eid)
+    return Example(eid, penalty, label == AD, context)
 
 
 def make_task(examples, edges, max_body=2):
@@ -346,6 +346,16 @@ class TestHypothesisIO:
     def test_json_round_trip(self):
         hyp = Hypothesis((Rule((BodyLiteral(E1, ">", 3), BodyLiteral(E2, "<", 9))),))
         assert hypothesis_from_json(hypothesis_to_json(hyp)) == hyp
+
+    def test_unknown_body_literal_rejected(self):
+        line = "ad :- connection(region(1), region(2), V0), V0 < 1800, bogus(7)."
+        with pytest.raises(ValueError, match="unrecognised body literal"):
+            parse_rule_text(line)
+
+    def test_second_comparison_on_a_variable_rejected(self):
+        line = "ad :- connection(region(1), region(2), V0), V0 < 1800, V0 > 10."
+        with pytest.raises(ValueError, match="V0 compared twice"):
+            parse_rule_text(line)
 
     def test_atom_counts(self):
         r1 = Rule((BodyLiteral(E1, "<", 10),))

@@ -1,37 +1,36 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from connrules.cohort import AD, CN, FeatureVector, edge
+from connrules.cohort import AD, CN, Features, edge
 from connrules.selection import SelectedEdges
 from connrules.taskgen import (
     Example,
+    HypothesisSpace,
     LearningTask,
     build_examples,
     build_space,
     parse_task_text,
     partition_tasks,
     scale_strength,
-    task_from_json,
-    task_to_json,
     task_to_text,
 )
+
+GOLDEN = Path(__file__).parent / "golden" / "toy_task.las"
 
 E1, E2, E3 = edge(2, 5), edge(3, 17), edge(10, 40)
 
 
 def make_example(eid, label, context, penalty=1):
-    inc, exc = ({AD}, {CN}) if label == AD else ({CN}, {AD})
-    return Example(eid, penalty, frozenset(inc), frozenset(exc), context, eid)
+    return Example(eid, penalty, label == AD, context)
 
 
 def toy_vectors():
-    edges = (E1, E2)
-    return [
-        FeatureVector(np.array([0.123, 2.0]), AD, "p0", edges),
-        FeatureVector(np.array([0.5, 1.5]), AD, "p1", edges),
-        FeatureVector(np.array([2.0, 0.4]), CN, "p2", edges),
-        FeatureVector(np.array([1.7, 0.9]), CN, "p3", edges),
-    ]
+    X = np.array([[0.123, 2.0], [0.5, 1.5], [2.0, 0.4], [1.7, 0.9]])
+    return Features(X, np.array([True, True, False, False]), ("p0", "p1", "p2", "p3"), (E1, E2))
 
 
 class TestScaleStrength:
@@ -73,13 +72,11 @@ class TestBuildExamples:
         examples = build_examples(toy_vectors(), selected)
         assert len(examples) == 4
         ad = examples[0]
-        assert ad.id == "ad_000"
-        assert ad.inclusions == frozenset({AD}) and ad.exclusions == frozenset({CN})
+        assert ad.id == "ad_000" and ad.is_ad
         assert len(ad.context) == 2
         assert ad.context[E1] == 123
         cn = examples[2]
-        assert cn.id == "cn_000"
-        assert cn.inclusions == frozenset({CN}) and cn.exclusions == frozenset({AD})
+        assert cn.id == "cn_000" and not cn.is_ad
 
     def test_base_penalty_applied(self):
         selected = SelectedEdges((E1,), "dt")
@@ -249,19 +246,11 @@ class TestSerialization:
         assert back == task
         assert back.space.threshold_domain == space.threshold_domain
 
-    def test_json_round_trip(self):
-        task = self.make_task()
-        assert task_from_json(task_to_json(task)) == task
-
 
 class TestExampleValidation:
     def test_penalty_must_be_positive(self):
         with pytest.raises(ValueError, match="penalty"):
             make_example("x", AD, {E1: 1}, penalty=0)
-
-    def test_label_pair_enforced(self):
-        with pytest.raises(ValueError, match="include one label"):
-            Example("x", 1, frozenset({AD}), frozenset({AD}), {E1: 1})
 
     def test_context_edges_must_be_in_space(self):
         examples = [make_example("ad_000", AD, {E1: 1})]
@@ -269,3 +258,92 @@ class TestExampleValidation:
         stray = make_example("ad_001", AD, {E2: 5})
         with pytest.raises(ValueError, match="outside the space"):
             LearningTask(space, (examples[0], stray))
+
+
+class TestStrictParsing:
+    """Malformed input raises ValueError naming its 1-based line; none of it
+    may be dropped silently."""
+
+    @staticmethod
+    def golden_with(old, new):
+        text = GOLDEN.read_text()
+        assert old in text
+        return text.replace(old, new, 1)
+
+    def test_pos_line_with_an_extra_space_rejected(self):
+        # skipping this line would leave 3 examples instead of 4
+        text = self.golden_with("#pos(ad_001@1, {ad}, {cn},", "#pos(ad_001@1, {ad},  {cn},")
+        with pytest.raises(ValueError, match=r"^line 26: unrecognised line"):
+            parse_task_text(text)
+
+    def test_fact_list_with_an_extra_space_rejected(self):
+        text = self.golden_with("200). connection", "200).  connection")
+        with pytest.raises(ValueError, match=r"^line 26: .*malformed fact list"):
+            parse_task_text(text)
+
+    def test_fact_without_spaces_rejected(self):
+        # skipping this fact would drop edge (2, 5) from the example's context
+        text = self.golden_with("connection(region(2), region(5), 123).",
+                                "connection(region(2),region(5),123).")
+        with pytest.raises(ValueError, match=r"^line 25: .*malformed fact list"):
+            parse_task_text(text)
+
+    def test_label_pair_enforced(self):
+        text = self.golden_with("#pos(cn_000@1, {cn}, {ad},", "#pos(cn_000@1, {cn}, {cn},")
+        with pytest.raises(ValueError, match=r"^line 27: .*include one of ad, cn"):
+            parse_task_text(text)
+
+    def test_repeated_edge_rejected(self):
+        text = self.golden_with("connection(region(3), region(17), 770).",
+                                "connection(region(2), region(5), 770).")
+        with pytest.raises(ValueError, match=r"^line 25: .*repeats an edge"):
+            parse_task_text(text)
+
+    def test_unrecognised_line_rejected(self):
+        with pytest.raises(ValueError, match=r"^line 5: unrecognised line 'garbage'"):
+            parse_task_text(self.golden_with("#modeh(ad).", "% fine\n\ngarbage"))
+
+    def test_no_examples_rejected(self):
+        with pytest.raises(ValueError, match="task has no examples"):
+            parse_task_text("% connectome rule-learning task\n")
+
+
+EDGE_POOL = (edge(0, 1), E1, E2, E3, edge(82, 83))
+
+
+@st.composite
+def tasks(draw):
+    edges = draw(st.lists(st.sampled_from(EDGE_POOL), min_size=1, max_size=4, unique=True))
+    domain = {e: tuple(sorted(draw(st.sets(st.integers(-1, 3000), max_size=5))))
+              for e in edges}
+    space = HypothesisSpace(
+        SelectedEdges(tuple(edges), draw(st.sampled_from(("dt", "rf", "external")))),
+        draw(st.integers(1, 3)), domain)
+    examples = draw(st.lists(st.builds(
+        Example,
+        st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
+        st.integers(1, 50),
+        st.booleans(),
+        st.dictionaries(st.sampled_from(edges), st.integers(0, 5000)),
+    ), min_size=1, max_size=6))
+    return LearningTask(space, tuple(examples))
+
+
+class TestTextProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(tasks())
+    def test_text_round_trip(self, task):
+        assert parse_task_text(task_to_text(task)) == task
+
+    @settings(max_examples=300, deadline=None)
+    @given(tasks(), st.data())
+    def test_pos_whitespace_never_drops_content(self, task, data):
+        lines = task_to_text(task).splitlines()
+        k = data.draw(st.sampled_from([k for k, l in enumerate(lines) if l.startswith("#pos(")]))
+        at = data.draw(st.integers(0, len(lines[k])))
+        lines[k] = lines[k][:at] + data.draw(st.sampled_from((" ", "  ", "\t"))) + lines[k][at:]
+        try:
+            back = parse_task_text("\n".join(lines) + "\n")
+        except ValueError:
+            return
+        assert back == task

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from connrules.cohort import AD, CN, FeatureVector, edge
+from connrules.cohort import AD, CN, Features, canonical_edges, edge
 from connrules.tree import (
     ClassCounts,
     DecisionTree,
@@ -22,8 +22,10 @@ from oracles import oracle_best_split, oracle_gini_exact
 
 
 def vectors(X, labels):
+    """Features over the first canonical edges, one row per label."""
     X = np.asarray(X, dtype=float)
-    return [FeatureVector(row, lab, f"s{k}") for k, (row, lab) in enumerate(zip(X, labels))]
+    return Features(X, np.array([lab == AD for lab in labels], dtype=bool),
+                    tuple(f"s{k}" for k in range(len(X))), tuple(canonical_edges()[:X.shape[1]]))
 
 
 def random_dataset(rng, max_samples=50, max_features=10):
@@ -132,7 +134,7 @@ class TestFitPredict:
 
     def test_empty_sample_set_rejected(self):
         with pytest.raises(ValueError, match="empty sample set"):
-            fit_tree([])
+            fit_tree(vectors(np.empty((0, 1)), []))
 
     def test_accuracy_non_decreasing_in_depth(self):
         rng = np.random.default_rng(5)
@@ -242,7 +244,7 @@ class TestTreeJson:
         tree = fit_tree(samples)
         back = tree_from_json(tree_to_json(tree))
         assert tree_to_json(back) == tree_to_json(tree)
-        for s in samples:
-            assert predict_tree(back, s) == predict_tree(tree, s)
+        for x in samples.X:
+            assert predict_tree(back, x) == predict_tree(tree, x)
         assert tree_importance(back).scores == tree_importance(tree).scores
         assert tree_atom_count(back) == tree_atom_count(tree)
