@@ -154,13 +154,13 @@ def cmd_infer(args) -> int:
     cohort = load_cohort(args.cohort)
     hypothesis = _load_hypothesis(args.hypothesis)
     edges = sorted({l.edge for r in hypothesis.rules for l in r.body})
-    contexts = [context_from_weights(s.weights, edges) for s in cohort.subjects]
     labels = [s.diagnosis for s in cohort.subjects]
-    predictions = [predict(hypothesis, ctx, s.id) for s, ctx in zip(cohort.subjects, contexts)]
+    predictions = [predict(hypothesis, context_from_weights(s.weights, edges), s.id)
+                   for s in cohort.subjects]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictions_to_csv(predictions, labels, out_dir / "predictions.csv")
-    metrics = evaluate(hypothesis, list(zip(labels, contexts)))
+    metrics = evaluate(labels, [p.label for p in predictions])
     (out_dir / "metrics.json").write_text(json.dumps(metrics_to_obj(metrics), indent=1))
     print(f"accuracy {metrics.accuracy:.4f} over {len(cohort)} subjects")
     return 0

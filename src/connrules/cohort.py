@@ -353,10 +353,18 @@ def load_cohort(manifest_path) -> Cohort:
     if not manifest_path.exists():
         raise ValueError(f"missing file: {manifest_path}")
     doc = json.loads(manifest_path.read_text())
-    atlas = RegionAtlas(tuple(doc["atlas"]))
+    try:
+        atlas = RegionAtlas(tuple(doc["atlas"]))
+        records = doc["subjects"]
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: manifest lacks key {exc}") from None
     base = manifest_path.parent
     subjects = []
-    for rec in doc["subjects"]:
+    for n, rec in enumerate(records):
+        if missing := [k for k in ("id", "diagnosis", "sex", "manufacturer", "matrix")
+                       if k not in rec]:
+            who = repr(rec["id"]) if "id" in rec else f"at position {n}"
+            raise ValueError(f"{manifest_path}: subject {who} lacks key(s) {', '.join(missing)}")
         mpath = base / rec["matrix"]
         if not mpath.exists():
             raise ValueError(f"missing file: {mpath}")

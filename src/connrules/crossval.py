@@ -9,12 +9,12 @@ only; the validation split is touched only by the final evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
-from .cohort import AD, Cohort, EdgeId, EdgeMask, Features, apply_mask, compute_mask
+from .cohort import Cohort, EdgeId, EdgeMask, apply_mask, compute_mask
 from .forest import (
     Forest,
     ForestParams,
@@ -23,7 +23,7 @@ from .forest import (
     forest_importance,
     predict_forest,
 )
-from .inference import Metrics, evaluate, metrics_to_obj
+from .inference import Metrics, evaluate, metrics_to_obj, predict
 from .learner import Hypothesis, learn, union_hypotheses
 from .selection import (
     InstanceExplanation,
@@ -34,6 +34,7 @@ from .selection import (
     select_global,
 )
 from .taskgen import (
+    Example,
     HypothesisSpace,
     build_examples,
     build_space,
@@ -104,9 +105,20 @@ def config_to_obj(config: CVConfig) -> dict:
     }
 
 
+def _reject_unknown_keys(obj: dict, cls, where: str) -> None:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+
+
 def config_from_obj(obj: dict) -> CVConfig:
+    """Inverse of config_to_obj; a key it does not write raises ValueError."""
+    _reject_unknown_keys(obj, CVConfig, "config")
     obj = dict(obj)
     if "selector" in obj:
+        _reject_unknown_keys(obj["selector"], SelectorConfig, "selector")
         obj["selector"] = SelectorConfig(**obj["selector"])
     return CVConfig(**obj)
 
@@ -171,6 +183,7 @@ class FoldArtifacts:
     mask: EdgeMask
     selected: SelectedEdges
     space: HypothesisSpace
+    examples: list[Example]  # one per training subject, in subject order
     hypothesis: Hypothesis
     optimal: bool
     dt: DecisionTree | None
@@ -221,7 +234,7 @@ def fit_fold(
         examples, space, config.n_ad_subsets, config.base_pen, seed=partition_seed)
     results = [learn(task, budget=config.budget) for task in partition.tasks]
     hypothesis = union_hypotheses([res.hypothesis for res in results])
-    return FoldArtifacts(mask, selected, space, hypothesis,
+    return FoldArtifacts(mask, selected, space, examples, hypothesis,
                          all(res.optimal for res in results), dt, rf)
 
 
@@ -340,11 +353,6 @@ def report_to_json(report: RunReport) -> str:
 # Driver
 # ---------------------------------------------------------------------------
 
-def _accuracy(predict_one, model, features: Features) -> float:
-    return float(np.mean(
-        [(predict_one(model, x) == AD) == a for x, a in zip(features.X, features.is_ad)]))
-
-
 def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
     explanations = None
     if config.pipeline == "external_explanations":
@@ -363,11 +371,12 @@ def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
             arts = fit_fold(train, config, partition_seed=seed_r,
                             model_seed=seed_r * 1000 + f, explanations=explanations)
 
-            train_items = [
-                (s.diagnosis, context_from_weights(s.weights, arts.selected.edges))
-                for s in train.subjects]
-            val_items = [
-                (s.diagnosis, context_from_weights(s.weights, arts.selected.edges))
+            train_labels = [s.diagnosis for s in train.subjects]
+            val_labels = [s.diagnosis for s in val.subjects]
+            train_pred = [predict(arts.hypothesis, ex.context).label for ex in arts.examples]
+            val_pred = [
+                predict(arts.hypothesis,
+                        context_from_weights(s.weights, arts.selected.edges)).label
                 for s in val.subjects]
 
             dt_val_acc = rf_val_acc = None
@@ -376,10 +385,12 @@ def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
                 val_features = apply_mask(val, arts.mask)
             if arts.dt is not None:
                 dt_atoms = tree_atom_count(arts.dt)
-                dt_val_acc = _accuracy(predict_tree, arts.dt, val_features)
+                dt_val_acc = evaluate(
+                    val_labels, [predict_tree(arts.dt, x) for x in val_features.X]).accuracy
             if arts.rf is not None:
                 rf_atoms = forest_atom_count(arts.rf)
-                rf_val_acc = _accuracy(predict_forest, arts.rf, val_features)
+                rf_val_acc = evaluate(
+                    val_labels, [predict_forest(arts.rf, x) for x in val_features.X]).accuracy
 
             folds_out.append(FoldResult(
                 repeat=r, fold=f, n_train=len(train), n_val=len(val),
@@ -388,7 +399,7 @@ def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
                 hypothesis_atoms=arts.hypothesis.atom_count,
                 dt_atoms=dt_atoms, rf_atoms=rf_atoms,
                 dt_val_accuracy=dt_val_acc, rf_val_accuracy=rf_val_acc,
-                train=evaluate(arts.hypothesis, train_items),
-                val=evaluate(arts.hypothesis, val_items),
+                train=evaluate(train_labels, train_pred),
+                val=evaluate(val_labels, val_pred),
             ))
     return RunReport(config, folds_out)

@@ -55,14 +55,12 @@ def fit_forest(
     features: Features,
     params: ForestParams | None = None,
     seed: int = 0,
-    bootstrap: bool = True,
 ) -> Forest:
     """Fit n_estimators trees, each on a size-n with-replacement bootstrap.
 
     Tree t uses sub-seed (seed, t); each node draws its feature subset from
     sub-seed (seed, t, node_id) with node ids assigned in preorder, so the
-    result is a pure function of (features, params, seed). The bootstrap flag
-    exists for reduction-to-CART tests only.
+    result is a pure function of (features, params, seed).
     """
     params = params or ForestParams()
     X, is_ad = features.X, features.is_ad
@@ -75,10 +73,7 @@ def fit_forest(
     trees = []
     for t in range(params.n_estimators):
         rng = np.random.default_rng([base, t])
-        if bootstrap:
-            idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        else:
-            idx = np.arange(X.shape[0])
+        idx = rng.integers(0, X.shape[0], size=X.shape[0])
         sampler = None
         if m_features is not None:
             def sampler(node_id, nf, _t=t):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -49,30 +50,19 @@ def predict(
     return Prediction(subject_id, AD if fired else CN, fired)
 
 
-def evaluate(
-    hypothesis: Hypothesis,
-    labelled_contexts: Sequence[tuple[str, Mapping[EdgeId, int]]],
-) -> Metrics:
-    """Metrics over (true label, context) pairs. AD is the positive class;
-    rates with an empty denominator are reported as 0."""
-    if not labelled_contexts:
-        raise ValueError("no labelled contexts to evaluate")
-    tp = fn = fp = tn = 0
-    for label, context in labelled_contexts:
-        pred = predict(hypothesis, context).label
-        if label == AD:
-            if pred == AD:
-                tp += 1
-            else:
-                fn += 1
-        elif label == CN:
-            if pred == AD:
-                fp += 1
-            else:
-                tn += 1
-        else:
+def evaluate(true_labels: Sequence[str], predicted: Sequence[str]) -> Metrics:
+    """Metrics over paired true and predicted labels. AD is the positive
+    class; rates with an empty denominator are reported as 0."""
+    if len(true_labels) != len(predicted):
+        raise ValueError(f"{len(true_labels)} true labels but {len(predicted)} predictions")
+    if not true_labels:
+        raise ValueError("no labels to evaluate")
+    for label in true_labels:
+        if label not in (AD, CN):
             raise ValueError(f"unknown label {label!r}")
-    n = tp + fn + fp + tn
+    hits = Counter(zip(true_labels, (pred == AD for pred in predicted)))
+    tp, fn, fp, tn = hits[AD, True], hits[AD, False], hits[CN, True], hits[CN, False]
+    n = len(true_labels)
     sens = tp / (tp + fn) if tp + fn else 0.0
     spec = tn / (tn + fp) if tn + fp else 0.0
     return Metrics((tp + tn) / n, sens, spec, ConfusionCounts(tp, fn, fp, tn))

@@ -14,8 +14,10 @@ space, then runs a branch-and-bound search over rule subsets:
    by one step would admit a CN example (widening over an all-AD step can
    never hurt a hypothesis), which is the class-boundary reduction.
 2. Rules with identical coverage keep one representative with the fewest
-   atoms and smallest canonical form; rules firing on no AD example are
-   dropped (they can only add atoms and CN penalties).
+   atoms and smallest canonical form, and the visiting order picks it: the
+   first body a depth-first walk in canonical order, smallest size first,
+   reaches. Rules firing on no AD example are dropped (they can only add
+   atoms and CN penalties).
 3. The search branches on the first uncovered AD example: either some
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
@@ -31,10 +33,11 @@ from __future__ import annotations
 
 import json
 import re
+from math import prod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import combinations, product
-from typing import Iterable, Mapping, Sequence
+from itertools import combinations
+from typing import Mapping, Sequence
 
 from .cohort import EdgeId, RegionAtlas, edge
 from .taskgen import COMPARATORS, Example, LearningTask
@@ -264,12 +267,14 @@ MAX_ENUMERATION = 2_000_000
 def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     """Coverage-distinct candidate rules in canonical order. Every rule in
     the space whose fire-set contains at least one AD example is represented
-    by exactly one candidate with identical coverage and minimal atoms."""
+    by exactly one candidate with identical coverage and minimal atoms.
+
+    Each edge's literals come in sort-key order and usable edges in canonical
+    order, so the depth-first walk visits the bodies of one size in
+    Rule.sort_key order; sizes go smallest first, so the first body seen for
+    a fire-set is its fewest-atom, smallest-key representative."""
     examples = task.examples
-    ad_mask = 0
-    for k, ex in enumerate(examples):
-        if ex.is_ad:
-            ad_mask |= 1 << k
+    ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
     sorted_edges = sorted(space.edges.edges)
@@ -279,35 +284,30 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     }
     usable = [e for e in sorted_edges if lits[e]]
 
-    projected = 0
-    for m in range(1, min(space.max_body_edges, len(usable)) + 1):
-        for combo in combinations(usable, m):
-            size = 1
-            for e in combo:
-                size *= len(lits[e])
-            projected += size
+    projected = sum(prod(len(lits[e]) for e in combo)
+                    for m in range(1, min(space.max_body_edges, len(usable)) + 1)
+                    for combo in combinations(usable, m))
     if projected > MAX_ENUMERATION:
         raise ValueError(
             f"candidate enumeration would generate {projected} rule bodies "
             f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
 
-    best: dict[int, Rule] = {}
+    best: dict[int, tuple[BodyLiteral, ...]] = {}  # first body seen per fire-set
+
+    def walk(start: int, body: tuple[BodyLiteral, ...], fires: int, left: int) -> None:
+        for u in range(start, len(usable) - left + 1):
+            for lit, mask in lits[usable[u]]:
+                hit = fires & mask
+                if not hit & ad_mask:
+                    continue  # no extension can regain an AD example
+                if left == 1:
+                    best.setdefault(hit, body + (lit,))
+                else:
+                    walk(u + 1, body + (lit,), hit, left - 1)
+
     for m in range(1, min(space.max_body_edges, len(usable)) + 1):
-        for combo in combinations(usable, m):
-            for choice in product(*(lits[e] for e in combo)):
-                fires = choice[0][1]
-                for _, mask in choice[1:]:
-                    fires &= mask
-                    if fires == 0:
-                        break
-                if fires == 0 or (fires & ad_mask) == 0:
-                    continue
-                rule = Rule(tuple(lit for lit, _ in choice))
-                held = best.get(fires)
-                if held is None or (rule.atom_count, rule.sort_key) < (
-                        held.atom_count, held.sort_key):
-                    best[fires] = rule
-    cands = [Candidate(rule, fires) for fires, rule in best.items()]
+        walk(0, (), -1, m)  # -1 has every example bit set
+    cands = [Candidate(Rule(body), fires) for fires, body in best.items()]
     cands.sort(key=lambda c: c.rule.sort_key)
     return cands
 
@@ -372,11 +372,8 @@ class _PenaltyTable:
         return atoms + self.ad_total - self.ad_over(union) + self.cn_over(union)
 
 
-def _hyp_key(atoms: int, rules: Iterable[Rule]) -> tuple:
-    return (atoms, tuple(sorted(r.sort_key for r in rules)))
-
-
-def _greedy(cands: Sequence[Candidate], table: _PenaltyTable) -> tuple[list[int], int, int]:
+def _greedy(cands: Sequence[Candidate], atoms_of: Sequence[int],
+            table: _PenaltyTable) -> tuple[list[int], int, int]:
     """Weighted-cover greedy: repeatedly add the rule with the best score
     delta until none improves. Returns (indices, union, atoms)."""
     chosen: list[int] = []
@@ -387,9 +384,8 @@ def _greedy(cands: Sequence[Candidate], table: _PenaltyTable) -> tuple[list[int]
         best_delta = 0
         best_ci = None
         for ci in remaining:
-            c = cands[ci]
-            new = c.fires & ~union
-            delta = c.rule.atom_count - table.ad_over(new) + table.cn_over(new)
+            new = cands[ci].fires & ~union
+            delta = atoms_of[ci] - table.ad_over(new) + table.cn_over(new)
             if delta < best_delta:
                 best_delta = delta
                 best_ci = ci
@@ -397,7 +393,7 @@ def _greedy(cands: Sequence[Candidate], table: _PenaltyTable) -> tuple[list[int]
             return chosen, union, atoms
         chosen.append(best_ci)
         union |= cands[best_ci].fires
-        atoms += cands[best_ci].rule.atom_count
+        atoms += atoms_of[best_ci]
         remaining.remove(best_ci)
 
 
@@ -434,13 +430,14 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
             hits ^= low
     uncoverable = table.ad_mask & ~coverable
 
-    # incumbents: empty hypothesis, then greedy
+    # incumbents: empty hypothesis, then greedy. Candidates are in canonical
+    # rule order, so sorted index tuples compare like sorted rule lists.
     best_rules: list[int] = []
     best_total = table.total(0, 0)
-    best_key = _hyp_key(0, ())
-    g_rules, g_union, g_atoms = _greedy(cands, table)
+    best_key = (0, ())
+    g_rules, g_union, g_atoms = _greedy(cands, atoms_of, table)
     g_total = table.total(g_atoms, g_union)
-    g_key = _hyp_key(g_atoms, (cands[ci].rule for ci in g_rules))
+    g_key = (g_atoms, tuple(sorted(g_rules)))
     if (g_total, g_key) < (best_total, best_key):
         best_rules, best_total, best_key = g_rules, g_total, g_key
 
@@ -463,7 +460,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
             k += 1
         if k == len(ad_positions):
             total = table.total(atoms, union)
-            key = _hyp_key(atoms, (cands[ci].rule for ci in chosen))
+            key = (atoms, tuple(sorted(chosen)))
             if (total, key) < (best_total, best_key):
                 best_rules, best_total, best_key = list(chosen), total, key
             return

@@ -85,15 +85,10 @@ class HypothesisSpace:
     def __post_init__(self):
         if self.max_body_edges < 1:
             raise ValueError("max_body_edges must be >= 1")
-
-    def count_rule_templates(self) -> int:
-        """Number of rule shapes: choose 1..max_body_edges distinct edges,
-        one comparator per edge (thresholds not counted)."""
-        n = len(self.edges.edges)
-        total = 0
-        for m in range(1, min(self.max_body_edges, n) + 1):
-            total += math.comb(n, m) * 4**m
-        return total
+        for e, dom in self.threshold_domain.items():
+            # candidate enumeration relies on ascending literals per edge
+            if any(a >= b for a, b in zip(dom, dom[1:])):
+                raise ValueError(f"thresholds of ({e.i}, {e.j}) must be strictly increasing")
 
 
 @dataclass(frozen=True)

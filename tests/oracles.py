@@ -8,11 +8,12 @@ vectorized or pruned paths.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
-from connrules.learner import Hypothesis, LearnResult, enumerate_candidates, score
+from connrules import learner
+from connrules.learner import Candidate, Hypothesis, LearnResult, Rule, enumerate_candidates, score
 
 
 def oracle_gini_exact(n_ad: int, n_cn: int) -> float:
@@ -74,6 +75,36 @@ def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:
                 hits = (la if lpred_ad else ll - la) + (rr - ra if lpred_ad else ra)
                 best = max(best, hits)
     return best / n
+
+
+def oracle_candidates(task) -> list[Candidate]:
+    """enumerate_candidates by exhaustion: every body of 1..max_body_edges
+    literals, one per distinct edge, whose fire-set holds an AD example; on
+    each fire-set collision the rule with (atom_count, sort_key) smaller
+    wins. Sorted by rule sort key."""
+    examples = task.examples
+    ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
+    cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
+    space = task.space
+    lits = {e: learner._edge_literals(e, examples, space.threshold_domain.get(e, ()),
+                                      cn_mask, ad_mask)
+            for e in sorted(space.edges.edges)}
+    best: dict[int, Rule] = {}
+    for m in range(1, space.max_body_edges + 1):
+        for combo in combinations(sorted(lits), m):
+            for choice in product(*(lits[e] for e in combo)):
+                fires = -1
+                for _, mask in choice:
+                    fires &= mask
+                if not fires & ad_mask:
+                    continue
+                rule = Rule(tuple(lit for lit, _ in choice))
+                held = best.get(fires)
+                if held is None or (rule.atom_count, rule.sort_key) < (
+                        held.atom_count, held.sort_key):
+                    best[fires] = rule
+    return sorted((Candidate(rule, fires) for fires, rule in best.items()),
+                  key=lambda c: c.rule.sort_key)
 
 
 def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> LearnResult:

@@ -127,6 +127,24 @@ class TestExitCodes:
     def test_bad_planted_spec_is_2(self, tmp_path):
         assert main(["synth", "--planted", "1,2,3", "--out", str(tmp_path)]) == 2
 
+    def test_unknown_config_key_is_2(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "cv.json"
+        cfg_path.write_text(json.dumps({"n_repeat": 1, "selector": {"k_globl": 2}}))
+        assert main(["cv", "--config", str(cfg_path),
+                     "--cohort", str(workspace / "cohort.json"),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert "unknown config key(s): n_repeat" in capsys.readouterr().err
+
+    def test_manifest_missing_key_is_2(self, workspace, tmp_path, capsys):
+        doc = json.loads((workspace / "cohort.json").read_text())
+        del doc["subjects"][1]["diagnosis"]
+        manifest = workspace / "no_diagnosis.json"  # beside the matrices it names
+        manifest.write_text(json.dumps(doc))
+        assert main(["mask", "--cohort", str(manifest),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"subject {doc['subjects'][1]['id']!r} lacks key(s) diagnosis" in err
+
     def test_garbage_task_is_2(self, tmp_path, capsys):
         task = tmp_path / "garbage.las"
         task.write_text("garbage\n")

@@ -125,6 +125,23 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="missing file"):
             load_cohort(manifest)
 
+    def test_missing_manifest_key_named(self, tmp_path):
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({"subjects": []}))
+        with pytest.raises(ValueError, match="manifest lacks key 'atlas'"):
+            load_cohort(manifest)
+
+    def test_missing_subject_key_named(self, tmp_path):
+        manifest = tmp_path / "cohort.json"
+        subjects = [{"id": "a", "diagnosis": "AD", "manufacturer": "MfrA", "matrix": "a.csv"},
+                    {"diagnosis": "CN", "sex": "F", "manufacturer": "MfrA"}]
+        for rec, missing in [(subjects[0], "'a' lacks key\\(s\\) sex"),
+                             (subjects[1], "at position 0 lacks key\\(s\\) id, matrix")]:
+            manifest.write_text(json.dumps(
+                {"atlas": list(default_atlas().names), "subjects": [rec]}))
+            with pytest.raises(ValueError, match=f"subject {missing}"):
+                load_cohort(manifest)
+
     def test_bad_matrix_shape(self, tmp_path):
         cohort = generate_synthetic(0, 1)
         manifest = save_cohort(cohort, tmp_path)

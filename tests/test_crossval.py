@@ -285,6 +285,16 @@ class TestConfig:
         config = tiny_config(pipeline="dt", budget=1234)
         assert config_from_obj(config_to_obj(config)) == config
 
+    def test_unknown_keys_rejected(self):
+        obj = config_to_obj(tiny_config())
+        with pytest.raises(ValueError, match=r"unknown config key\(s\): n_fold, pipline"):
+            config_from_obj({**obj, "n_fold": 3, "pipline": "dt"})
+        obj["selector"]["k_globl"] = 2
+        with pytest.raises(ValueError, match=r"unknown selector key\(s\): k_globl"):
+            config_from_obj(obj)
+        with pytest.raises(ValueError, match="selector must be a JSON object"):
+            config_from_obj({**obj, "selector": 3})
+
     def test_validation(self):
         with pytest.raises(ValueError, match="n_folds"):
             tiny_config(n_folds=1)

@@ -23,6 +23,7 @@ from connrules.tree import (
     fit_tree,
     predict_tree,
     tree_importance,
+    tree_to_json,
 )
 
 
@@ -73,13 +74,13 @@ class TestReductionToCart:
         X = rng.uniform(0, 10, size=(25, 5))
         labels = [AD if rng.random() < 0.5 else CN for _ in range(25)]
         samples = vectors(X, labels)
-        forest = fit_forest(
-            samples,
-            ForestParams(n_estimators=1, max_features=None),
-            seed=0,
-            bootstrap=False,
-        )
-        tree = fit_tree(samples)
+        forest = fit_forest(samples, ForestParams(n_estimators=1, max_features=None), seed=0)
+        # tree 0 draws its bootstrap rows from the documented sub-seed (seed, 0)
+        idx = np.random.default_rng([0, 0]).integers(0, 25, size=25)
+        boot = Features(samples.X[idx], samples.is_ad[idx],
+                        tuple(samples.ids[k] for k in idx), samples.edges)
+        tree = fit_tree(boot)
+        assert tree_to_json(forest.trees[0]) == tree_to_json(tree)
         for x in samples.X:
             assert predict_forest(forest, x) == predict_tree(tree, x)
 

@@ -42,16 +42,21 @@ class TestPredict:
         assert [hyp.rules[k].body[0].edge for k in p.fired_rules] == [E2]
 
 
+def evaluate_on(hyp, items):
+    """Metrics of hyp's predictions over (true label, context) pairs."""
+    return evaluate([label for label, _ in items], [predict(hyp, ctx).label for _, ctx in items])
+
+
 class TestEvaluate:
     def test_perfect_hypothesis(self):
         items = [(AD, {E1: 10})] * 10 + [(CN, {E1: 200})] * 10
-        m = evaluate(HYP, items)
+        m = evaluate_on(HYP, items)
         assert m.accuracy == 1.0
         assert m.sensitivity == 1.0 and m.specificity == 1.0
 
     def test_empty_hypothesis_on_balanced_set(self):
         items = [(AD, {E1: 10})] * 5 + [(CN, {E1: 10})] * 5
-        m = evaluate(Hypothesis(()), items)
+        m = evaluate_on(Hypothesis(()), items)
         assert m.accuracy == 0.5
         assert m.sensitivity == 0.0 and m.specificity == 1.0
 
@@ -59,7 +64,7 @@ class TestEvaluate:
         # 3 FP + 1 FN on 10 + 10 -> accuracy 0.8
         items = [(AD, {E1: 10})] * 9 + [(AD, {E1: 200})]
         items += [(CN, {E1: 10})] * 3 + [(CN, {E1: 200})] * 7
-        m = evaluate(HYP, items)
+        m = evaluate_on(HYP, items)
         assert m.confusion == ConfusionCounts(tp=9, fn=1, fp=3, tn=7)
         assert m.accuracy == pytest.approx(0.8)
         assert m.confusion.total == 20
@@ -68,13 +73,21 @@ class TestEvaluate:
         rng = np.random.default_rng(0)
         items = [(AD if rng.random() < 0.5 else CN, {E1: int(rng.integers(0, 200))})
                  for _ in range(30)]
-        a = evaluate(HYP, items)
-        b = evaluate(HYP, list(reversed(items)))
+        a = evaluate_on(HYP, items)
+        b = evaluate_on(HYP, list(reversed(items)))
         assert a == b
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="no labelled contexts"):
-            evaluate(HYP, [])
+        with pytest.raises(ValueError, match="no labels"):
+            evaluate([], [])
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="2 true labels but 1 predictions"):
+            evaluate([AD, CN], [AD])
+
+    def test_unknown_true_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown label 'MCI'"):
+            evaluate(["MCI"], [AD])
 
 
 class TestAgreementWithCovers:

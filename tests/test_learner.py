@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from connrules.cohort import AD, CN, edge
+from connrules.cohort import AD, CN, canonical_edges, default_atlas, edge
 from connrules.learner import (
     BodyLiteral,
     Hypothesis,
@@ -21,7 +23,7 @@ from connrules.learner import (
 )
 from connrules.selection import SelectedEdges
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space
-from oracles import brute_force_learn
+from oracles import brute_force_learn, oracle_candidates
 
 E1, E2, E3 = edge(1, 2), edge(3, 4), edge(5, 9)
 EDGE_POOL = [E1, E2, E3]
@@ -145,6 +147,14 @@ class TestCandidates:
                 assert cand.fires & ad_mask
                 assert cand.fires not in seen
                 seen.add(cand.fires)
+
+    def test_matches_exhaustive_oracle(self):
+        # same rules, fire-sets and order as the collision-comparing oracle
+        rng = np.random.default_rng(9)
+        for max_body in (1, 2, 3):
+            for _ in range(200):
+                task = random_task(rng, max_body)
+                assert enumerate_candidates(task) == oracle_candidates(task)
 
     def test_every_space_rule_dominated_by_a_candidate(self):
         # brute-check tiny tasks: every single-literal rule has a candidate
@@ -363,6 +373,30 @@ class TestHypothesisIO:
         assert r1.atom_count == 3
         assert r2.atom_count == 5
         assert Hypothesis((r1, r2)).atom_count == 8
+
+
+# any hypothesis: up to 5 rules of 1-3 literals on distinct edges
+rule_bodies = st.lists(st.sampled_from(canonical_edges()), min_size=1, max_size=3,
+                       unique=True).flatmap(lambda edges: st.tuples(*(
+                           st.builds(BodyLiteral, st.just(e), st.sampled_from(COMPARATORS),
+                                     st.integers(-10**6, 10**9)) for e in edges)))
+hypotheses = st.lists(st.builds(Rule, rule_bodies), max_size=5).map(
+    lambda rules: Hypothesis(tuple(rules)))
+
+
+class TestHypothesisProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(hypotheses, st.booleans())
+    def test_text_round_trip(self, hyp, with_names):
+        text = hypothesis_to_text(hyp, default_atlas() if with_names else None)
+        assert parse_hypothesis_text(text) == hyp
+
+    @settings(max_examples=100, deadline=None)
+    @given(hypotheses)
+    def test_json_round_trip(self, hyp):
+        back = hypothesis_from_json(hypothesis_to_json(hyp))
+        assert back == hyp
+        assert back.atom_count == hyp.atom_count
 
 
 class TestRuleValidation:

@@ -108,12 +108,6 @@ class TestBuildSpace:
         space = build_space(SelectedEdges((E1,), "dt"), examples)
         assert space.threshold_domain[E1] == (6, 7, 8)
 
-    def test_template_counts(self):
-        selected = SelectedEdges((E1, E2, E3), "dt")
-        examples = [make_example("ad_000", AD, {E1: 1, E2: 2, E3: 3})]
-        assert build_space(selected, examples, 1).count_rule_templates() == 12
-        assert build_space(selected, examples, 2).count_rule_templates() == 12 + 48
-
     def test_max_body_edges_validated(self):
         with pytest.raises(ValueError, match="max_body_edges"):
             build_space(SelectedEdges((E1,), "dt"), [], 0)
@@ -297,6 +291,12 @@ class TestStrictParsing:
         text = self.golden_with("connection(region(3), region(17), 770).",
                                 "connection(region(2), region(5), 770).")
         with pytest.raises(ValueError, match=r"^line 25: .*repeats an edge"):
+            parse_task_text(text)
+
+    def test_unsorted_thresholds_rejected(self):
+        # candidate enumeration picks representatives by ascending threshold
+        text = self.golden_with("% thresholds(2,5): 122 123", "% thresholds(2,5): 123 122")
+        with pytest.raises(ValueError, match=r"\(2, 5\) must be strictly increasing"):
             parse_task_text(text)
 
     def test_unrecognised_line_rejected(self):

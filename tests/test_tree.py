@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connrules.cohort import AD, CN, Features, canonical_edges, edge
 from connrules.tree import (
@@ -236,7 +238,27 @@ class TestAtomCount:
         assert tree_atom_count(tree) == 12  # 4 paths x (2 conditions + 1 label)
 
 
+@st.composite
+def trees(draw):
+    """Any tree shape over 1-6 distinct edges with finite float fields."""
+    order = tuple(sorted(draw(st.sets(st.sampled_from(canonical_edges()),
+                                      min_size=1, max_size=6))))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    leaves = st.builds(Leaf, st.builds(ClassCounts, st.integers(0, 500), st.integers(0, 500)),
+                       st.sampled_from((AD, CN)))
+    nodes = st.recursive(leaves, lambda kids: st.builds(
+        Internal, st.integers(0, len(order) - 1), finite, kids, kids, finite,
+        st.integers(0, 1000)), max_leaves=16)
+    params = st.builds(TreeParams, st.integers(0, 12), st.integers(2, 10))
+    return DecisionTree(draw(nodes), draw(params), order)
+
+
 class TestTreeJson:
+    @settings(max_examples=100, deadline=None)
+    @given(trees())
+    def test_round_trip_property(self, tree):
+        assert tree_from_json(tree_to_json(tree)) == tree
+
     def test_round_trip(self):
         rng = np.random.default_rng(8)
         X, labels = random_dataset(rng)
