@@ -107,6 +107,10 @@ def cmd_select(args) -> int:
 def _load_selected(path):
     from .selection import SelectedEdges
     obj = json.loads(Path(path).read_text())
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: selected edges must be a JSON object")
+    if missing := [k for k in ("edges", "provenance") if k not in obj]:
+        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
     return SelectedEdges(tuple(edge(i, j) for i, j in obj["edges"]), obj["provenance"])
 
 
@@ -129,16 +133,18 @@ def cmd_build_task(args) -> int:
 def cmd_learn(args) -> int:
     results = []
     for path in args.task:
-        task = load_task(path)
-        results.append(learn(task, budget=args.budget))
+        res = learn(load_task(path), budget=args.budget)
+        print(f"{path}: {res.candidates} candidates, {res.undominated} undominated, "
+              f"{res.nodes_expanded} nodes, optimal={res.optimal}")
+        results.append(res)
     hypothesis = union_hypotheses([res.hypothesis for res in results])
     Path(args.out).write_text(hypothesis_to_json(hypothesis))
     Path(args.out).with_suffix(".lp").write_text(hypothesis_to_text(hypothesis))
-    nonoptimal = sum(not res.optimal for res in results)
+    exhausted = [path for path, res in zip(args.task, results) if not res.optimal]
     print(f"wrote {args.out} ({len(hypothesis)} rules, {hypothesis.atom_count} atoms)")
-    if nonoptimal:
-        print(f"budget exceeded on {nonoptimal} task(s); hypothesis may be suboptimal",
-              file=sys.stderr)
+    if exhausted:
+        print(f"budget exceeded on {len(exhausted)} task(s): {', '.join(exhausted)}; "
+              "hypothesis may be suboptimal", file=sys.stderr)
         return 3
     return 0
 

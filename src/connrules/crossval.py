@@ -9,8 +9,8 @@ only; the validation split is touched only by the final evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
-from typing import Sequence
+from dataclasses import dataclass, field, is_dataclass
+from typing import Sequence, get_type_hints
 
 import numpy as np
 
@@ -105,22 +105,33 @@ def config_to_obj(config: CVConfig) -> dict:
     }
 
 
-def _reject_unknown_keys(obj: dict, cls, where: str) -> None:
+def _from_obj(cls, obj, where: str):
+    """cls(**obj), once every key names a field of dataclass cls and holds a
+    value of its type (an int passes for a float, a bool never for a number);
+    a dataclass-typed field is built from its own object the same way."""
     if not isinstance(obj, dict):
         raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    types = get_type_hints(cls)
+    unknown = sorted(set(obj) - set(types))
     if unknown:
         raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    args = {}
+    for key, value in obj.items():
+        want = types[key]
+        if is_dataclass(want):
+            value = _from_obj(want, value, key)
+        elif (not isinstance(value, (int, float) if want is float else want)
+              or isinstance(value, bool) and want is not bool):
+            raise ValueError(f"{where} key {key!r} must be {getattr(want, '__name__', want)}, "
+                             f"not {type(value).__name__}")
+        args[key] = value
+    return cls(**args)
 
 
 def config_from_obj(obj: dict) -> CVConfig:
-    """Inverse of config_to_obj; a key it does not write raises ValueError."""
-    _reject_unknown_keys(obj, CVConfig, "config")
-    obj = dict(obj)
-    if "selector" in obj:
-        _reject_unknown_keys(obj["selector"], SelectorConfig, "selector")
-        obj["selector"] = SelectorConfig(**obj["selector"])
-    return CVConfig(**obj)
+    """Inverse of config_to_obj; a key it does not write, or a value of the
+    wrong type, raises ValueError."""
+    return _from_obj(CVConfig, obj, "config")
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,14 @@ space, then runs a branch-and-bound search over rule subsets:
    first body a depth-first walk in canonical order, smallest size first,
    reaches. Rules firing on no AD example are dropped (they can only add
    atoms and CN penalties).
-3. The search branches on the first uncovered AD example: either some
+3. Dominance: candidate A dominates B when A fires on every AD example B
+   fires on, on no CN example B does not, and comes strictly earlier in
+   (atom count, canonical order). Swapping B for A in a hypothesis (or
+   dropping B when A is already in it) never raises the score, and it gives
+   fewer atoms or a lexicographically smaller sorted rule list, so the
+   tie-break winner holds no dominated candidate. The order is strict and
+   transitive, so every dominated candidate is dropped at once.
+4. The search branches on the first uncovered AD example: either some
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
    examples no candidate can cover + CN penalties already incurred. A
@@ -38,6 +45,8 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .cohort import EdgeId, RegionAtlas, edge
 from .taskgen import COMPARATORS, Example, LearningTask
@@ -146,6 +155,8 @@ class LearnResult:
     score: Score
     optimal: bool
     nodes_expanded: int = 0
+    candidates: int = 0  # coverage-distinct candidates enumerated
+    undominated: int = 0  # of those, the ones the search branches over
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +323,49 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     return cands
 
 
+_PRUNE_BLOCK_CELLS = 1 << 16  # uint64 cells per temporary array: 0.5 MB
+
+
+def _undominated(cands: Sequence[Candidate], ad_mask: int,
+                 n_examples: int) -> list[Candidate]:
+    """The candidates no other candidate dominates, in their given order.
+
+    With h = fires ^ ad_mask (the AD examples a rule misses and the CN
+    examples it hits), A dominates B iff h_A is a subset of h_B and A comes
+    first in (atom count, index) order. Rows of h, as uint64 words, are swept
+    in that order, a block at a time, against the rows kept so far; block
+    survivors are then settled against the earlier survivors of their block.
+    A dominated candidate always has an undominated dominator earlier in the
+    sweep, so those two checks find every one."""
+    n_words = max(1, -(-n_examples // 64))
+    order = sorted(range(len(cands)), key=lambda ci: (cands[ci].rule.atom_count, ci))
+    h = np.frombuffer(b"".join((cands[ci].fires ^ ad_mask).to_bytes(8 * n_words, "little")
+                               for ci in order), dtype="<u8").reshape(-1, n_words)
+
+    def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # [i, j]: row a[i] is a subset of row b[j]
+        out = np.ones((len(a), len(b)), dtype=bool)
+        for w in range(n_words):
+            out &= (a[:, w, None] & ~b[None, :, w]) == 0
+        return out
+
+    kept = np.empty((0, n_words), dtype=np.uint64)
+    kept_rows: list[int] = []
+    start = 0
+    while start < len(order):
+        # at most 256 rows, so the block-by-block matrix stays within the cap too
+        size = max(1, min(256, _PRUNE_BLOCK_CELLS // max(1, len(kept))))
+        block = h[start:start + size]
+        rows = np.arange(start, start + len(block))
+        alive = ~subset(kept, block).any(axis=0)
+        block, rows = block[alive], rows[alive]
+        alive = ~np.triu(subset(block, block), 1).any(axis=0)  # i < j only
+        kept = np.concatenate([kept, block[alive]])
+        kept_rows += rows[alive].tolist()
+        start += size
+    return [cands[ci] for ci in sorted(order[r] for r in kept_rows)]
+
+
 def snap_rule_to_domain(rule: Rule, task: LearningTask) -> Rule:
     """Equivalent rule with all thresholds drawn from the space's threshold
     domain: each literal's satisfied set is unchanged."""
@@ -402,7 +456,8 @@ class _BudgetExceeded(Exception):
 
 
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
-    """Minimal-score hypothesis via branch and bound.
+    """Minimal-score hypothesis via branch and bound over the undominated
+    candidates; the result counts both the enumerated and the searched ones.
 
     Cover lists are kept sorted by each candidate's static cost floor
     (atoms + CN penalty it would incur on its own), so a node's branch loop
@@ -410,9 +465,10 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     When the node budget runs out, the best incumbent found so far is
     returned with optimal=False instead of raising.
     """
-    cands = enumerate_candidates(task)
+    enumerated = enumerate_candidates(task)
     examples = task.examples
     table = _PenaltyTable(examples)
+    cands = _undominated(enumerated, table.ad_mask, len(examples))
     n_cands = len(cands)
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
@@ -503,7 +559,8 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         optimal = False
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
-    return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes)
+    return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
+                       len(enumerated), n_cands)
 
 
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:

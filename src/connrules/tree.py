@@ -249,11 +249,6 @@ def tree_atom_count(tree: DecisionTree) -> int:
     return walk(tree.root, 0)
 
 
-def tree_accuracy(tree: DecisionTree, features: Features) -> float:
-    hits = sum((predict_tree(tree, x) == AD) == a for x, a in zip(features.X, features.is_ad))
-    return hits / len(features)
-
-
 # ---------------------------------------------------------------------------
 # JSON round-trip
 # ---------------------------------------------------------------------------

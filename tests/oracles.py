@@ -107,6 +107,23 @@ def oracle_candidates(task) -> list[Candidate]:
                   key=lambda c: c.rule.sort_key)
 
 
+def oracle_undominated(task, cands) -> list[Candidate]:
+    """The candidates of cands no other one dominates, by an all-pairs check:
+    A dominates B when A fires on every AD example B fires on, on no CN
+    example B does not, and A's rule has the smaller (atom_count, sort_key).
+    Kept in the order given."""
+    ad = {k for k, ex in enumerate(task.examples) if ex.is_ad}
+
+    def profile(c):
+        fired = {k for k in range(len(task.examples)) if c.fires >> k & 1}
+        return fired & ad, fired - ad, (c.rule.atom_count, c.rule.sort_key)
+
+    profiles = [profile(c) for c in cands]
+    return [c for c, (ad_b, cn_b, key_b) in zip(cands, profiles)
+            if not any(ad_a >= ad_b and cn_a <= cn_b and key_a < key_b
+                       for ad_a, cn_a, key_a in profiles)]
+
+
 def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> LearnResult:
     """Exhaustive search over every subset of at most max_rules candidates
     from the unpruned enumerate_candidates, with learn's tie-break: lowest

@@ -29,6 +29,7 @@ from connrules.cohort import (
     save_cohort,
 )
 from connrules.crossval import CVConfig, run_pipeline
+from connrules.inference import evaluate
 from connrules.learner import (
     BodyLiteral,
     Rule,
@@ -41,7 +42,7 @@ from connrules.learner import (
 )
 from connrules.selection import SelectedEdges, SelectorConfig
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, partition_tasks
-from connrules.tree import ClassCounts, Internal, Leaf, TreeParams, fit_tree, gini, tree_accuracy
+from connrules.tree import ClassCounts, Internal, Leaf, TreeParams, fit_tree, gini, predict_tree
 from oracles import brute_force_learn, oracle_best_split, oracle_gini_exact
 
 PLANTED = PlantedEdge(edge(2, 5), 2.0, "low")
@@ -144,8 +145,9 @@ def test_c2_cart_oracle_equivalence():
             assert abs(stump.root.impurity_decrease - want[2]) <= 1e-12
 
         if trial % 10 == 0:  # depth monotonicity on a subsample of trials
-            accs = [tree_accuracy(fit_tree(samples, TreeParams(max_depth=d)), samples)
-                    for d in range(0, 9)]
+            trees = [fit_tree(samples, TreeParams(max_depth=d)) for d in range(0, 9)]
+            accs = [evaluate(labels, [predict_tree(tree, x) for x in X]).accuracy
+                    for tree in trees]
             assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
     assert time.time() - t0 < 30.0
     report_line(2, "depth-1 fits equal exhaustive split search", t0)

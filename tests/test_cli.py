@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -65,6 +66,18 @@ class TestWalkthrough:
         b = json.loads((workspace / "inferred" / "metrics.json").read_text())
         assert a == b
 
+    def test_learn_prints_counts_per_task(self, workspace, tmp_path, capsys):
+        tasks = sorted(str(p) for p in (workspace / "tasks").glob("task_*.las"))
+        args = ["learn", "--out", str(tmp_path / "h.json")]
+        for t in tasks:
+            args += ["--task", t]
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(tasks) + 1
+        for task, line in zip(tasks, lines):
+            assert re.fullmatch(rf"{re.escape(task)}: \d+ candidates, \d+ undominated, "
+                                r"\d+ nodes, optimal=True", line)
+
     def test_rf_train_and_select(self, workspace):
         model = str(workspace / "rf.json")
         assert main(["train", "--cohort", str(workspace / "cohort.json"),
@@ -117,12 +130,29 @@ class TestExitCodes:
         assert main(["mask", "--cohort", str(tmp_path / "missing.json"),
                      "--out", str(tmp_path / "m.json")]) == 2
 
-    def test_budget_exceeded_is_3(self, workspace, tmp_path):
+    def test_budget_exceeded_is_3(self, workspace, tmp_path, capsys):
         task = sorted((workspace / "tasks").glob("task_*.las"))[0]
         out = str(tmp_path / "h.json")
         code = main(["learn", "--task", str(task), "--budget", "1", "--out", out])
         assert code == 3
         assert (tmp_path / "h.json").exists()  # incumbent still written
+        assert f"budget exceeded on 1 task(s): {task};" in capsys.readouterr().err
+
+    def test_selected_missing_key_is_2(self, workspace, tmp_path, capsys):
+        selected = tmp_path / "selected.json"
+        selected.write_text(json.dumps({"edge": [[2, 5]], "provenance": "dt"}))
+        assert main(["build-task", "--cohort", str(workspace / "cohort.json"),
+                     "--mask", str(workspace / "mask.json"), "--selected", str(selected),
+                     "--out-dir", str(tmp_path / "tasks")]) == 2
+        assert f"{selected}: missing key(s) edges" in capsys.readouterr().err
+
+    def test_config_value_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "cv.json"
+        cfg_path.write_text(json.dumps({"n_folds": "5"}))
+        assert main(["cv", "--config", str(cfg_path),
+                     "--cohort", str(workspace / "cohort.json"),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert "config key 'n_folds' must be int, not str" in capsys.readouterr().err
 
     def test_bad_planted_spec_is_2(self, tmp_path):
         assert main(["synth", "--planted", "1,2,3", "--out", str(tmp_path)]) == 2

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,20 @@ class TestConfig:
             config_from_obj(obj)
         with pytest.raises(ValueError, match="selector must be a JSON object"):
             config_from_obj({**obj, "selector": 3})
+
+    def test_wrong_value_types_rejected(self):
+        obj = config_to_obj(tiny_config())
+        for key, value, message in [
+            ("n_folds", "5", "config key 'n_folds' must be int, not str"),
+            ("n_repeats", True, "config key 'n_repeats' must be int, not bool"),
+            ("fit_reference_models", 1, "config key 'fit_reference_models' must be bool, not int"),
+            ("explanations_path", 3, "config key 'explanations_path' must be str | None, not int"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                config_from_obj({**obj, key: value})
+        with pytest.raises(ValueError, match="selector key 'k_global' must be int, not float"):
+            config_from_obj({**obj, "selector": {**obj["selector"], "k_global": 2.5}})
+        assert config_from_obj({**obj, "keep_ratio": 1}).keep_ratio == 1  # int for a float
 
     def test_validation(self):
         with pytest.raises(ValueError, match="n_folds"):

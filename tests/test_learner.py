@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from connrules.cohort import AD, CN, canonical_edges, default_atlas, edge
 from connrules.learner import (
     BodyLiteral,
+    _undominated,
     Hypothesis,
     Rule,
     covers,
@@ -23,7 +24,7 @@ from connrules.learner import (
 )
 from connrules.selection import SelectedEdges
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space
-from oracles import brute_force_learn, oracle_candidates
+from oracles import brute_force_learn, oracle_candidates, oracle_undominated
 
 E1, E2, E3 = edge(1, 2), edge(3, 4), edge(5, 9)
 EDGE_POOL = [E1, E2, E3]
@@ -179,6 +180,48 @@ class TestCandidates:
                         )
 
 
+class TestDominance:
+    def test_matches_all_pairs_oracle(self):
+        # small tasks of every body size, then wide ones: 130 examples span
+        # three uint64 words, and over 1,000 survivors span many sweep blocks
+        rng = np.random.default_rng(10)
+        tasks = [random_task(rng, max_body) for max_body in (1, 2, 3) for _ in range(200)]
+        for _ in range(3):
+            examples = [make_example(f"s{k:03d}", AD if k < 50 else CN,
+                                     {e: int(rng.integers(0, 12)) for e in EDGE_POOL})
+                        for k in range(130)]
+            tasks.append(make_task(examples, EDGE_POOL))
+        for task in tasks:
+            cands = enumerate_candidates(task)
+            ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
+            assert (_undominated(cands, ad_mask, len(task.examples))
+                    == oracle_undominated(task, cands))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_learn_matches_brute_force_on_tie_heavy_tasks(self, data):
+        # three strength levels and one penalty, at which a rule pays for
+        # itself by covering 2 AD examples: many hypotheses tie on score, so
+        # the result rests on the prune keeping the tie-break winner
+        edges = sorted(data.draw(st.lists(st.sampled_from(EDGE_POOL), min_size=2,
+                                          max_size=3, unique=True)))
+        n_ad = data.draw(st.integers(3, 6))
+        n_cn = data.draw(st.integers(2, 8))
+        strength = st.one_of(st.integers(0, 2), st.none())  # None drops the edge
+        examples = []
+        for k in range(n_ad + n_cn):
+            label = AD if k < n_ad else CN
+            values = data.draw(st.lists(strength, min_size=len(edges), max_size=len(edges)))
+            context = {e: v for e, v in zip(edges, values) if v is not None}
+            examples.append(make_example(f"{label.lower()}_{k:03d}", label, context, 2))
+        task = make_task(examples, edges, data.draw(st.integers(2, 3)))
+        got = learn(task)
+        want = brute_force_learn(task)
+        assert got.optimal
+        assert got.score == want.score
+        assert got.hypothesis == want.hypothesis
+
+
 class TestSnapToDomain:
     def test_identical_coverage(self):
         rng = np.random.default_rng(3)
@@ -237,6 +280,15 @@ class TestLearn:
             assert got.optimal
             assert got.score.total == want.score.total
             assert got.hypothesis == want.hypothesis
+
+    def test_reports_candidate_counts(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            task = random_task(rng)
+            cands = enumerate_candidates(task)
+            res = learn(task)
+            assert res.candidates == len(cands)
+            assert res.undominated == len(oracle_undominated(task, cands))
 
     def test_planted_single_edge_task(self):
         # AD iff strength on E1 below 40; noise-free

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from connrules.cohort import AD, CN, Features, canonical_edges, edge
+from connrules.inference import evaluate
 from connrules.tree import (
     ClassCounts,
     DecisionTree,
@@ -14,7 +15,6 @@ from connrules.tree import (
     fit_tree,
     gini,
     predict_tree,
-    tree_accuracy,
     tree_atom_count,
     tree_from_json,
     tree_importance,
@@ -28,6 +28,10 @@ def vectors(X, labels):
     X = np.asarray(X, dtype=float)
     return Features(X, np.array([lab == AD for lab in labels], dtype=bool),
                     tuple(f"s{k}" for k in range(len(X))), tuple(canonical_edges()[:X.shape[1]]))
+
+
+def accuracy(tree, samples, labels):
+    return evaluate(labels, [predict_tree(tree, x) for x in samples.X]).accuracy
 
 
 def random_dataset(rng, max_samples=50, max_features=10):
@@ -100,11 +104,12 @@ class TestBestSplit:
 
 class TestFitPredict:
     def test_separable_gives_depth_one_and_perfect_accuracy(self):
-        samples = vectors([[1], [2], [9], [10]], [CN, CN, AD, AD])
+        labels = [CN, CN, AD, AD]
+        samples = vectors([[1], [2], [9], [10]], labels)
         tree = fit_tree(samples)
         assert isinstance(tree.root, Internal)
         assert isinstance(tree.root.left, Leaf) and isinstance(tree.root.right, Leaf)
-        assert tree_accuracy(tree, samples) == 1.0
+        assert accuracy(tree, samples, labels) == 1.0
 
     def test_single_sample_is_leaf(self):
         tree = fit_tree(vectors([[3.0]], [AD]))
@@ -143,7 +148,7 @@ class TestFitPredict:
         for _ in range(10):
             X, labels = random_dataset(rng, max_samples=40, max_features=5)
             samples = vectors(X, labels)
-            accs = [tree_accuracy(fit_tree(samples, TreeParams(max_depth=d)), samples)
+            accs = [accuracy(fit_tree(samples, TreeParams(max_depth=d)), samples, labels)
                     for d in range(0, 7)]
             assert all(a <= b + 1e-12 for a, b in zip(accs, accs[1:]))
 
