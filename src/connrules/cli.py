@@ -151,9 +151,12 @@ def cmd_learn(args) -> int:
 
 def _load_hypothesis(path):
     text = Path(path).read_text()
-    if Path(path).suffix == ".json":
-        return hypothesis_from_json(text)
-    return parse_hypothesis_text(text)
+    try:
+        if Path(path).suffix == ".json":
+            return hypothesis_from_json(text)
+        return parse_hypothesis_text(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def cmd_infer(args) -> int:

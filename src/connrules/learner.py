@@ -17,14 +17,17 @@ space, then runs a branch-and-bound search over rule subsets:
    atoms and smallest canonical form, and the visiting order picks it: the
    first body a depth-first walk in canonical order, smallest size first,
    reaches. Rules firing on no AD example are dropped (they can only add
-   atoms and CN penalties).
+   atoms and CN penalties). The walk yields bare fire-sets, each with its
+   first body, already in (atom count, canonical) order.
 3. Dominance: candidate A dominates B when A fires on every AD example B
    fires on, on no CN example B does not, and comes strictly earlier in
    (atom count, canonical order). Swapping B for A in a hypothesis (or
    dropping B when A is already in it) never raises the score, and it gives
    fewer atoms or a lexicographically smaller sorted rule list, so the
    tie-break winner holds no dominated candidate. The order is strict and
-   transitive, so every dominated candidate is dropped at once.
+   transitive, so every dominated candidate is dropped at once. The prune
+   runs on the fire-sets in walk order, and rules are built only for the
+   survivors.
 4. The search branches on the first uncovered AD example: either some
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
@@ -275,15 +278,14 @@ def _edge_literals(
 MAX_ENUMERATION = 2_000_000
 
 
-def enumerate_candidates(task: LearningTask) -> list[Candidate]:
-    """Coverage-distinct candidate rules in canonical order. Every rule in
-    the space whose fire-set contains at least one AD example is represented
-    by exactly one candidate with identical coverage and minimal atoms.
+def _first_bodies(task: LearningTask) -> dict[int, tuple[BodyLiteral, ...]]:
+    """Each fire-set that holds an AD example, mapped to the first body the
+    walk reaches for it: its fewest-atom, smallest-key representative.
 
     Each edge's literals come in sort-key order and usable edges in canonical
     order, so the depth-first walk visits the bodies of one size in
-    Rule.sort_key order; sizes go smallest first, so the first body seen for
-    a fire-set is its fewest-atom, smallest-key representative."""
+    Rule.sort_key order; sizes go smallest first. So the dict's insertion
+    order is (atom count, Rule.sort_key) order."""
     examples = task.examples
     ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
@@ -303,7 +305,7 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
             f"candidate enumeration would generate {projected} rule bodies "
             f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
 
-    best: dict[int, tuple[BodyLiteral, ...]] = {}  # first body seen per fire-set
+    best: dict[int, tuple[BodyLiteral, ...]] = {}
 
     def walk(start: int, body: tuple[BodyLiteral, ...], fires: int, left: int) -> None:
         for u in range(start, len(usable) - left + 1):
@@ -312,13 +314,25 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
                 if not hit & ad_mask:
                     continue  # no extension can regain an AD example
                 if left == 1:
-                    best.setdefault(hit, body + (lit,))
+                    if hit not in best:
+                        best[hit] = body + (lit,)
                 else:
                     walk(u + 1, body + (lit,), hit, left - 1)
 
     for m in range(1, min(space.max_body_edges, len(usable)) + 1):
         walk(0, (), -1, m)  # -1 has every example bit set
-    cands = [Candidate(Rule(body), fires) for fires, body in best.items()]
+    # walk holds itself through its closure cell: deleting it frees best now,
+    # not when the cycle collector next runs
+    del walk
+    return best
+
+
+def enumerate_candidates(task: LearningTask) -> list[Candidate]:
+    """Coverage-distinct candidate rules in canonical order. Every rule in
+    the space whose fire-set contains at least one AD example is represented
+    by exactly one candidate with identical coverage and minimal atoms.
+    Unpruned: learn builds rules only for the undominated fire-sets."""
+    cands = [Candidate(Rule(body), fires) for fires, body in _first_bodies(task).items()]
     cands.sort(key=lambda c: c.rule.sort_key)
     return cands
 
@@ -326,21 +340,21 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
 _PRUNE_BLOCK_CELLS = 1 << 16  # uint64 cells per temporary array: 0.5 MB
 
 
-def _undominated(cands: Sequence[Candidate], ad_mask: int,
-                 n_examples: int) -> list[Candidate]:
-    """The candidates no other candidate dominates, in their given order.
+def _undominated(fire_sets: Sequence[int], ad_mask: int, n_examples: int) -> list[int]:
+    """The fire-sets no other one dominates, in their given order, which
+    must be the candidates' (atom count, index) order, as _first_bodies
+    yields them.
 
     With h = fires ^ ad_mask (the AD examples a rule misses and the CN
     examples it hits), A dominates B iff h_A is a subset of h_B and A comes
-    first in (atom count, index) order. Rows of h, as uint64 words, are swept
-    in that order, a block at a time, against the rows kept so far; block
-    survivors are then settled against the earlier survivors of their block.
-    A dominated candidate always has an undominated dominator earlier in the
-    sweep, so those two checks find every one."""
+    first in that order. Rows of h, as uint64 words, are swept in order, a
+    block at a time, against the rows kept so far; block survivors are then
+    settled against the earlier survivors of their block. A dominated
+    candidate always has an undominated dominator earlier in the sweep, so
+    those two checks find every one."""
     n_words = max(1, -(-n_examples // 64))
-    order = sorted(range(len(cands)), key=lambda ci: (cands[ci].rule.atom_count, ci))
-    h = np.frombuffer(b"".join((cands[ci].fires ^ ad_mask).to_bytes(8 * n_words, "little")
-                               for ci in order), dtype="<u8").reshape(-1, n_words)
+    h = np.frombuffer(b"".join((fires ^ ad_mask).to_bytes(8 * n_words, "little")
+                               for fires in fire_sets), dtype="<u8").reshape(-1, n_words)
 
     def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # [i, j]: row a[i] is a subset of row b[j]
@@ -352,7 +366,7 @@ def _undominated(cands: Sequence[Candidate], ad_mask: int,
     kept = np.empty((0, n_words), dtype=np.uint64)
     kept_rows: list[int] = []
     start = 0
-    while start < len(order):
+    while start < len(h):
         # at most 256 rows, so the block-by-block matrix stays within the cap too
         size = max(1, min(256, _PRUNE_BLOCK_CELLS // max(1, len(kept))))
         block = h[start:start + size]
@@ -363,7 +377,7 @@ def _undominated(cands: Sequence[Candidate], ad_mask: int,
         kept = np.concatenate([kept, block[alive]])
         kept_rows += rows[alive].tolist()
         start += size
-    return [cands[ci] for ci in sorted(order[r] for r in kept_rows)]
+    return [fire_sets[r] for r in kept_rows]
 
 
 def snap_rule_to_domain(rule: Rule, task: LearningTask) -> Rule:
@@ -465,10 +479,12 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     When the node budget runs out, the best incumbent found so far is
     returned with optimal=False instead of raising.
     """
-    enumerated = enumerate_candidates(task)
+    bodies = _first_bodies(task)
     examples = task.examples
     table = _PenaltyTable(examples)
-    cands = _undominated(enumerated, table.ad_mask, len(examples))
+    cands = [Candidate(Rule(bodies[fires]), fires)
+             for fires in _undominated(list(bodies), table.ad_mask, len(examples))]
+    cands.sort(key=lambda c: c.rule.sort_key)
     n_cands = len(cands)
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
@@ -557,10 +573,12 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         search(0, (), 0, 0, 0, 0)
     except _BudgetExceeded:
         optimal = False
+    finally:
+        del search  # the closure cell cycle, as with walk in _first_bodies
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(enumerated), n_cands)
+                       len(bodies), n_cands)
 
 
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:
@@ -639,14 +657,33 @@ def hypothesis_to_obj(hyp: Hypothesis) -> dict:
     }
 
 
+def _field(obj, key: str, kind: type):
+    """obj[key], once obj is an object holding key with a value of kind (a
+    bool is never an int)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with key {key!r}, not {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    value = obj[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 def hypothesis_from_obj(obj: dict) -> Hypothesis:
-    rules = tuple(
-        Rule(tuple(
-            BodyLiteral(edge(*l["edge"]), l["comparator"], l["threshold"])
-            for l in r["body"]))
-        for r in obj["rules"]
-    )
-    return Hypothesis(rules)
+    """Inverse of hypothesis_to_obj. Raises ValueError naming a missing key
+    or a value of the wrong type."""
+    rules = []
+    for r in _field(obj, "rules", list):
+        body = []
+        for l in _field(r, "body", list):
+            pair = _field(l, "edge", list)
+            if len(pair) != 2 or any(type(v) is not int for v in pair):
+                raise ValueError(f"edge must be a pair of ints, not {pair!r}")
+            body.append(BodyLiteral(edge(*pair), _field(l, "comparator", str),
+                                    _field(l, "threshold", int)))
+        rules.append(Rule(tuple(body)))
+    return Hypothesis(tuple(rules))
 
 
 def hypothesis_to_json(hyp: Hypothesis) -> str:

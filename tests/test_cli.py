@@ -175,6 +175,24 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"subject {doc['subjects'][1]['id']!r} lacks key(s) diagnosis" in err
 
+    def test_hypothesis_missing_key_is_2(self, workspace, tmp_path, capsys):
+        hyp = tmp_path / "h.json"
+        hyp.write_text(json.dumps({"rule": []}))
+        assert main(["infer", "--hypothesis", str(hyp),
+                     "--cohort", str(workspace / "cohort.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{hyp}: missing key 'rules'" in capsys.readouterr().err
+
+    def test_hypothesis_threshold_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
+        obj = json.loads((workspace / "hypothesis.json").read_text())
+        obj["rules"][0]["body"][0]["threshold"] = "5"
+        hyp = tmp_path / "h.json"
+        hyp.write_text(json.dumps(obj))
+        assert main(["infer", "--hypothesis", str(hyp),
+                     "--cohort", str(workspace / "cohort.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{hyp}: threshold must be int, not str" in capsys.readouterr().err
+
     def test_garbage_task_is_2(self, tmp_path, capsys):
         task = tmp_path / "garbage.las"
         task.write_text("garbage\n")

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,12 +8,15 @@ from hypothesis import strategies as st
 from connrules.cohort import AD, CN, canonical_edges, default_atlas, edge
 from connrules.learner import (
     BodyLiteral,
+    Candidate,
+    _first_bodies,
     _undominated,
     Hypothesis,
     Rule,
     covers,
     enumerate_candidates,
     hypothesis_from_json,
+    hypothesis_from_obj,
     hypothesis_to_json,
     hypothesis_to_text,
     learn,
@@ -157,6 +162,16 @@ class TestCandidates:
                 task = random_task(rng, max_body)
                 assert enumerate_candidates(task) == oracle_candidates(task)
 
+    def test_first_bodies_in_atom_count_then_key_order(self):
+        # _undominated takes this insertion order as the dominance order
+        rng = np.random.default_rng(12)
+        for max_body in (1, 2, 3):
+            for _ in range(200):
+                task = random_task(rng, max_body)
+                ordered = sorted(enumerate_candidates(task),
+                                 key=lambda c: (c.rule.atom_count, c.rule.sort_key))
+                assert list(_first_bodies(task)) == [c.fires for c in ordered]
+
     def test_every_space_rule_dominated_by_a_candidate(self):
         # brute-check tiny tasks: every single-literal rule has a candidate
         # with identical or superset-AD / subset-CN coverage at <= atoms
@@ -192,10 +207,12 @@ class TestDominance:
                         for k in range(130)]
             tasks.append(make_task(examples, EDGE_POOL))
         for task in tasks:
-            cands = enumerate_candidates(task)
+            bodies = _first_bodies(task)
             ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
-            assert (_undominated(cands, ad_mask, len(task.examples))
-                    == oracle_undominated(task, cands))
+            kept = [Candidate(Rule(bodies[fires]), fires)
+                    for fires in _undominated(list(bodies), ad_mask, len(task.examples))]
+            assert (sorted(kept, key=lambda c: c.rule.sort_key)
+                    == oracle_undominated(task, enumerate_candidates(task)))
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -351,6 +368,34 @@ class TestLearn:
         assert score(res.hypothesis, task).total == res.score.total
 
 
+class TestNoReferenceCycles:
+    # learn's recursive closures must not keep a task's candidates alive
+    # until the cycle collector runs
+    @staticmethod
+    def garbage_after_learn(task, **kwargs) -> int:
+        gc.collect()
+        gc.disable()
+        try:
+            learn(task, **kwargs)
+            return gc.collect()
+        finally:
+            gc.enable()
+
+    def test_random_task(self):
+        task = random_task(np.random.default_rng(13))
+        assert self.garbage_after_learn(task) == 0
+
+    def test_budget_exhausted(self):
+        # search leaves by raising
+        examples = [make_example(f"ad_{k:03d}", AD, {E1: k, E2: k % 3}, penalty=2)
+                    for k in range(6)]
+        examples += [make_example(f"cn_{k:03d}", CN, {E1: k + 2, E2: (k + 1) % 3}, penalty=2)
+                     for k in range(6)]
+        task = make_task(examples, [E1, E2])
+        assert not learn(task, budget=1).optimal
+        assert self.garbage_after_learn(task, budget=1) == 0
+
+
 class TestMonotonicity:
     def test_ad_coverage_monotone_cn_antitone(self):
         rng = np.random.default_rng(8)
@@ -408,6 +453,28 @@ class TestHypothesisIO:
     def test_json_round_trip(self):
         hyp = Hypothesis((Rule((BodyLiteral(E1, ">", 3), BodyLiteral(E2, "<", 9))),))
         assert hypothesis_from_json(hypothesis_to_json(hyp)) == hyp
+
+    def test_json_missing_key_or_wrong_type_rejected(self):
+        literal = {"edge": [1, 2], "comparator": ">", "threshold": 3}
+        assert hypothesis_from_obj({"rules": [{"body": [literal]}]}) == Hypothesis(
+            (Rule((BodyLiteral(E1, ">", 3),)),))
+        for key, obj in [("rules", {}), ("body", {"rules": [{}]})] + [
+                (key, {"rules": [{"body": [{k: v for k, v in literal.items() if k != key}]}]})
+                for key in literal]:
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                hypothesis_from_obj(obj)
+        for key, bad, message in [
+                ("threshold", "3", "threshold must be int, not str"),
+                ("threshold", True, "threshold must be int, not bool"),
+                ("threshold", 3.0, "threshold must be int, not float"),
+                ("comparator", 1, "comparator must be str, not int"),
+                ("edge", 12, "edge must be list, not int"),
+                ("edge", [1, 2, 3], "edge must be a pair of ints"),
+                ("edge", ["1", 2], "edge must be a pair of ints")]:
+            with pytest.raises(ValueError, match=message):
+                hypothesis_from_obj({"rules": [{"body": [{**literal, key: bad}]}]})
+        with pytest.raises(ValueError, match="rules must be list, not dict"):
+            hypothesis_from_obj({"rules": {}})
 
     def test_unknown_body_literal_rejected(self):
         line = "ad :- connection(region(1), region(2), V0), V0 < 1800, bogus(7)."
