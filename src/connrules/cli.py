@@ -16,6 +16,7 @@ from .cohort import (
     apply_mask,
     compute_mask,
     edge,
+    edges_from_pairs,
     generate_synthetic,
     load_cohort,
     mask_from_json,
@@ -32,7 +33,7 @@ from .learner import (
     parse_hypothesis_text,
     union_hypotheses,
 )
-from .selection import aggregate_frequency, load_explanations, select_global
+from .selection import SelectedEdges, aggregate_frequency, load_explanations, select_global
 from .taskgen import (
     build_examples,
     build_space,
@@ -51,9 +52,18 @@ def _parse_planted(spec: str) -> PlantedEdge:
     return PlantedEdge(edge(int(parts[0]), int(parts[1])), float(parts[2]), parts[3])
 
 
-def _load_model(path: Path):
-    obj = json.loads(Path(path).read_text())
-    return forest_from_obj(obj) if "trees" in obj else tree_from_obj(obj)
+def _load(path, parse):
+    """parse(text of the file at path), with a ValueError naming the file."""
+    text = Path(path).read_text()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _model_from_json(text: str):
+    obj = json.loads(text)
+    return forest_from_obj(obj) if isinstance(obj, dict) and "trees" in obj else tree_from_obj(obj)
 
 
 def cmd_synth(args) -> int:
@@ -74,7 +84,7 @@ def cmd_mask(args) -> int:
 
 def cmd_train(args) -> int:
     cohort = load_cohort(args.cohort)
-    mask = mask_from_json(Path(args.mask).read_text())
+    mask = _load(args.mask, mask_from_json)
     features = apply_mask(cohort, mask)
     if args.model == "dt":
         model = fit_tree(features, TreeParams())
@@ -88,7 +98,7 @@ def cmd_train(args) -> int:
 
 def cmd_select(args) -> int:
     if args.mode == "global":
-        model = _load_model(args.model)
+        model = _load(args.model, _model_from_json)
         ranking = (forest_importance(model) if hasattr(model, "trees")
                    else tree_importance(model))
         selected = select_global(ranking, args.k)
@@ -104,20 +114,19 @@ def cmd_select(args) -> int:
     return 0
 
 
-def _load_selected(path):
-    from .selection import SelectedEdges
-    obj = json.loads(Path(path).read_text())
+def _selected_from_json(text: str) -> SelectedEdges:
+    obj = json.loads(text)
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: selected edges must be a JSON object")
+        raise ValueError("selected edges must be a JSON object")
     if missing := [k for k in ("edges", "provenance") if k not in obj]:
-        raise ValueError(f"{path}: missing key(s) {', '.join(missing)}")
-    return SelectedEdges(tuple(edge(i, j) for i, j in obj["edges"]), obj["provenance"])
+        raise ValueError(f"missing key(s) {', '.join(missing)}")
+    return SelectedEdges(edges_from_pairs(obj["edges"]), obj["provenance"])
 
 
 def cmd_build_task(args) -> int:
     cohort = load_cohort(args.cohort)
-    mask = mask_from_json(Path(args.mask).read_text())
-    selected = _load_selected(args.selected)
+    mask = _load(args.mask, mask_from_json)
+    selected = _load(args.selected, _selected_from_json)
     examples = build_examples(apply_mask(cohort, mask), selected, args.base_pen)
     space = build_space(selected, examples, args.max_body_edges)
     partition = partition_tasks(examples, space, args.ad_subsets,
@@ -149,19 +158,10 @@ def cmd_learn(args) -> int:
     return 0
 
 
-def _load_hypothesis(path):
-    text = Path(path).read_text()
-    try:
-        if Path(path).suffix == ".json":
-            return hypothesis_from_json(text)
-        return parse_hypothesis_text(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
 def cmd_infer(args) -> int:
     cohort = load_cohort(args.cohort)
-    hypothesis = _load_hypothesis(args.hypothesis)
+    hypothesis = _load(args.hypothesis, hypothesis_from_json
+                       if Path(args.hypothesis).suffix == ".json" else parse_hypothesis_text)
     edges = sorted({l.edge for r in hypothesis.rules for l in r.body})
     labels = [s.diagnosis for s in cohort.subjects]
     predictions = [predict(hypothesis, context_from_weights(s.weights, edges), s.id)

@@ -47,13 +47,29 @@ class EdgeId(NamedTuple):
 
 
 def edge(i: int, j: int) -> EdgeId:
-    """Build a canonical EdgeId, validating indices and rejecting self-edges."""
+    """Build a canonical EdgeId, validating indices and rejecting self-edges.
+    Indices must be Python or numpy integers: a bool, float or string is
+    rejected, never coerced."""
+    for v in (i, j):
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"region index must be an integer, not {v!r}")
     i, j = int(i), int(j)
     if not (0 <= i < N_REGIONS and 0 <= j < N_REGIONS):
         raise ValueError(f"region index out of range: ({i}, {j})")
     if i == j:
         raise ValueError(f"self-edge ({i}, {j})")
     return EdgeId(i, j) if i < j else EdgeId(j, i)
+
+
+def edges_from_pairs(pairs) -> tuple[EdgeId, ...]:
+    """EdgeIds from a JSON list of [i, j] pairs; raises ValueError on any
+    other shape, as edge does on any other index."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"edges must be a list of [i, j] pairs, not {type(pairs).__name__}")
+    for pair in pairs:
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ValueError(f"edge must be a pair [i, j], not {pair!r}")
+    return tuple(edge(i, j) for i, j in pairs)
 
 
 def canonical_edges() -> list[EdgeId]:
@@ -405,8 +421,7 @@ def mask_to_json(mask: EdgeMask) -> str:
 
 
 def mask_from_json(text: str, keep_ratio: float | None = None) -> EdgeMask:
-    pairs = json.loads(text)
-    edges = tuple(edge(i, j) for i, j in pairs)
+    edges = edges_from_pairs(json.loads(text))
     if keep_ratio is None:
         keep_ratio = len(edges) / N_EDGES
     return EdgeMask(edges, keep_ratio)

@@ -13,6 +13,7 @@ from .tree import (
     ImportanceRanking,
     TreeParams,
     _fit_arrays,
+    _key,
     predict_tree,
     tree_atom_count,
     tree_from_obj,
@@ -125,8 +126,10 @@ def forest_to_json(forest: Forest) -> str:
 
 
 def forest_from_obj(obj: dict) -> Forest:
-    params = ForestParams(**obj["params"])
-    return Forest([tree_from_obj(t) for t in obj["trees"]], params, obj["seed"])
+    """Inverse of the object forest_to_json writes. Raises ValueError naming
+    a missing key."""
+    params = ForestParams(**_key(obj, "params"))
+    return Forest([tree_from_obj(t) for t in _key(obj, "trees")], params, _key(obj, "seed"))
 
 
 def forest_from_json(text: str) -> Forest:

@@ -26,8 +26,9 @@ space, then runs a branch-and-bound search over rule subsets:
    fewer atoms or a lexicographically smaller sorted rule list, so the
    tie-break winner holds no dominated candidate. The order is strict and
    transitive, so every dominated candidate is dropped at once. The prune
-   runs on the fire-sets in walk order, and rules are built only for the
-   survivors.
+   takes the fire-sets in walk order and sweeps them by the number of
+   examples each gets wrong (a dominator always gets fewer), testing the
+   order explicitly; rules are built only for the survivors.
 4. The search branches on the first uncovered AD example: either some
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
@@ -347,37 +348,50 @@ def _undominated(fire_sets: Sequence[int], ad_mask: int, n_examples: int) -> lis
 
     With h = fires ^ ad_mask (the AD examples a rule misses and the CN
     examples it hits), A dominates B iff h_A is a subset of h_B and A comes
-    first in that order. Rows of h, as uint64 words, are swept in order, a
-    block at a time, against the rows kept so far; block survivors are then
-    settled against the earlier survivors of their block. A dominated
-    candidate always has an undominated dominator earlier in the sweep, so
-    those two checks find every one."""
+    first in that order. Fire-sets are distinct, so a dominator's h is a
+    proper subset with a smaller popcount, and rows of equal popcount never
+    dominate each other. Rows of h, as uint64 words, are swept one popcount
+    level at a time, lowest first, against the rows kept from lower levels,
+    in chunks that double as they go, sparsest first; a row is dropped as
+    soon as a chunk row that comes first in the order has an h within its
+    own. A dominated candidate has an undominated dominator (the end of a
+    chain of dominators, each earlier and sparser than the last, which
+    dominates it too by transitivity) in a lower level, so this finds every
+    one. Every matrix over pairs of rows holds at most _PRUNE_BLOCK_CELLS
+    cells."""
     n_words = max(1, -(-n_examples // 64))
     h = np.frombuffer(b"".join((fires ^ ad_mask).to_bytes(8 * n_words, "little")
                                for fires in fire_sets), dtype="<u8").reshape(-1, n_words)
-
-    def subset(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # [i, j]: row a[i] is a subset of row b[j]
-        out = np.ones((len(a), len(b)), dtype=bool)
-        for w in range(n_words):
-            out &= (a[:, w, None] & ~b[None, :, w]) == 0
-        return out
+    # popcount of each row: a SWAR bit count of each word, summed over the words
+    x = h - ((h >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    pop = ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).sum(axis=1)
+    del x
+    order = np.argsort(pop, kind="stable")  # by popcount, then given order
+    levels = np.flatnonzero(np.diff(pop[order])) + 1
 
     kept = np.empty((0, n_words), dtype=np.uint64)
-    kept_rows: list[int] = []
-    start = 0
-    while start < len(h):
-        # at most 256 rows, so the block-by-block matrix stays within the cap too
-        size = max(1, min(256, _PRUNE_BLOCK_CELLS // max(1, len(kept))))
-        block = h[start:start + size]
-        rows = np.arange(start, start + len(block))
-        alive = ~subset(kept, block).any(axis=0)
-        block, rows = block[alive], rows[alive]
-        alive = ~np.triu(subset(block, block), 1).any(axis=0)  # i < j only
-        kept = np.concatenate([kept, block[alive]])
-        kept_rows += rows[alive].tolist()
-        start += size
-    return [fire_sets[r] for r in kept_rows]
+    kept_rows = np.empty(0, dtype=np.intp)
+    for rows in np.split(order, levels):
+        start, size = 0, 64
+        while start < len(kept) and len(rows):
+            chunk, chunk_rows = kept[start:start + size], kept_rows[start:start + size]
+            step = max(1, _PRUNE_BLOCK_CELLS // len(chunk))
+            alive = np.ones(len(rows), dtype=bool)
+            for lo in range(0, len(rows), step):
+                piece = h[rows[lo:lo + step]]
+                # [i, j]: chunk row i is a subset of piece row j and comes first
+                dominated = chunk_rows[:, None] < rows[None, lo:lo + step]
+                for w in range(n_words):
+                    dominated &= (chunk[:, w, None] & ~piece[None, :, w]) == 0
+                alive[lo:lo + step] = ~dominated.any(axis=0)
+            rows = rows[alive]
+            start += size
+            size = min(2 * size, _PRUNE_BLOCK_CELLS)
+        kept = np.concatenate([kept, h[rows]])
+        kept_rows = np.concatenate([kept_rows, rows])
+    return [fire_sets[r] for r in np.sort(kept_rows).tolist()]
 
 
 def snap_rule_to_domain(rule: Rule, task: LearningTask) -> Rule:
@@ -426,15 +440,25 @@ class _PenaltyTable:
         self.ad_groups = sorted(ad_groups.items())
         self.cn_groups = sorted(cn_groups.items())
 
+    # plain loops: the search calls these tens of thousands of times per
+    # task, and a generator or a temporary list costs more than the sum
     def ad_over(self, mask: int) -> int:
-        return sum(p * (mask & m).bit_count() for p, m in self.ad_groups)
+        total = 0
+        for p, m in self.ad_groups:
+            total += p * (mask & m).bit_count()
+        return total
 
     def cn_over(self, mask: int) -> int:
-        return sum(p * (mask & m).bit_count() for p, m in self.cn_groups)
+        total = 0
+        for p, m in self.cn_groups:
+            total += p * (mask & m).bit_count()
+        return total
 
     def min_ad_over(self, mask: int) -> int:
-        pens = [p for p, m in self.ad_groups if mask & m]
-        return min(pens) if pens else 0
+        for p, m in self.ad_groups:  # ascending penalty: the first hit is the least
+            if mask & m:
+                return p
+        return 0
 
     def total(self, atoms: int, union: int) -> int:
         return atoms + self.ad_total - self.ad_over(union) + self.cn_over(union)

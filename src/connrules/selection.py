@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .cohort import Cohort, EdgeId, edge
+from .cohort import Cohort, EdgeId, edges_from_pairs
 from .tree import ImportanceRanking
 
 MODES = ("global_importance", "frequency_count")
@@ -101,7 +101,7 @@ def load_explanations(path, cohort: Cohort | None = None) -> list[InstanceExplan
         sid = rec["subject_id"]
         if known is not None and sid not in known:
             raise ValueError(f"unknown subject id {sid!r} in explanations")
-        edges = tuple(edge(i, j) for i, j in rec["edges"])
+        edges = edges_from_pairs(rec["edges"])
         if len(edges) != k_instance:
             raise ValueError(
                 f"explanation for {sid!r} has {len(edges)} edges, expected {k_instance}")

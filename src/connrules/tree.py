@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, Features, edge
+from .cohort import AD, CN, EdgeId, Features, edges_from_pairs
 
 
 @dataclass(frozen=True)
@@ -270,16 +270,27 @@ def _node_to_obj(node: TreeNode, feature_order) -> dict:
     }
 
 
+def _key(obj, key: str):
+    """obj[key], once obj is an object holding key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return obj[key]
+
+
 def _node_from_obj(obj: dict, index: dict[EdgeId, int]) -> TreeNode:
-    if "prediction" in obj:
-        return Leaf(ClassCounts(obj["counts"]["ad"], obj["counts"]["cn"]), obj["prediction"])
+    if isinstance(obj, dict) and "prediction" in obj:
+        counts = _key(obj, "counts")
+        return Leaf(ClassCounts(_key(counts, "ad"), _key(counts, "cn")), obj["prediction"])
+    feature = edges_from_pairs([_key(obj, "feature")])[0]
+    if feature not in index:
+        raise ValueError(f"split feature ({feature.i}, {feature.j}) not in feature_order")
     return Internal(
-        index[edge(*obj["feature"])],
-        obj["threshold"],
-        _node_from_obj(obj["left"], index),
-        _node_from_obj(obj["right"], index),
-        obj["impurity_decrease"],
-        obj["n_samples"],
+        index[feature],
+        _key(obj, "threshold"),
+        _node_from_obj(_key(obj, "left"), index),
+        _node_from_obj(_key(obj, "right"), index),
+        _key(obj, "impurity_decrease"),
+        _key(obj, "n_samples"),
     )
 
 
@@ -293,10 +304,11 @@ def tree_to_obj(tree: DecisionTree) -> dict:
 
 
 def tree_from_obj(obj: dict) -> DecisionTree:
-    order = tuple(edge(i, j) for i, j in obj["feature_order"])
+    """Inverse of tree_to_obj. Raises ValueError naming a missing key."""
+    order = edges_from_pairs(_key(obj, "feature_order"))
     index = {e: k for k, e in enumerate(order)}
-    params = TreeParams(**obj["params"])
-    return DecisionTree(_node_from_obj(obj["root"], index), params, order)
+    params = TreeParams(**_key(obj, "params"))
+    return DecisionTree(_node_from_obj(_key(obj, "root"), index), params, order)
 
 
 def tree_to_json(tree: DecisionTree) -> str:

@@ -146,6 +146,35 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path / "tasks")]) == 2
         assert f"{selected}: missing key(s) edges" in capsys.readouterr().err
 
+    def test_selected_non_integer_index_is_2(self, workspace, tmp_path, capsys):
+        selected = tmp_path / "selected.json"
+        for bad in ([2.7, 5], ["2", 5], [True, 5]):
+            selected.write_text(json.dumps({"edges": [bad], "provenance": "dt"}))
+            assert main(["build-task", "--cohort", str(workspace / "cohort.json"),
+                         "--mask", str(workspace / "mask.json"), "--selected", str(selected),
+                         "--out-dir", str(tmp_path / "tasks")]) == 2
+            assert (f"{selected}: region index must be an integer, not {bad[0]!r}"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "tasks").exists()
+
+    def test_mask_non_integer_index_is_2(self, workspace, tmp_path, capsys):
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps([[0, 1], [2.7, 5]]))
+        assert main(["train", "--cohort", str(workspace / "cohort.json"),
+                     "--mask", str(mask), "--out", str(tmp_path / "dt.json")]) == 2
+        assert f"{mask}: region index must be an integer, not 2.7" in capsys.readouterr().err
+
+    def test_model_missing_key_is_2(self, workspace, tmp_path, capsys):
+        tree = json.loads((workspace / "dt.json").read_text())
+        forest = {"params": {"n_estimators": 1}, "seed": 0, "trees": [tree]}
+        del tree["feature_order"]
+        for obj in (tree, forest):
+            model = tmp_path / "bad.json"
+            model.write_text(json.dumps(obj))
+            assert main(["select", "--mode", "global", "--model", str(model),
+                         "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
+            assert f"{model}: missing key 'feature_order'" in capsys.readouterr().err
+
     def test_config_value_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "cv.json"
         cfg_path.write_text(json.dumps({"n_folds": "5"}))

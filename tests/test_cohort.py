@@ -59,6 +59,16 @@ class TestEdgeId:
         with pytest.raises(ValueError, match="out of range"):
             edge(90, 2)
 
+    def test_rejects_non_integer_indices(self):
+        for i in (2.7, 2.0, "2", True, np.bool_(True), None):
+            with pytest.raises(ValueError, match="region index must be an integer"):
+                edge(i, 5)
+            with pytest.raises(ValueError, match="region index must be an integer"):
+                edge(5, i)
+
+    def test_accepts_numpy_integers(self):
+        assert edge(np.int64(17), np.uint8(3)) == (3, 17)
+
     def test_total_edge_count(self):
         assert len(canonical_edges()) == N_EDGES == 3486
 
@@ -287,3 +297,12 @@ class TestMaskJson:
         assert json.loads(text) == [[0, 1], [0, 2], [0, 3], [0, 4]]
         back = mask_from_json(text)
         assert back.edges == mask.edges
+
+    def test_non_integer_index_rejected(self):
+        for pairs, message in [([[0, 1], [2.7, 5]], "region index must be an integer"),
+                               ([["2", 5]], "region index must be an integer"),
+                               ([[True, 5]], "region index must be an integer"),
+                               ([[0, 1, 2]], "edge must be a pair"),
+                               ({"0": 1}, "edges must be a list")]:
+            with pytest.raises(ValueError, match=message):
+                mask_from_json(json.dumps(pairs))

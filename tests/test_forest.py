@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from connrules.forest import (
     fit_forest,
     forest_atom_count,
     forest_from_json,
+    forest_from_obj,
     forest_importance,
     forest_to_json,
     predict_forest,
@@ -174,3 +177,16 @@ class TestForestJson:
         forest = fit_forest(vectors(X, labels), ForestParams(n_estimators=3), seed=1)
         back = forest_from_json(forest_to_json(forest))
         assert forest_to_json(back) == forest_to_json(forest)
+
+    def test_missing_key_named(self):
+        rng = np.random.default_rng(6)
+        X = rng.uniform(0, 10, size=(20, 4))
+        labels = [AD if rng.random() < 0.5 else CN for _ in range(20)]
+        obj = json.loads(forest_to_json(fit_forest(vectors(X, labels),
+                                                   ForestParams(n_estimators=2), seed=1)))
+        for key in ("params", "trees", "seed"):
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                forest_from_obj({k: v for k, v in obj.items() if k != key})
+        del obj["trees"][1]["root"]
+        with pytest.raises(ValueError, match="missing key 'root'"):
+            forest_from_obj(obj)

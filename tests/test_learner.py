@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from connrules.cohort import AD, CN, canonical_edges, default_atlas, edge
 from connrules.learner import (
     BodyLiteral,
     Candidate,
+    _PRUNE_BLOCK_CELLS,
+    _PenaltyTable,
     _first_bodies,
     _undominated,
     Hypothesis,
@@ -214,6 +217,45 @@ class TestDominance:
             assert (sorted(kept, key=lambda c: c.rule.sort_key)
                     == oracle_undominated(task, enumerate_candidates(task)))
 
+    def test_order_condition_across_popcount_levels(self):
+        # AD examples 0 and 1, CN examples 2 and 3; h = fires ^ ad_mask.
+        # 0b0011 has h = 0, a strict subset of every other h, but it comes
+        # after 0b0111, which it must not drop; it does drop 0b1011, which
+        # comes after it. The last four all have popcount(h) == 2 and no
+        # earlier subset, so none of them drops another.
+        ad_mask = 0b0011
+        assert _undominated([0b0111, 0b0011, 0b1011], ad_mask, 4) == [0b0111, 0b0011]
+        level = [0b0101, 0b1001, 0b0110, 0b1010]
+        assert _undominated(level, ad_mask, 4) == level
+        assert _undominated([0b0111] + level, ad_mask, 4) == [0b0111, 0b1001, 0b1010]
+
+    def test_peak_memory_within_cap(self):
+        # over 10,000 fire-sets in two uint64 words: the sweep's temporaries
+        # (a uint64 and two bool matrices of at most _PRUNE_BLOCK_CELLS cells)
+        # come on top of what packing the rows alone takes
+        rng = np.random.default_rng(3)
+        examples = [make_example(f"s{k:03d}", AD if k < 55 else CN,
+                                 {e: int(rng.integers(0, 1000)) for e in EDGE_POOL})
+                    for k in range(110)]
+        task = make_task(examples, EDGE_POOL)
+        fire_sets = list(_first_bodies(task))
+        assert len(fire_sets) > 10_000
+        ad_mask = (1 << 55) - 1
+
+        tracemalloc.start()
+        try:
+            packed = np.frombuffer(b"".join((f ^ ad_mask).to_bytes(16, "little")
+                                            for f in fire_sets), dtype="<u8")
+            packing = tracemalloc.get_traced_memory()[1]
+            del packed
+            tracemalloc.reset_peak()
+            kept = _undominated(fire_sets, ad_mask, len(examples))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(kept) > 1_000
+        assert peak <= packing + 10 * _PRUNE_BLOCK_CELLS
+
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_learn_matches_brute_force_on_tie_heavy_tasks(self, data):
@@ -237,6 +279,33 @@ class TestDominance:
         assert got.optimal
         assert got.score == want.score
         assert got.hypothesis == want.hypothesis
+
+
+class TestPenaltyTable:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sums_match_per_example_sums(self, data):
+        # three to five penalty levels per class, each used at least once, in
+        # a shuffled example order: min_ad_over's first hit must be the least
+        examples = []
+        for label in (AD, CN):
+            levels = data.draw(st.lists(st.integers(1, 20), min_size=3, max_size=5,
+                                        unique=True))
+            extra = data.draw(st.lists(st.sampled_from(levels), max_size=8))
+            examples += [make_example("", label, {}, p) for p in levels + extra]
+        examples = data.draw(st.permutations(examples))
+        table = _PenaltyTable(examples)
+        mask = data.draw(st.integers(0, (1 << len(examples)) - 1))
+        atoms = data.draw(st.integers(0, 30))
+        inside = [ex for k, ex in enumerate(examples) if mask >> k & 1]
+        outside = [ex for k, ex in enumerate(examples) if not mask >> k & 1]
+        assert table.ad_over(mask) == sum(ex.penalty for ex in inside if ex.is_ad)
+        assert table.cn_over(mask) == sum(ex.penalty for ex in inside if not ex.is_ad)
+        assert table.min_ad_over(mask) == min(
+            (ex.penalty for ex in inside if ex.is_ad), default=0)
+        assert table.total(atoms, mask) == atoms + sum(
+            ex.penalty for ex in outside if ex.is_ad) + sum(
+            ex.penalty for ex in inside if not ex.is_ad)
 
 
 class TestSnapToDomain:

@@ -121,6 +121,13 @@ class TestLoadExplanations:
         with pytest.raises(ValueError, match="out of range"):
             load_explanations(p)
 
+    def test_non_integer_index_rejected(self, tmp_path):
+        for bad in ([2.7, 5], ["2", 5], [True, 5]):
+            p = write_explanations(tmp_path / "e.json",
+                                   [{"subject_id": "a", "edges": [bad, [0, 1]]}])
+            with pytest.raises(ValueError, match="region index must be an integer"):
+                load_explanations(p)
+
     def test_duplicate_edge_rejected(self, tmp_path):
         # [3, 0] canonicalizes to (0, 3), duplicating [0, 3]
         p = write_explanations(tmp_path / "e.json",

@@ -17,8 +17,10 @@ from connrules.tree import (
     predict_tree,
     tree_atom_count,
     tree_from_json,
+    tree_from_obj,
     tree_importance,
     tree_to_json,
+    tree_to_obj,
 )
 from oracles import oracle_best_split, oracle_gini_exact
 
@@ -263,6 +265,26 @@ class TestTreeJson:
     @given(trees())
     def test_round_trip_property(self, tree):
         assert tree_from_json(tree_to_json(tree)) == tree
+
+    def test_missing_key_named(self):
+        leaf = Leaf(ClassCounts(1, 0), AD)
+        tree = DecisionTree(Internal(1, 0.5, leaf, leaf, 0.1, 2), TreeParams(),
+                            (edge(0, 1), edge(0, 2)))
+        obj = tree_to_obj(tree)
+        cases = [(key, {k: v for k, v in obj.items() if k != key})
+                 for key in ("feature_order", "params", "root")]
+        for key in ("feature", "threshold", "left", "right", "impurity_decrease",
+                    "n_samples"):
+            root = {k: v for k, v in obj["root"].items() if k != key}
+            cases.append((key, {**obj, "root": root}))
+        cases.append(("counts", {**obj, "root": {**obj["root"], "left": {"prediction": AD}}}))
+        for key, bad in cases:
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                tree_from_obj(bad)
+        with pytest.raises(ValueError, match=r"split feature \(0, 3\) not in feature_order"):
+            tree_from_obj({**obj, "root": {**obj["root"], "feature": [0, 3]}})
+        with pytest.raises(ValueError, match="region index must be an integer"):
+            tree_from_obj({**obj, "feature_order": [[0, 1], [0, 2.0]]})
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
