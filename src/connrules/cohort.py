@@ -6,9 +6,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
 
@@ -70,6 +70,43 @@ def edges_from_pairs(pairs) -> tuple[EdgeId, ...]:
         if not isinstance(pair, (list, tuple)) or len(pair) != 2:
             raise ValueError(f"edge must be a pair [i, j], not {pair!r}")
     return tuple(edge(i, j) for i, j in pairs)
+
+
+def _checked(value, want, what: str):
+    """value, once it is of type want (an int passes for a float, a bool
+    never for a number); what names the value in the error."""
+    if (not isinstance(value, (int, float) if want is float else want)
+            or isinstance(value, bool) and want not in (bool, object)):
+        raise ValueError(f"{what} must be {getattr(want, '__name__', want)}, "
+                         f"not {type(value).__name__}")
+    return value
+
+
+def _field(obj, key: str, kind=object):
+    """obj[key], once obj is an object holding key with a value of kind."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with key {key!r}, not {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"missing key {key!r}")
+    return _checked(obj[key], kind, key)
+
+
+def _from_obj(cls, obj, where: str):
+    """cls(**obj), once every key names a field of dataclass cls and holds a
+    value of its type; a dataclass-typed field is built from its own object
+    the same way."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    types = get_type_hints(cls)
+    unknown = sorted(set(obj) - set(types))
+    if unknown:
+        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
+    args = {}
+    for key, value in obj.items():
+        want = types[key]
+        args[key] = (_from_obj(want, value, key) if is_dataclass(want)
+                     else _checked(value, want, f"{where} key {key!r}"))
+    return cls(**args)
 
 
 def canonical_edges() -> list[EdgeId]:

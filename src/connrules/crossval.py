@@ -9,12 +9,12 @@ only; the validation split is touched only by the final evaluation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, is_dataclass
-from typing import Sequence, get_type_hints
+from dataclasses import asdict, dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .cohort import Cohort, EdgeId, EdgeMask, apply_mask, compute_mask
+from .cohort import Cohort, EdgeId, EdgeMask, _from_obj, apply_mask, compute_mask
 from .forest import (
     Forest,
     ForestParams,
@@ -83,49 +83,7 @@ class CVConfig:
 
 
 def config_to_obj(config: CVConfig) -> dict:
-    return {
-        "n_repeats": config.n_repeats,
-        "subsample_fraction": config.subsample_fraction,
-        "n_folds": config.n_folds,
-        "base_seed": config.base_seed,
-        "pipeline": config.pipeline,
-        "selector": {
-            "mode": config.selector.mode,
-            "k_global": config.selector.k_global,
-            "k_instance": config.selector.k_instance,
-            "k_total": config.selector.k_total,
-        },
-        "n_ad_subsets": config.n_ad_subsets,
-        "keep_ratio": config.keep_ratio,
-        "max_body_edges": config.max_body_edges,
-        "base_pen": config.base_pen,
-        "budget": config.budget,
-        "explanations_path": config.explanations_path,
-        "fit_reference_models": config.fit_reference_models,
-    }
-
-
-def _from_obj(cls, obj, where: str):
-    """cls(**obj), once every key names a field of dataclass cls and holds a
-    value of its type (an int passes for a float, a bool never for a number);
-    a dataclass-typed field is built from its own object the same way."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    types = get_type_hints(cls)
-    unknown = sorted(set(obj) - set(types))
-    if unknown:
-        raise ValueError(f"unknown {where} key(s): {', '.join(unknown)}")
-    args = {}
-    for key, value in obj.items():
-        want = types[key]
-        if is_dataclass(want):
-            value = _from_obj(want, value, key)
-        elif (not isinstance(value, (int, float) if want is float else want)
-              or isinstance(value, bool) and want is not bool):
-            raise ValueError(f"{where} key {key!r} must be {getattr(want, '__name__', want)}, "
-                             f"not {type(value).__name__}")
-        args[key] = value
-    return cls(**args)
+    return asdict(config)
 
 
 def config_from_obj(obj: dict) -> CVConfig:

@@ -7,13 +7,12 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, Features
+from .cohort import AD, CN, EdgeId, Features, _field, _from_obj
 from .tree import (
     DecisionTree,
     ImportanceRanking,
     TreeParams,
     _fit_arrays,
-    _key,
     predict_tree,
     tree_atom_count,
     tree_from_obj,
@@ -127,9 +126,10 @@ def forest_to_json(forest: Forest) -> str:
 
 def forest_from_obj(obj: dict) -> Forest:
     """Inverse of the object forest_to_json writes. Raises ValueError naming
-    a missing key."""
-    params = ForestParams(**_key(obj, "params"))
-    return Forest([tree_from_obj(t) for t in _key(obj, "trees")], params, _key(obj, "seed"))
+    a missing key, an unknown params key or a params value of the wrong
+    type."""
+    params = _from_obj(ForestParams, _field(obj, "params"), "params")
+    return Forest([tree_from_obj(t) for t in _field(obj, "trees")], params, _field(obj, "seed"))
 
 
 def forest_from_json(text: str) -> Forest:

@@ -15,10 +15,11 @@ space, then runs a branch-and-bound search over rule subsets:
    never hurt a hypothesis), which is the class-boundary reduction.
 2. Rules with identical coverage keep one representative with the fewest
    atoms and smallest canonical form, and the visiting order picks it: the
-   first body a depth-first walk in canonical order, smallest size first,
-   reaches. Rules firing on no AD example are dropped (they can only add
-   atoms and CN penalties). The walk yields bare fire-sets, each with its
-   first body, already in (atom count, canonical) order.
+   first body a walk in canonical order reaches, where size s extends the
+   bodies of size s - 1, smallest size first. Rules firing on no AD example
+   are dropped (they can only add atoms and CN penalties), and so are the
+   bodies that could extend them. The walk yields bare fire-sets, each with
+   its first body, already in (atom count, canonical) order.
 3. Dominance: candidate A dominates B when A fires on every AD example B
    fires on, on no CN example B does not, and comes strictly earlier in
    (atom count, canonical order). Swapping B for A in a hypothesis (or
@@ -33,7 +34,9 @@ space, then runs a branch-and-bound search over rule subsets:
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
    examples no candidate can cover + CN penalties already incurred. A
-   greedy weighted-cover pass seeds the incumbent.
+   greedy weighted-cover pass seeds the incumbent. The search runs depth
+   first from an explicit stack of child generators, so a path may hold
+   one node per AD example whatever the interpreter's recursion limit.
 
 Ties between optimal hypotheses break toward fewer atoms, then the
 lexicographically smallest rule list under the canonical (edge, comparator,
@@ -52,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import EdgeId, RegionAtlas, edge
+from .cohort import EdgeId, RegionAtlas, _field, edge
 from .taskgen import COMPARATORS, Example, LearningTask
 
 _COMP_INDEX = {c: k for k, c in enumerate(COMPARATORS)}
@@ -283,10 +286,11 @@ def _first_bodies(task: LearningTask) -> dict[int, tuple[BodyLiteral, ...]]:
     """Each fire-set that holds an AD example, mapped to the first body the
     walk reaches for it: its fewest-atom, smallest-key representative.
 
-    Each edge's literals come in sort-key order and usable edges in canonical
-    order, so the depth-first walk visits the bodies of one size in
-    Rule.sort_key order; sizes go smallest first. So the dict's insertion
-    order is (atom count, Rule.sort_key) order."""
+    The walk goes size by size: size s extends each body of size s - 1 that
+    still fires on an AD example, in order, by one literal of a later usable
+    edge. Each edge's literals come in sort-key order and usable edges in
+    canonical order, so the bodies of one size come in Rule.sort_key order,
+    and the dict's insertion order is (atom count, Rule.sort_key) order."""
     examples = task.examples
     ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
@@ -298,8 +302,9 @@ def _first_bodies(task: LearningTask) -> dict[int, tuple[BodyLiteral, ...]]:
     }
     usable = [e for e in sorted_edges if lits[e]]
 
+    max_size = min(space.max_body_edges, len(usable))
     projected = sum(prod(len(lits[e]) for e in combo)
-                    for m in range(1, min(space.max_body_edges, len(usable)) + 1)
+                    for m in range(1, max_size + 1)
                     for combo in combinations(usable, m))
     if projected > MAX_ENUMERATION:
         raise ValueError(
@@ -307,24 +312,21 @@ def _first_bodies(task: LearningTask) -> dict[int, tuple[BodyLiteral, ...]]:
             f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
 
     best: dict[int, tuple[BodyLiteral, ...]] = {}
-
-    def walk(start: int, body: tuple[BodyLiteral, ...], fires: int, left: int) -> None:
-        for u in range(start, len(usable) - left + 1):
-            for lit, mask in lits[usable[u]]:
-                hit = fires & mask
-                if not hit & ad_mask:
-                    continue  # no extension can regain an AD example
-                if left == 1:
+    # (next usable edge, body, fires); -1 has every example bit set
+    prefixes: list[tuple[int, tuple[BodyLiteral, ...], int]] = [(0, (), -1)]
+    for size in range(1, max_size + 1):
+        extended = []
+        for start, body, fires in prefixes:
+            for u in range(start, len(usable)):
+                for lit, mask in lits[usable[u]]:
+                    hit = fires & mask
+                    if not hit & ad_mask:
+                        continue  # no extension can regain an AD example
                     if hit not in best:
                         best[hit] = body + (lit,)
-                else:
-                    walk(u + 1, body + (lit,), hit, left - 1)
-
-    for m in range(1, min(space.max_body_edges, len(usable)) + 1):
-        walk(0, (), -1, m)  # -1 has every example bit set
-    # walk holds itself through its closure cell: deleting it frees best now,
-    # not when the cycle collector next runs
-    del walk
+                    if size < max_size:
+                        extended.append((u + 1, body + (lit,), hit))
+        prefixes = extended
     return best
 
 
@@ -489,19 +491,19 @@ def _greedy(cands: Sequence[Candidate], atoms_of: Sequence[int],
         remaining.remove(best_ci)
 
 
-class _BudgetExceeded(Exception):
-    pass
-
-
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """Minimal-score hypothesis via branch and bound over the undominated
     candidates; the result counts both the enumerated and the searched ones.
 
-    Cover lists are kept sorted by each candidate's static cost floor
-    (atoms + CN penalty it would incur on its own), so a node's branch loop
-    stops as soon as no remaining candidate can undercut the incumbent.
-    When the node budget runs out, the best incumbent found so far is
-    returned with optimal=False instead of raising.
+    The stack holds one generator of child nodes per node on the current
+    path; the loop takes the next child from the top one. A generator tests
+    each child's bound only when asked for it, so against the incumbent its
+    elder siblings' subtrees left, as a recursive search would. Cover lists
+    are kept sorted by each candidate's static cost floor (atoms + CN
+    penalty it would incur on its own), so a node's branch loop stops as
+    soon as no remaining candidate can undercut the incumbent. When the node
+    budget runs out, the best incumbent found so far is returned with
+    optimal=False instead of raising.
     """
     bodies = _first_bodies(task)
     examples = task.examples
@@ -537,29 +539,12 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     if (g_total, g_key) < (best_total, best_key):
         best_rules, best_total, best_key = g_rules, g_total, g_key
 
-    nodes = 0
-
-    def search(pos: int, chosen: tuple[int, ...], union: int, atoms: int,
-               committed_pen: int, committed: int):
-        # committed examples are permanently uncovered: any candidate whose
-        # fire-set touches one is banned, which keeps committed_pen a true
-        # lower bound for the whole subtree
-        nonlocal nodes, best_rules, best_total, best_key
-        nodes += 1
-        if nodes > budget:
-            raise _BudgetExceeded
-        k = pos
-        while k < len(ad_positions):
-            bit = 1 << ad_positions[k]
-            if not (union & bit) and not (committed & bit):
-                break
-            k += 1
-        if k == len(ad_positions):
-            total = table.total(atoms, union)
-            key = (atoms, tuple(sorted(chosen)))
-            if (total, key) < (best_total, best_key):
-                best_rules, best_total, best_key = list(chosen), total, key
-            return
+    def children(k: int, chosen: tuple[int, ...], union: int, atoms: int,
+                 committed_pen: int, committed: int):
+        # the branches on AD example ad_positions[k]. Committed examples are
+        # permanently uncovered: any candidate whose fire-set touches one is
+        # banned, which keeps committed_pen a true lower bound for the whole
+        # subtree
         e = ad_positions[k]
         uncov_pen = table.ad_over(uncoverable & ~committed)
         cn_union = table.cn_over(union)
@@ -580,7 +565,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
             if remaining:
                 b += min(3, table.min_ad_over(remaining))
             if b <= best_total:
-                search(k, chosen + (ci,), union2, atoms2, committed_pen, committed)
+                yield k, chosen + (ci,), union2, atoms2, committed_pen, committed
         # no chosen rule covers this example: commit its penalty
         committed2 = committed | (1 << e)
         committed_pen2 = committed_pen + examples[e].penalty
@@ -590,15 +575,33 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         if remaining:
             b += min(3, table.min_ad_over(remaining))
         if b <= best_total:
-            search(k + 1, chosen, union, atoms, committed_pen2, committed2)
+            yield k + 1, chosen, union, atoms, committed_pen2, committed2
 
+    nodes = 0
     optimal = True
-    try:
-        search(0, (), 0, 0, 0, 0)
-    except _BudgetExceeded:
-        optimal = False
-    finally:
-        del search  # the closure cell cycle, as with walk in _first_bodies
+    stack = [iter([(0, (), 0, 0, 0, 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            optimal = False
+            break
+        k, chosen, union, atoms, committed_pen, committed = node
+        while k < len(ad_positions):
+            bit = 1 << ad_positions[k]
+            if not (union & bit) and not (committed & bit):
+                break
+            k += 1
+        if k < len(ad_positions):
+            stack.append(children(k, chosen, union, atoms, committed_pen, committed))
+            continue
+        total = table.total(atoms, union)
+        key = (atoms, tuple(sorted(chosen)))
+        if (total, key) < (best_total, best_key):
+            best_rules, best_total, best_key = list(chosen), total, key
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
@@ -679,19 +682,6 @@ def hypothesis_to_obj(hyp: Hypothesis) -> dict:
         ],
         "atom_count": hyp.atom_count,
     }
-
-
-def _field(obj, key: str, kind: type):
-    """obj[key], once obj is an object holding key with a value of kind (a
-    bool is never an int)."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"expected an object with key {key!r}, not {type(obj).__name__}")
-    if key not in obj:
-        raise ValueError(f"missing key {key!r}")
-    value = obj[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
-        raise ValueError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
-    return value
 
 
 def hypothesis_from_obj(obj: dict) -> Hypothesis:

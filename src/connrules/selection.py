@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .cohort import Cohort, EdgeId, edges_from_pairs
+from .cohort import Cohort, EdgeId, _field, edges_from_pairs
 from .tree import ImportanceRanking
 
 MODES = ("global_importance", "frequency_count")
@@ -88,22 +88,25 @@ def load_explanations(path, cohort: Cohort | None = None) -> list[InstanceExplan
     Format: {"k_instance": n, "explanations": [{"subject_id": ...,
     "edges": [[i, j], ...]}]}. Every explanation must list exactly
     k_instance distinct valid edges; subject ids are checked against the
-    cohort when one is given.
+    cohort when one is given. Every error names the file.
     """
     path = Path(path)
     if not path.exists():
         raise ValueError(f"missing file: {path}")
-    doc = json.loads(path.read_text())
-    k_instance = int(doc["k_instance"])
     known = {s.id for s in cohort.subjects} if cohort is not None else None
-    out = []
-    for rec in doc["explanations"]:
-        sid = rec["subject_id"]
-        if known is not None and sid not in known:
-            raise ValueError(f"unknown subject id {sid!r} in explanations")
-        edges = edges_from_pairs(rec["edges"])
-        if len(edges) != k_instance:
-            raise ValueError(
-                f"explanation for {sid!r} has {len(edges)} edges, expected {k_instance}")
-        out.append(InstanceExplanation(sid, edges))
+    try:
+        doc = json.loads(path.read_text())
+        k_instance = _field(doc, "k_instance", int)
+        out = []
+        for rec in _field(doc, "explanations", list):
+            sid = _field(rec, "subject_id", str)
+            if known is not None and sid not in known:
+                raise ValueError(f"unknown subject id {sid!r} in explanations")
+            edges = edges_from_pairs(_field(rec, "edges", list))
+            if len(edges) != k_instance:
+                raise ValueError(
+                    f"explanation for {sid!r} has {len(edges)} edges, expected {k_instance}")
+            out.append(InstanceExplanation(sid, edges))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     return out

@@ -14,7 +14,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, Features, edges_from_pairs
+from .cohort import AD, CN, EdgeId, Features, _field, _from_obj, edges_from_pairs
 
 
 @dataclass(frozen=True)
@@ -270,27 +270,20 @@ def _node_to_obj(node: TreeNode, feature_order) -> dict:
     }
 
 
-def _key(obj, key: str):
-    """obj[key], once obj is an object holding key."""
-    if not isinstance(obj, dict) or key not in obj:
-        raise ValueError(f"missing key {key!r}")
-    return obj[key]
-
-
 def _node_from_obj(obj: dict, index: dict[EdgeId, int]) -> TreeNode:
     if isinstance(obj, dict) and "prediction" in obj:
-        counts = _key(obj, "counts")
-        return Leaf(ClassCounts(_key(counts, "ad"), _key(counts, "cn")), obj["prediction"])
-    feature = edges_from_pairs([_key(obj, "feature")])[0]
+        counts = _field(obj, "counts")
+        return Leaf(ClassCounts(_field(counts, "ad"), _field(counts, "cn")), obj["prediction"])
+    feature = edges_from_pairs([_field(obj, "feature")])[0]
     if feature not in index:
         raise ValueError(f"split feature ({feature.i}, {feature.j}) not in feature_order")
     return Internal(
         index[feature],
-        _key(obj, "threshold"),
-        _node_from_obj(_key(obj, "left"), index),
-        _node_from_obj(_key(obj, "right"), index),
-        _key(obj, "impurity_decrease"),
-        _key(obj, "n_samples"),
+        _field(obj, "threshold"),
+        _node_from_obj(_field(obj, "left"), index),
+        _node_from_obj(_field(obj, "right"), index),
+        _field(obj, "impurity_decrease"),
+        _field(obj, "n_samples"),
     )
 
 
@@ -304,11 +297,12 @@ def tree_to_obj(tree: DecisionTree) -> dict:
 
 
 def tree_from_obj(obj: dict) -> DecisionTree:
-    """Inverse of tree_to_obj. Raises ValueError naming a missing key."""
-    order = edges_from_pairs(_key(obj, "feature_order"))
+    """Inverse of tree_to_obj. Raises ValueError naming a missing key, an
+    unknown params key or a params value of the wrong type."""
+    order = edges_from_pairs(_field(obj, "feature_order"))
     index = {e: k for k, e in enumerate(order)}
-    params = TreeParams(**_key(obj, "params"))
-    return DecisionTree(_node_from_obj(_key(obj, "root"), index), params, order)
+    params = _from_obj(TreeParams, _field(obj, "params"), "params")
+    return DecisionTree(_node_from_obj(_field(obj, "root"), index), params, order)
 
 
 def tree_to_json(tree: DecisionTree) -> str:

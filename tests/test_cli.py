@@ -175,6 +175,31 @@ class TestExitCodes:
                          "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
             assert f"{model}: missing key 'feature_order'" in capsys.readouterr().err
 
+    def test_model_unknown_params_key_is_2(self, workspace, tmp_path, capsys):
+        tree = json.loads((workspace / "dt.json").read_text())
+        tree["params"] = {"max_dept": 3}
+        forest = {"params": {"n_estimators": 1, "max_features": 2.5}, "seed": 0,
+                  "trees": [json.loads((workspace / "dt.json").read_text())]}
+        for obj, message in [(tree, "unknown params key(s): max_dept"),
+                             (forest, "params key 'max_features' must be str | int | None, "
+                                      "not float")]:
+            model = tmp_path / "bad.json"
+            model.write_text(json.dumps(obj))
+            assert main(["select", "--mode", "global", "--model", str(model),
+                         "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
+            assert f"{model}: {message}" in capsys.readouterr().err
+
+    def test_explanations_k_instance_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "explanations.json"
+        records = [{"subject_id": "ad_000", "edges": [[2, 5], [0, 1]]}]
+        for bad in (2.7, True):
+            path.write_text(json.dumps({"k_instance": bad, "explanations": records}))
+            assert main(["select", "--mode", "frequency", "--explanations", str(path),
+                         "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
+            assert (f"{path}: k_instance must be int, not {type(bad).__name__}"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "selected.json").exists()
+
     def test_config_value_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "cv.json"
         cfg_path.write_text(json.dumps({"n_folds": "5"}))

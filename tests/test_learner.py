@@ -1,4 +1,5 @@
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from connrules.cli import main
 from connrules.cohort import AD, CN, canonical_edges, default_atlas, edge
 from connrules.learner import (
     BodyLiteral,
@@ -16,6 +18,7 @@ from connrules.learner import (
     _undominated,
     Hypothesis,
     Rule,
+    Score,
     covers,
     enumerate_candidates,
     hypothesis_from_json,
@@ -31,7 +34,7 @@ from connrules.learner import (
     union_hypotheses,
 )
 from connrules.selection import SelectedEdges
-from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space
+from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, serialize_task
 from oracles import brute_force_learn, oracle_candidates, oracle_undominated
 
 E1, E2, E3 = edge(1, 2), edge(3, 4), edge(5, 9)
@@ -64,6 +67,19 @@ def random_task(rng, max_body=2):
         pen = int(rng.integers(1, 3)) if label == AD else int(rng.integers(1, 4))
         examples.append(make_example(f"{label.lower()}_{k:03d}", label, context, pen))
     return make_task(examples, edges, max_body)
+
+
+def medium_task(rng):
+    """10-20 examples of each class over all three edges, penalties 1-3:
+    large enough that the search improves on the greedy incumbent."""
+    n_ad, n_cn = int(rng.integers(10, 21)), int(rng.integers(10, 21))
+    examples = []
+    for k in range(n_ad + n_cn):
+        label = AD if k < n_ad else CN
+        context = {e: int(rng.integers(0, 10)) for e in EDGE_POOL}
+        examples.append(make_example(f"{label.lower()}_{k:03d}", label, context,
+                                     int(rng.integers(1, 4))))
+    return make_task(examples, EDGE_POOL)
 
 
 class TestRuleFires:
@@ -437,9 +453,54 @@ class TestLearn:
         assert score(res.hypothesis, task).total == res.score.total
 
 
+class TestVisitingOrder:
+    # node counts recorded from the recursive search that the explicit stack
+    # replaced: brute-force equality cannot see a reordered search, and
+    # testing a node's children against the incumbent all at once, before
+    # the elder siblings' subtrees can improve it, expands more nodes
+    def test_random_tasks(self):
+        rng = np.random.default_rng(21)
+        assert [learn(random_task(rng)).nodes_expanded
+                for _ in range(8)] == [4, 5, 3, 11, 9, 3, 9, 8]
+
+    def test_medium_tasks(self):
+        assert [learn(medium_task(np.random.default_rng(seed))).nodes_expanded
+                for seed in (18, 19)] == [276, 1738]
+
+    def test_budget_exhausted(self):
+        res = learn(medium_task(np.random.default_rng(19)), budget=1)
+        assert (res.nodes_expanded, res.optimal, res.score.total) == (2, False, 21)
+
+
+class TestDeepTask:
+    # a search path holds one node per AD example, so more AD examples than
+    # the interpreter's recursion limit must not matter
+    @staticmethod
+    def deep_task():
+        n_bare = sys.getrecursionlimit() + 100
+        examples = [make_example(f"ad_{k:04d}", AD, {}) for k in range(n_bare)]
+        examples += [make_example(f"ad_low{k}", AD, {E1: k}, penalty=2) for k in range(3)]
+        examples += [make_example(f"cn_{k}", CN, {E1: 10 + k}) for k in range(5)]
+        return make_task(examples, [E1]), n_bare
+
+    def test_learn_is_optimal(self):
+        task, n_bare = self.deep_task()
+        res = learn(task)
+        assert res.optimal
+        # the bare AD examples stay uncovered; one rule covers the rest
+        assert res.score == Score(3, n_bare)
+        assert all(covers(res.hypothesis, ex) for ex in task.examples[n_bare:])
+
+    def test_cli_learn_exits_0(self, tmp_path, capsys):
+        task, _ = self.deep_task()
+        path = serialize_task(task, tmp_path / "deep.las")
+        assert main(["learn", "--task", str(path), "--out", str(tmp_path / "h.json")]) == 0
+        assert "optimal=True" in capsys.readouterr().out
+
+
 class TestNoReferenceCycles:
-    # learn's recursive closures must not keep a task's candidates alive
-    # until the cycle collector runs
+    # learn's search stack and its generator frames must not keep a task's
+    # candidates alive until the cycle collector runs
     @staticmethod
     def garbage_after_learn(task, **kwargs) -> int:
         gc.collect()
@@ -455,7 +516,7 @@ class TestNoReferenceCycles:
         assert self.garbage_after_learn(task) == 0
 
     def test_budget_exhausted(self):
-        # search leaves by raising
+        # search stops with generators still suspended on its stack
         examples = [make_example(f"ad_{k:03d}", AD, {E1: k, E2: k % 3}, penalty=2)
                     for k in range(6)]
         examples += [make_example(f"cn_{k:03d}", CN, {E1: k + 2, E2: (k + 1) % 3}, penalty=2)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -147,6 +148,47 @@ class TestLoadExplanations:
                                [{"subject_id": "ghost", "edges": [[0, 1], [0, 2]]}])
         with pytest.raises(ValueError, match="unknown subject"):
             load_explanations(p, cohort)
+
+    def test_k_instance_must_be_int(self, tmp_path):
+        for bad in (2.7, True, "2"):
+            p = write_explanations(tmp_path / "e.json",
+                                   [{"subject_id": "a", "edges": [[0, 1], [0, 2]]}], bad)
+            with pytest.raises(ValueError, match=f"k_instance must be int, not {type(bad).__name__}"):
+                load_explanations(p)
+
+    def test_missing_key_named(self, tmp_path):
+        record = {"subject_id": "a", "edges": [[0, 1], [0, 2]]}
+        for key in record:
+            p = write_explanations(tmp_path / "e.json",
+                                   [{k: v for k, v in record.items() if k != key}])
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                load_explanations(p)
+        for key in ("k_instance", "explanations"):
+            p = tmp_path / "e.json"
+            p.write_text(json.dumps({k: v for k, v in
+                                     {"k_instance": 2, "explanations": [record]}.items()
+                                     if k != key}))
+            with pytest.raises(ValueError, match=f"missing key '{key}'"):
+                load_explanations(p)
+
+    def test_every_error_names_the_file(self, tmp_path):
+        cohort = generate_synthetic(0, 1)
+        sid = cohort.subjects[0].id
+        p = tmp_path / "e.json"
+        for records, k_instance in [
+                ([{"subject_id": sid, "edges": [[7, 7], [0, 1]]}], 2),
+                ([{"subject_id": sid, "edges": [[0, 1]]}], 2),
+                ([{"subject_id": sid, "edges": [[0, 3], [3, 0]]}], 2),
+                ([{"subject_id": "ghost", "edges": [[0, 1], [0, 2]]}], 2),
+                ([{"subject_id": 7, "edges": [[0, 1], [0, 2]]}], 2),
+                ([{"subject_id": sid}], 2),
+                ([], 2.5)]:
+            write_explanations(p, records, k_instance)
+            with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
+                load_explanations(p, cohort)
+        p.write_text("{not json")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
+            load_explanations(p)
 
 
 class TestSelectorConfig:
