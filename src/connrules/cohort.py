@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, is_dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_type_hints
 
@@ -249,6 +250,9 @@ class Features:
             raise ValueError("labels and ids must match the row count")
         if len(self.edges) != X.shape[1]:
             raise ValueError("edge labels do not match the column count")
+        if not np.isfinite(X).all():
+            k, c = np.argwhere(~np.isfinite(X))[0]
+            raise ValueError(f"non-finite strength {X[k, c]} at row {k}, column {c}")
         X.flags.writeable = False
         is_ad.flags.writeable = False
         object.__setattr__(self, "X", X)
@@ -256,6 +260,28 @@ class Features:
 
     def __len__(self) -> int:
         return len(self.X)
+
+    @cached_property
+    def ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """(R, V): R[c, k] is the dense rank of X[k, c] among the distinct
+        values of column c, in the smallest unsigned dtype that holds it, and
+        V[c, r] is the value of rank r in column c (ranks past the column's
+        last hold its maximum). Equal values share a rank, so ordering rows by
+        rank orders them by value. Built with one sort of the feature-major
+        matrix and shared by every model fitted on these features."""
+        XT = np.ascontiguousarray(self.X.T)
+        order = np.argsort(XT, axis=1)
+        sv = np.take_along_axis(XT, order, axis=1)
+        dense = np.zeros(sv.shape, dtype=np.intp)
+        np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=dense[:, 1:])
+        n_ranks = int(dense[:, -1].max()) + 1
+        R = np.empty(XT.shape, dtype=np.min_scalar_type(n_ranks - 1))
+        np.put_along_axis(R, order, dense, axis=1)
+        V = np.repeat(sv[:, -1:], n_ranks, axis=1)
+        np.put_along_axis(V, dense, sv, axis=1)
+        R.flags.writeable = False
+        V.flags.writeable = False
+        return R, V
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +419,31 @@ def generate_synthetic(
 # Manifest I/O
 # ---------------------------------------------------------------------------
 
+_SUBJECT_KEYS = ("id", "diagnosis", "sex", "manufacturer", "matrix")
+
+
+def _manifest_records(doc) -> tuple[RegionAtlas, list[dict]]:
+    """The atlas and subject records of a manifest, once the manifest is an
+    object with a list of string labels and a list of subject objects, each
+    holding a string under every one of _SUBJECT_KEYS."""
+    _checked(doc, dict, "manifest")
+    for key in ("atlas", "subjects"):
+        if key not in doc:
+            raise ValueError(f"manifest lacks key {key!r}")
+    labels = _checked(doc["atlas"], list, "manifest key 'atlas'")
+    for label in labels:
+        _checked(label, str, "atlas label")
+    records = _checked(doc["subjects"], list, "manifest key 'subjects'")
+    for n, rec in enumerate(records):
+        _checked(rec, dict, f"subject at position {n}")
+        who = repr(rec["id"]) if isinstance(rec.get("id"), str) else f"at position {n}"
+        if missing := [k for k in _SUBJECT_KEYS if k not in rec]:
+            raise ValueError(f"subject {who} lacks key(s) {', '.join(missing)}")
+        for key in _SUBJECT_KEYS:
+            _checked(rec[key], str, f"subject {who} key {key!r}")
+    return RegionAtlas(tuple(labels)), records
+
+
 def load_cohort(manifest_path) -> Cohort:
     """Load a cohort from a JSON manifest referencing per-subject CSV matrices.
 
@@ -401,23 +452,20 @@ def load_cohort(manifest_path) -> Cohort:
         {"atlas": [84 labels],
          "subjects": [{"id": ..., "diagnosis": "AD"|"CN", "sex": "F"|"M",
                        "manufacturer": ..., "matrix": "relative/path.csv"}]}
+
+    Raises ValueError naming the file on a missing file, a manifest of any
+    other shape or types, or a malformed or invalid matrix.
     """
     manifest_path = Path(manifest_path)
     if not manifest_path.exists():
         raise ValueError(f"missing file: {manifest_path}")
-    doc = json.loads(manifest_path.read_text())
     try:
-        atlas = RegionAtlas(tuple(doc["atlas"]))
-        records = doc["subjects"]
-    except KeyError as exc:
-        raise ValueError(f"{manifest_path}: manifest lacks key {exc}") from None
+        atlas, records = _manifest_records(json.loads(manifest_path.read_text()))
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
     base = manifest_path.parent
     subjects = []
-    for n, rec in enumerate(records):
-        if missing := [k for k in ("id", "diagnosis", "sex", "manufacturer", "matrix")
-                       if k not in rec]:
-            who = repr(rec["id"]) if "id" in rec else f"at position {n}"
-            raise ValueError(f"{manifest_path}: subject {who} lacks key(s) {', '.join(missing)}")
+    for rec in records:
         mpath = base / rec["matrix"]
         if not mpath.exists():
             raise ValueError(f"missing file: {mpath}")

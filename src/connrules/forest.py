@@ -12,7 +12,7 @@ from .tree import (
     DecisionTree,
     ImportanceRanking,
     TreeParams,
-    _fit_arrays,
+    _grow,
     predict_tree,
     tree_atom_count,
     tree_from_obj,
@@ -41,14 +41,18 @@ class Forest:
 
 
 def _n_features_per_split(max_features, n_features: int) -> int | None:
+    """Features each node searches: all (None), floor(sqrt(n_features))
+    ("sqrt"), or an int in [1, n_features]. Any other value, a bool or a
+    numeric string among them, is rejected, never coerced."""
     if max_features is None:
         return None
-    if max_features == "sqrt":
+    if isinstance(max_features, str) and max_features == "sqrt":
         return max(1, math.floor(math.sqrt(n_features)))
-    m = int(max_features)
-    if not (1 <= m <= n_features):
-        raise ValueError(f"max_features {m} out of range for {n_features} features")
-    return m
+    if (isinstance(max_features, bool) or not isinstance(max_features, (int, np.integer))
+            or not 1 <= max_features <= n_features):
+        raise ValueError(f"max_features {max_features!r} must be 'sqrt', None or an int "
+                         f"in [1, {n_features}]")
+    return int(max_features)
 
 
 def fit_forest(
@@ -63,23 +67,23 @@ def fit_forest(
     result is a pure function of (features, params, seed).
     """
     params = params or ForestParams()
-    X, is_ad = features.X, features.is_ad
-    if X.shape[0] < 2:
+    n, n_features = features.X.shape
+    if n < 2:
         raise ValueError("fit_forest needs at least 2 samples")
-    m_features = _n_features_per_split(params.max_features, X.shape[1])
+    m_features = _n_features_per_split(params.max_features, n_features)
     tree_params = TreeParams(params.max_depth, params.min_samples_split)
     base = seed % 2**32
 
-    trees = []
-    for t in range(params.n_estimators):
-        rng = np.random.default_rng([base, t])
-        idx = rng.integers(0, X.shape[0], size=X.shape[0])
-        sampler = None
-        if m_features is not None:
-            def sampler(node_id, nf, _t=t):
-                node_rng = np.random.default_rng([base, _t, node_id])
-                return np.sort(node_rng.choice(nf, size=m_features, replace=False))
-        trees.append(_fit_arrays(X[idx], is_ad[idx], tree_params, features.edges, sampler))
+    # a bootstrap row drawn k times is one row of weight k
+    roots = [np.unique(np.random.default_rng([base, t]).integers(0, n, size=n), return_counts=True)
+             for t in range(params.n_estimators)]
+    draw = None
+    if m_features is not None:
+        def draw(t, node_id):
+            node_rng = np.random.default_rng([base, t, node_id])
+            return np.sort(node_rng.choice(n_features, size=m_features, replace=False))
+    trees = [DecisionTree(root, tree_params, features.edges)
+             for root in _grow(features, tree_params, roots, draw)]
     return Forest(trees, params, seed)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -82,119 +82,204 @@ class ImportanceRanking:
 
 
 # ---------------------------------------------------------------------------
-# Split search
+# Growth: one kernel for trees and forests
 # ---------------------------------------------------------------------------
 
-def _split_arrays(
-    X: np.ndarray, is_ad: np.ndarray, feats: np.ndarray | None = None
-) -> tuple[int, float, float] | None:
-    """Best (feature, threshold, gain) over the given feature subset.
+_SPLIT_BLOCK_CELLS = 1 << 16  # rank bins, and rank cells, per temporary array: 0.5 MB
 
-    Candidate thresholds are midpoints between consecutive distinct sorted
-    values per feature. Gain is I_parent - (nl/n) I_left - (nr/n) I_right;
-    the first maximum in (feature asc, threshold asc) order wins. Returns
-    None when no candidate has strictly positive gain.
+
+class _Node(NamedTuple):
+    """A node waiting for its split search: the distinct rows it holds, the
+    multiplicity of each (its AD part in ad_weights), the totals of both,
+    and the features its search may use, ascending."""
+
+    rows: np.ndarray
+    weights: np.ndarray
+    ad_weights: np.ndarray
+    n: int
+    n_ad: int
+    feats: np.ndarray
+
+
+def _leaf(n_ad: int, n: int) -> Leaf:
+    return Leaf(ClassCounts(n_ad, n - n_ad), AD if n_ad > n - n_ad else CN)
+
+
+def _best_splits(features: Features, nodes: list[_Node]) -> list:
+    """(feature, threshold, gain, goes_left) of each node's best split, or
+    None when no candidate has strictly positive gain. Every node searches
+    the same number of features.
+
+    A segment is one (node, feature) pair. Every row of a node adds its
+    weights to bin segment * n_ranks + rank of its value, so a segment's
+    running sums over its nonempty bins, less the sums of the segments
+    before it, are the left-side counts of each threshold between
+    consecutive distinct values; a segment's last nonempty bin holds no
+    candidate. Gain is I_parent - (nl/n) I_left - (nr/n) I_right over the
+    integer counts, and each node takes the first maximum in (feature,
+    threshold) order. The threshold is the midpoint between the split value
+    and the next distinct value in the node. Segments are binned in blocks
+    of at most _SPLIT_BLOCK_CELLS bins and cells (one segment, if a single
+    segment holds more).
     """
-    m = X.shape[0]
-    if m < 2:
-        return None
-    Xs = X if feats is None else X[:, feats]
-    na = int(is_ad.sum())
-    if na == 0 or na == m:
-        return None
-    pa = na / m
-    pc = (m - na) / m
-    parent = 1.0 - pa * pa - pc * pc
+    R, V = features.ranks
+    n_ranks = V.shape[1]
+    m = len(nodes[0].feats)  # segment k * m + j is feature j of node k
+    seg_feat = np.concatenate([node.feats for node in nodes])
+    totals = []  # n, n_ad and parent impurity of each node
+    for node in nodes:
+        pa = node.n_ad / node.n
+        pc = (node.n - node.n_ad) / node.n
+        totals.append((node.n, node.n_ad, 1.0 - pa * pa - pc * pc))
+    seg_totals = np.repeat(np.array(totals).T, m, axis=1)
+    best_rank = np.empty(len(seg_feat), dtype=np.intp)  # of each segment's best threshold
+    best_gain = np.empty(len(seg_feat))
 
-    order = np.argsort(Xs, axis=0, kind="stable")
-    sv = np.take_along_axis(Xs, order, axis=0)
-    cum_ad = np.cumsum(is_ad[order], axis=0)
+    per_block = max(1, _SPLIT_BLOCK_CELLS // max(n_ranks, max(len(node.rows) for node in nodes)))
+    for s0 in range(0, len(seg_feat), per_block):
+        s1 = min(len(seg_feat), s0 + per_block)
+        pieces = [(nodes[k], max(s0, k * m), min(s1, k * m + m))
+                  for k in range(s0 // m, (s1 - 1) // m + 1)]
+        n_cells = sum((hi - lo) * len(node.rows) for node, lo, hi in pieces)
+        key = np.empty(n_cells, dtype=np.intp)
+        weight = np.empty(n_cells)
+        ad_weight = np.empty(n_cells)
+        at = 0
+        for node, lo, hi in pieces:
+            shape = (hi - lo, len(node.rows))
+            cells = slice(at, at + shape[0] * shape[1])
+            np.add(np.arange(lo - s0, hi - s0)[:, None] * n_ranks,
+                   R.take(seg_feat[lo:hi], axis=0).take(node.rows, axis=1),
+                   out=key[cells].reshape(shape))
+            weight[cells].reshape(shape)[...] = node.weights
+            ad_weight[cells].reshape(shape)[...] = node.ad_weights
+            at = cells.stop
+        size = (s1 - s0) * n_ranks
+        count = np.bincount(key, weight, size)
+        bins = np.flatnonzero(count > 0)  # in (segment, rank) order
+        first = np.searchsorted(bins, np.arange(s1 - s0) * n_ranks)  # each segment's first bin
+        run = np.diff(np.append(first, len(bins)))
+        nl = count[bins].cumsum()
+        la = np.bincount(key, ad_weight, size)[bins].cumsum()
+        nl -= np.repeat(np.append(0.0, nl[first[1:] - 1]), run)
+        la -= np.repeat(np.append(0.0, la[first[1:] - 1]), run)
+        cand = np.ones(len(bins), dtype=bool)
+        cand[first[1:] - 1] = False  # each segment's last bin
+        cand[-1] = False
+        bins, nl, la = bins[cand], nl[cand], la[cand]
+        n, na, parent = np.repeat(seg_totals[:, s0:s1], run - 1, axis=1)
+        nr = n - nl
+        lc = nl - la
+        ra = na - la
+        rc = nr - ra
+        pla = la / nl
+        plc = lc / nl
+        pra = ra / nr
+        prc = rc / nr
+        gl = 1.0 - pla * pla - plc * plc
+        gr = 1.0 - pra * pra - prc * prc
+        gain = np.full(size, -np.inf)
+        gain[bins] = parent - (nl / n) * gl - (nr / n) * gr
+        gain = gain.reshape(-1, n_ranks)
+        best_rank[s0:s1] = gain.argmax(axis=1)
+        best_gain[s0:s1] = gain[np.arange(s1 - s0), best_rank[s0:s1]]
 
-    nl = np.arange(1, m, dtype=float)[:, None]
-    nr = m - nl
-    la = cum_ad[:-1]
-    lc = nl - la
-    ra = na - la
-    rc = nr - ra
-    pla = la / nl
-    plc = lc / nl
-    pra = ra / nr
-    prc = rc / nr
-    gl = 1.0 - pla * pla - plc * plc
-    gr = 1.0 - pra * pra - prc * prc
-    gain = parent - (nl / m) * gl - (nr / m) * gr
-    gain = np.where(sv[1:] != sv[:-1], gain, -np.inf)
+    # each node's first maximum in (feature, threshold) order
+    best = best_gain.reshape(-1, m).argmax(axis=1) + np.arange(0, len(seg_feat), m)
+    f, r, gain = seg_feat[best], best_rank[best], best_gain[best]
+    sizes = [len(node.rows) for node in nodes]
+    starts = np.cumsum([0] + sizes[:-1])
+    col = R[np.repeat(f, sizes), np.concatenate([node.rows for node in nodes])]
+    goes_left = col <= np.repeat(r, sizes)
+    # the next distinct value above the split value in each node
+    above = V[f, np.minimum.reduceat(np.where(goes_left, n_ranks - 1, col), starts)]
+    below = V[f, r]
+    thr = (below + above) / 2.0
+    thr = np.where(thr >= above, below, thr)  # adjacent floats: midpoint rounded up, pull back
+    return [(f_k, thr_k, gain_k, goes_left[a:a + d]) if gain_k > 0.0 else None
+            for f_k, thr_k, gain_k, a, d in zip(f.tolist(), thr.tolist(), gain.tolist(),
+                                               starts.tolist(), sizes)]
 
-    flat = gain.ravel(order="F")  # feature-major: ties pick lower feature, then lower threshold
-    pos = int(np.argmax(flat))
-    best = float(flat[pos])
-    if not best > 0.0:
-        return None
-    p = pos % (m - 1)
-    c = pos // (m - 1)
-    thr = (sv[p, c] + sv[p + 1, c]) / 2.0
-    if thr >= sv[p + 1, c]:  # adjacent floats: midpoint rounded up, pull back
-        thr = float(sv[p, c])
-    f = int(c) if feats is None else int(feats[c])
-    return f, float(thr), best
+
+def _grow(
+    features: Features,
+    params: TreeParams,
+    roots: list[tuple[np.ndarray, np.ndarray]],
+    draw: Callable[[int, int], np.ndarray] | None = None,
+) -> list[TreeNode]:
+    """Grow one tree per root (distinct rows of features, multiplicity of
+    each) and return their root nodes.
+
+    Each tree grows in preorder from its own stack, so node ids count nodes
+    in preorder. The trees advance in lockstep: each step takes from every
+    tree its next node that needs a split search, settling the leaves before
+    it, and runs one _best_splits over all of them. draw(tree, node_id)
+    gives the ascending features a node may split on (used by forests);
+    without it every feature is searched.
+    """
+    is_ad = features.is_ad
+    every = np.arange(features.X.shape[1])
+    out: list[TreeNode | None] = [None] * len(roots)
+
+    def attach(t: int, parent: Internal | None, side: str, node: TreeNode) -> None:
+        if parent is None:
+            out[t] = node
+        else:
+            setattr(parent, side, node)
+
+    # pending nodes as (rows, weights, depth, parent, side), left child on top
+    stacks = [[(rows, weights, 0, None, "")] for rows, weights in roots]
+    next_id = [0] * len(roots)
+    while True:
+        places, batch = [], []  # (tree, depth, parent, side) and _Node of each search
+        for t, stack in enumerate(stacks):
+            while stack:
+                rows, weights, depth, parent, side = stack.pop()
+                node_id = next_id[t]
+                next_id[t] += 1
+                ad_weights = weights * is_ad[rows]
+                n, n_ad = int(weights.sum()), int(ad_weights.sum())
+                if (depth >= params.max_depth or n < params.min_samples_split
+                        or n_ad == 0 or n_ad == n):
+                    attach(t, parent, side, _leaf(n_ad, n))
+                    continue
+                feats = every if draw is None else draw(t, node_id)
+                places.append((t, depth, parent, side))
+                batch.append(_Node(rows, weights, ad_weights, n, n_ad, feats))
+                break
+        if not batch:
+            return out
+        for (t, depth, parent, side), node, split in zip(
+                places, batch, _best_splits(features, batch)):
+            if split is None:
+                attach(t, parent, side, _leaf(node.n_ad, node.n))
+                continue
+            f, thr, gain, goes_left = split
+            internal = Internal(f, thr, None, None, gain, node.n)
+            attach(t, parent, side, internal)
+            goes_right = ~goes_left
+            stacks[t].append((node.rows[goes_right], node.weights[goes_right],
+                              depth + 1, internal, "right"))
+            stacks[t].append((node.rows[goes_left], node.weights[goes_left],
+                              depth + 1, internal, "left"))
 
 
 def best_split(features: Features) -> tuple[int, float, float] | None:
     """Exhaustive best split over all features; None if nothing improves."""
     if len(features) < 2:
         raise ValueError("best_split needs at least 2 samples")
-    return _split_arrays(features.X, features.is_ad)
-
-
-# ---------------------------------------------------------------------------
-# Fitting
-# ---------------------------------------------------------------------------
-
-def _fit_arrays(
-    X: np.ndarray,
-    is_ad: np.ndarray,
-    params: TreeParams,
-    feature_order: tuple[EdgeId, ...],
-    feature_sampler: Callable[[int, int], np.ndarray] | None = None,
-) -> DecisionTree:
-    """Grow a tree on index arrays. feature_sampler(node_id, n_features) may
-    restrict the split search per node (used by forests)."""
-    node_counter = [0]
-
-    def leaf(idx: np.ndarray) -> Leaf:
-        na = int(is_ad[idx].sum())
-        nc = len(idx) - na
-        return Leaf(ClassCounts(na, nc), AD if na > nc else CN)
-
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
-        node_id = node_counter[0]
-        node_counter[0] += 1
-        n = len(idx)
-        na = int(is_ad[idx].sum())
-        if depth >= params.max_depth or n < params.min_samples_split or na == 0 or na == n:
-            return leaf(idx)
-        feats = None
-        if feature_sampler is not None:
-            feats = feature_sampler(node_id, X.shape[1])
-        split = _split_arrays(X[idx], is_ad[idx], feats)
-        if split is None:
-            return leaf(idx)
-        f, thr, gain = split
-        go_left = X[idx, f] <= thr
-        nl = int(go_left.sum())
-        if nl == 0 or nl == n:
-            return leaf(idx)
-        left = grow(idx[go_left], depth + 1)
-        right = grow(idx[~go_left], depth + 1)
-        return Internal(f, thr, left, right, gain, n)
-
-    root = grow(np.arange(X.shape[0]), 0)
-    return DecisionTree(root, params, feature_order)
+    root = fit_tree(features, TreeParams(max_depth=1)).root
+    if isinstance(root, Leaf):
+        return None
+    return root.feature, root.threshold, root.impurity_decrease
 
 
 def fit_tree(features: Features, params: TreeParams | None = None) -> DecisionTree:
     """Fit a CART tree whose feature k is the edge features.edges[k]."""
-    return _fit_arrays(features.X, features.is_ad, params or TreeParams(), features.edges)
+    params = params or TreeParams()
+    n = len(features)
+    root, = _grow(features, params, [(np.arange(n), np.ones(n, dtype=np.int64))])
+    return DecisionTree(root, params, features.edges)
 
 
 def _route(node: TreeNode, values: np.ndarray) -> Leaf:

@@ -2,7 +2,9 @@
 
 These deliberately use plain scalar Python (exact rational arithmetic where
 it matters, exhaustive search for the learner) rather than the library's
-vectorized or pruned paths.
+vectorized or pruned paths. The CART oracle grows one node at a time by
+recursion on copied rows with float sorts, where the library grows batches
+of nodes from dense ranks and row weights.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from itertools import combinations, product
 import numpy as np
 
 from connrules import learner
+from connrules.cohort import AD, CN
 from connrules.learner import Candidate, Hypothesis, LearnResult, Rule, enumerate_candidates, score
+from connrules.tree import ClassCounts, Internal, Leaf, TreeNode, TreeParams
 
 
 def oracle_gini_exact(n_ad: int, n_cn: int) -> float:
@@ -56,6 +60,88 @@ def oracle_best_split(X: np.ndarray, is_ad: np.ndarray):
             if gain > 0.0 and (best is None or gain > best[2]):
                 best = (f, thr, gain)
     return best
+
+
+def _oracle_split(X: np.ndarray, is_ad: np.ndarray, feats):
+    """Best (feature, threshold, gain) of one node whose rows are X, over
+    the columns feats (all when None): a stable float argsort per column,
+    cumulative AD counts, and the first maximum of the feature-major gain
+    matrix. None when no candidate has strictly positive gain."""
+    m = X.shape[0]
+    if m < 2:
+        return None
+    Xs = X if feats is None else X[:, feats]
+    na = int(is_ad.sum())
+    if na == 0 or na == m:
+        return None
+    pa = na / m
+    pc = (m - na) / m
+    parent = 1.0 - pa * pa - pc * pc
+
+    order = np.argsort(Xs, axis=0, kind="stable")
+    sv = np.take_along_axis(Xs, order, axis=0)
+    cum_ad = np.cumsum(is_ad[order], axis=0)
+
+    nl = np.arange(1, m, dtype=float)[:, None]
+    nr = m - nl
+    la = cum_ad[:-1]
+    lc = nl - la
+    ra = na - la
+    rc = nr - ra
+    pla = la / nl
+    plc = lc / nl
+    pra = ra / nr
+    prc = rc / nr
+    gl = 1.0 - pla * pla - plc * plc
+    gr = 1.0 - pra * pra - prc * prc
+    gain = parent - (nl / m) * gl - (nr / m) * gr
+    gain = np.where(sv[1:] != sv[:-1], gain, -np.inf)
+
+    flat = gain.ravel(order="F")
+    pos = int(np.argmax(flat))
+    best = float(flat[pos])
+    if not best > 0.0:
+        return None
+    p = pos % (m - 1)
+    c = pos // (m - 1)
+    thr = (sv[p, c] + sv[p + 1, c]) / 2.0
+    if thr >= sv[p + 1, c]:
+        thr = float(sv[p, c])
+    f = int(c) if feats is None else int(feats[c])
+    return f, float(thr), best
+
+
+def oracle_fit_tree(X: np.ndarray, is_ad: np.ndarray, rows, params: TreeParams,
+                    sampler=None) -> TreeNode:
+    """Root of the CART tree grown on the rows X[rows] (a row listed k times
+    counts k times), one node at a time by recursion on copied rows.
+    sampler(node_id, n_features), with node ids in preorder, gives the
+    features a node may split on; without it every feature is searched."""
+    X, is_ad = X[rows], is_ad[rows]
+    next_id = [0]
+
+    def leaf(idx) -> Leaf:
+        na = int(is_ad[idx].sum())
+        nc = len(idx) - na
+        return Leaf(ClassCounts(na, nc), AD if na > nc else CN)
+
+    def grow(idx, depth: int) -> TreeNode:
+        node_id = next_id[0]
+        next_id[0] += 1
+        n = len(idx)
+        na = int(is_ad[idx].sum())
+        if depth >= params.max_depth or n < params.min_samples_split or na == 0 or na == n:
+            return leaf(idx)
+        feats = None if sampler is None else sampler(node_id, X.shape[1])
+        split = _oracle_split(X[idx], is_ad[idx], feats)
+        if split is None:
+            return leaf(idx)
+        f, thr, gain = split
+        go_left = X[idx, f] <= thr
+        return Internal(f, thr, grow(idx[go_left], depth + 1), grow(idx[~go_left], depth + 1),
+                        gain, n)
+
+    return grow(np.arange(len(X)), 0)
 
 
 def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:

@@ -229,6 +229,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"subject {doc['subjects'][1]['id']!r} lacks key(s) diagnosis" in err
 
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["subjects"], "manifest must be dict, not list"),
+        (lambda doc: {**doc, "subjects": [{**doc["subjects"][0], "matrix": 5}]},
+         "key 'matrix' must be str, not int"),
+        (lambda doc: {**doc, "subjects": [{**doc["subjects"][0], "id": 7}]},
+         "subject at position 0 key 'id' must be str, not int"),
+    ], ids=["list", "matrix-int", "id-int"])
+    def test_manifest_of_wrong_type_is_2(self, workspace, tmp_path, capsys, change, message):
+        doc = json.loads((workspace / "cohort.json").read_text())
+        manifest = workspace / "wrong_type.json"  # beside the matrices it names
+        manifest.write_text(json.dumps(change(doc)))
+        assert main(["mask", "--cohort", str(manifest),
+                     "--out", str(tmp_path / "m.json")]) == 2
+        err = capsys.readouterr().err
+        assert f"{manifest}: " in err and message in err
+
     def test_hypothesis_missing_key_is_2(self, workspace, tmp_path, capsys):
         hyp = tmp_path / "h.json"
         hyp.write_text(json.dumps({"rule": []}))

@@ -11,6 +11,7 @@ from connrules.cohort import (
     N_REGIONS,
     Cohort,
     EdgeMask,
+    Features,
     PlantedEdge,
     Subject,
     apply_mask,
@@ -242,6 +243,23 @@ class TestApplyMask:
         cohort = make_cohort([make_weights(fill=1.0)])
         with pytest.raises(ValueError, match="empty feature space"):
             apply_mask(cohort, EdgeMask((), 0.001))
+
+
+class TestFeatures:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_strength_rejected(self, bad):
+        X = np.array([[1.0, 2.0], [3.0, bad]])
+        with pytest.raises(ValueError, match="non-finite strength .* at row 1, column 1"):
+            Features(X, np.array([True, False]), ("a", "b"), (edge(0, 1), edge(0, 2)))
+
+    def test_ranks_order_values_and_share_ties(self):
+        X = np.array([[2.0, 0.5], [1.0, 0.5], [2.0, 9.0], [0.0, 0.5]])
+        features = Features(X, np.zeros(4, dtype=bool), tuple("abcd"), (edge(0, 1), edge(0, 2)))
+        R, V = features.ranks
+        assert R.dtype == np.uint8
+        assert R.tolist() == [[2, 1, 2, 0], [0, 0, 1, 0]]
+        assert V.tolist() == [[0.0, 1.0, 2.0], [0.5, 9.0, 9.0]]
+        assert features.ranks is features.ranks  # built once per Features
 
 
 class TestGenerateSynthetic:

@@ -1,14 +1,21 @@
+import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from connrules.cohort import (
     AD, CN, Features, PlantedEdge, apply_mask, canonical_edges, compute_mask, edge,
     generate_synthetic)
+from connrules.crossval import stratified_folds, stratified_subsample
 from connrules.forest import (
     Forest,
     ForestParams,
+    _n_features_per_split,
     fit_forest,
     forest_atom_count,
     forest_from_json,
@@ -28,6 +35,7 @@ from connrules.tree import (
     tree_importance,
     tree_to_json,
 )
+from oracles import oracle_fit_tree
 
 
 def vectors(X, labels):
@@ -86,6 +94,99 @@ class TestReductionToCart:
         assert tree_to_json(forest.trees[0]) == tree_to_json(tree)
         for x in samples.X:
             assert predict_forest(forest, x) == predict_tree(tree, x)
+
+
+@st.composite
+def tied_features(draw):
+    """Features of 2-24 rows whose strengths take 3-5 levels, so most
+    columns hold ties, and whose last column repeats an earlier one."""
+    n = draw(st.integers(2, 24))
+    n_cols = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.floats(0.0, 10.0), min_size=3, max_size=5, unique=True))
+    X = draw(arrays(float, (n, n_cols), elements=st.sampled_from(levels)))
+    X = np.column_stack([X, X[:, draw(st.integers(0, n_cols - 1))]])
+    is_ad = draw(arrays(bool, n))
+    return Features(X, is_ad, tuple(f"s{k}" for k in range(n)), tuple(canonical_edges()[:n_cols + 1]))
+
+
+def oracle_tree(features, rows, params, sampler=None):
+    root = oracle_fit_tree(features.X, features.is_ad, rows, params, sampler)
+    return DecisionTree(root, params, features.edges)
+
+
+class TestKernelMatchesOracle:
+    """fit_tree and fit_forest grow every tree of a batch in lockstep from
+    dense ranks and row weights; the oracle grows one node at a time from
+    copied rows and float sorts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_features(), st.integers(0, 6), st.integers(2, 5))
+    def test_fit_tree(self, features, max_depth, min_samples_split):
+        params = TreeParams(max_depth, min_samples_split)
+        want = oracle_tree(features, np.arange(len(features)), params)
+        assert tree_to_json(fit_tree(features, params)) == tree_to_json(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(tied_features(), st.integers(1, 5), st.integers(0, 6), st.integers(2, 5),
+           st.sampled_from([None, 1, 2, 3]), st.integers(0, 2**40))
+    def test_fit_forest(self, features, n_trees, max_depth, min_samples_split, max_features,
+                        seed):
+        n, n_features = features.X.shape
+        if max_features is not None:
+            max_features = min(max_features, n_features)
+        params = ForestParams(n_trees, max_depth, min_samples_split, max_features)
+        tree_params = TreeParams(max_depth, min_samples_split)
+        forest = fit_forest(features, params, seed)
+        base = seed % 2**32
+        for t, tree in enumerate(forest.trees):
+            # the documented sub-seeds: (seed, t) for the bootstrap rows,
+            # (seed, t, node_id) for each node's features
+            rows = np.random.default_rng([base, t]).integers(0, n, size=n)
+
+            def sampler(node_id, nf):
+                rng = np.random.default_rng([base, t, node_id])
+                return np.sort(rng.choice(nf, size=max_features, replace=False))
+
+            want = oracle_tree(features, rows, tree_params,
+                               None if max_features is None else sampler)
+            assert tree_to_json(tree) == tree_to_json(want)
+
+
+def readme_fold(repeat: int, fold: int) -> Features:
+    """The training features of one fold of the README noisy protocol, as
+    run_pipeline builds them."""
+    cohort = generate_synthetic(7, 100, [PlantedEdge(edge(2, 5), 2.0, "low")], 0.1)
+    sub = stratified_subsample(cohort, 0.9, repeat)
+    assignment = stratified_folds(sub, 5, repeat)
+    train = sub.subset([s.id for s in sub.subjects if assignment[s.id] != fold])
+    return apply_mask(train, compute_mask(train, 0.30))
+
+
+class TestPinnedOutputs:
+    def test_readme_noisy_fold_models(self):
+        """Repeat 0, fold 1 of the README noisy protocol, with the forest seed
+        run_pipeline passes (repeat * 1000 + fold): both models serialize to
+        the bytes recorded before the lockstep kernel replaced the per-node
+        grower."""
+        features = readme_fold(0, 1)
+        tree = tree_to_json(fit_tree(features, TreeParams()))
+        forest = forest_to_json(fit_forest(features, ForestParams(), seed=1))
+        assert hashlib.sha256(tree.encode()).hexdigest() == \
+            "9765f87d96a6a25cf6f1389006d52df7f00e357dc7e6b9e541883fc26c54adeb"
+        assert hashlib.sha256(forest.encode()).hexdigest() == \
+            "7948ffb31df27f6c5343338c6cbf02f9fa67187b242af8cf5b4e6e6a1a4af5bf"
+
+
+class TestMaxFeatures:
+    @pytest.mark.parametrize("value", ["7", "auto", True, False, 2.0, 0, 7, -1, [2]])
+    def test_rejects_anything_but_sqrt_none_or_int_in_range(self, value):
+        samples = vectors(np.arange(24.0).reshape(4, 6), [CN, CN, AD, AD])
+        with pytest.raises(ValueError, match=re.escape(f"max_features {value!r}")):
+            fit_forest(samples, ForestParams(n_estimators=1, max_features=value))
+
+    @pytest.mark.parametrize("value, expect", [("sqrt", 2), (None, None), (1, 1), (6, 6)])
+    def test_accepts(self, value, expect):
+        assert _n_features_per_split(value, 6) == expect
 
 
 class TestVoting:
