@@ -13,6 +13,8 @@ from pathlib import Path
 from . import crossval
 from .cohort import (
     PlantedEdge,
+    _checked,
+    _field,
     apply_mask,
     compute_mask,
     edge,
@@ -21,6 +23,7 @@ from .cohort import (
     load_cohort,
     mask_from_json,
     mask_to_json,
+    read_input,
     save_cohort,
 )
 from .forest import ForestParams, fit_forest, forest_from_obj, forest_importance, forest_to_json
@@ -52,18 +55,12 @@ def _parse_planted(spec: str) -> PlantedEdge:
     return PlantedEdge(edge(int(parts[0]), int(parts[1])), float(parts[2]), parts[3])
 
 
-def _load(path, parse):
-    """parse(text of the file at path), with a ValueError naming the file."""
-    text = Path(path).read_text()
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _model_from_json(text: str):
+def _ranking_from_json(text: str):
+    """The importance ranking of the tree or forest JSON in text."""
     obj = json.loads(text)
-    return forest_from_obj(obj) if isinstance(obj, dict) and "trees" in obj else tree_from_obj(obj)
+    if isinstance(obj, dict) and "trees" in obj:
+        return forest_importance(forest_from_obj(obj))
+    return tree_importance(tree_from_obj(obj))
 
 
 def cmd_synth(args) -> int:
@@ -84,7 +81,7 @@ def cmd_mask(args) -> int:
 
 def cmd_train(args) -> int:
     cohort = load_cohort(args.cohort)
-    mask = _load(args.mask, mask_from_json)
+    mask = read_input(args.mask, mask_from_json)
     features = apply_mask(cohort, mask)
     if args.model == "dt":
         model = fit_tree(features, TreeParams())
@@ -98,10 +95,7 @@ def cmd_train(args) -> int:
 
 def cmd_select(args) -> int:
     if args.mode == "global":
-        model = _load(args.model, _model_from_json)
-        ranking = (forest_importance(model) if hasattr(model, "trees")
-                   else tree_importance(model))
-        selected = select_global(ranking, args.k)
+        selected = select_global(read_input(args.model, _ranking_from_json), args.k)
     else:
         cohort = load_cohort(args.cohort) if args.cohort else None
         explanations = load_explanations(args.explanations, cohort)
@@ -116,17 +110,13 @@ def cmd_select(args) -> int:
 
 def _selected_from_json(text: str) -> SelectedEdges:
     obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise ValueError("selected edges must be a JSON object")
-    if missing := [k for k in ("edges", "provenance") if k not in obj]:
-        raise ValueError(f"missing key(s) {', '.join(missing)}")
-    return SelectedEdges(edges_from_pairs(obj["edges"]), obj["provenance"])
+    return SelectedEdges(edges_from_pairs(_field(obj, "edges")), _field(obj, "provenance"))
 
 
 def cmd_build_task(args) -> int:
     cohort = load_cohort(args.cohort)
-    mask = _load(args.mask, mask_from_json)
-    selected = _load(args.selected, _selected_from_json)
+    mask = read_input(args.mask, mask_from_json)
+    selected = read_input(args.selected, _selected_from_json)
     examples = build_examples(apply_mask(cohort, mask), selected, args.base_pen)
     space = build_space(selected, examples, args.max_body_edges)
     partition = partition_tasks(examples, space, args.ad_subsets,
@@ -160,8 +150,8 @@ def cmd_learn(args) -> int:
 
 def cmd_infer(args) -> int:
     cohort = load_cohort(args.cohort)
-    hypothesis = _load(args.hypothesis, hypothesis_from_json
-                       if Path(args.hypothesis).suffix == ".json" else parse_hypothesis_text)
+    hypothesis = read_input(args.hypothesis, hypothesis_from_json
+                            if Path(args.hypothesis).suffix == ".json" else parse_hypothesis_text)
     edges = sorted({l.edge for r in hypothesis.rules for l in r.body})
     labels = [s.diagnosis for s in cohort.subjects]
     predictions = [predict(hypothesis, context_from_weights(s.weights, edges), s.id)
@@ -176,7 +166,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_cv(args) -> int:
-    config = crossval.config_from_obj(json.loads(Path(args.config).read_text()))
+    config = read_input(args.config, lambda text: crossval.config_from_obj(json.loads(text)))
     cohort = load_cohort(args.cohort)
     report = crossval.run_pipeline(config, cohort)
     out_dir = Path(args.out_dir)
@@ -198,45 +188,49 @@ def _fmt(cell) -> str:
     return f"{cell['mean']:.2f} ± {cell['std']:.2f}"
 
 
-def cmd_report(args) -> int:
-    report_path = Path(args.run_dir) / "report.json"
-    if not report_path.exists():
-        raise ValueError(f"missing file: {report_path}")
-    obj = json.loads(report_path.read_text())
-    summary = obj["summary"]
+def _report_tables(text: str) -> tuple[list[str], dict]:
+    """The lines of report.md and the tables of tables.json, from the text of
+    the report.json that cv writes."""
+    obj = json.loads(text)
+    config = crossval.config_from_obj(_field(obj, "config"))
+    summary = _field(obj, "summary")
 
-    def pct(cell):
-        if cell is None:
-            return None
-        return {"mean": 100 * cell["mean"], "std": 100 * cell["std"]}
+    def stat(key, scale=1):
+        """summary[key], its mean and std scaled by scale, or None."""
+        cell = _field(summary, key)
+        return None if cell is None else {
+            k: scale * _field(cell, k, float) for k in ("mean", "std")}
 
-    pipeline = obj["config"]["pipeline"]
     accuracy_rows = [
-        ("DT*", pct(summary.get("dt_val_accuracy"))),
-        ("RF*", pct(summary.get("rf_val_accuracy"))),
-        (f"rules({pipeline})", pct(summary["val_accuracy"])),
+        ("DT*", stat("dt_val_accuracy", 100)),
+        ("RF*", stat("rf_val_accuracy", 100)),
+        (f"rules({config.pipeline})", stat("val_accuracy", 100)),
     ]
     atom_rows = [
-        ("rules", summary["hypothesis_atoms"]),
-        ("DT", summary["dt_atoms"]),
-        ("RF", summary["rf_atoms"]),
+        ("rules", stat("hypothesis_atoms")),
+        ("DT", stat("dt_atoms")),
+        ("RF", stat("rf_atoms")),
     ]
     lines = ["# Cross-validation report", "",
-             f"pipeline: {pipeline}, "
-             f"{obj['config']['n_repeats']} repeats x {obj['config']['n_folds']} folds", "",
+             f"pipeline: {config.pipeline}, "
+             f"{config.n_repeats} repeats x {config.n_folds} folds", "",
              "## Validation accuracy (%)", "", "| Model | ACC (%) |", "| --- | --- |"]
     lines += [f"| {name} | {_fmt(cell)} |" for name, cell in accuracy_rows]
     lines += ["", "## Interpretability (atom count)", "",
               "| Model | Atoms |", "| --- | --- |"]
     lines += [f"| {name} | {_fmt(cell)} |" for name, cell in atom_rows]
     lines += ["", "## Selected edges (repeats containing each)", ""]
-    lines += [f"- ({i}, {j}): {c}" for (i, j), c in obj["edge_frequency"]]
+    for entry in _field(obj, "edge_frequency", list):
+        pair, count = _checked(entry, list, "edge_frequency entry")
+        e = edges_from_pairs([pair])[0]
+        lines.append(f"- ({e.i}, {e.j}): {_checked(count, int, 'edge_frequency count')}")
+    return lines, {"accuracy": dict(accuracy_rows), "atoms": dict(atom_rows)}
+
+
+def cmd_report(args) -> int:
+    lines, tables = read_input(Path(args.run_dir) / "report.json", _report_tables)
     out_md = Path(args.run_dir) / "report.md"
     out_md.write_text("\n".join(lines) + "\n")
-    tables = {
-        "accuracy": {name: cell for name, cell in accuracy_rows},
-        "atoms": {name: cell for name, cell in atom_rows},
-    }
     (Path(args.run_dir) / "tables.json").write_text(json.dumps(tables, indent=1))
     print(f"wrote {out_md}")
     return 0
@@ -322,7 +316,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

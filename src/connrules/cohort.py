@@ -4,6 +4,7 @@ edges."""
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass, field, is_dataclass
@@ -419,29 +420,40 @@ def generate_synthetic(
 # Manifest I/O
 # ---------------------------------------------------------------------------
 
-_SUBJECT_KEYS = ("id", "diagnosis", "sex", "manufacturer", "matrix")
+def read_input(path, parse):
+    """parse(text of the file at path): the one reader of every input file.
+    A missing file raises ValueError("missing file: <path>"), and a
+    ValueError or RecursionError from the read or the parse (a JSON syntax
+    error or undecodable bytes among them) raises ValueError("<path>: ...")."""
+    try:
+        return parse(Path(path).read_text())
+    except FileNotFoundError:
+        raise ValueError(f"missing file: {path}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _manifest_records(doc) -> tuple[RegionAtlas, list[dict]]:
     """The atlas and subject records of a manifest, once the manifest is an
     object with a list of string labels and a list of subject objects, each
-    holding a string under every one of _SUBJECT_KEYS."""
-    _checked(doc, dict, "manifest")
-    for key in ("atlas", "subjects"):
-        if key not in doc:
-            raise ValueError(f"manifest lacks key {key!r}")
-    labels = _checked(doc["atlas"], list, "manifest key 'atlas'")
+    holding a string under every subject key."""
+    labels = _field(doc, "atlas", list)
     for label in labels:
         _checked(label, str, "atlas label")
-    records = _checked(doc["subjects"], list, "manifest key 'subjects'")
+    records = _field(doc, "subjects", list)
     for n, rec in enumerate(records):
-        _checked(rec, dict, f"subject at position {n}")
-        who = repr(rec["id"]) if isinstance(rec.get("id"), str) else f"at position {n}"
-        if missing := [k for k in _SUBJECT_KEYS if k not in rec]:
-            raise ValueError(f"subject {who} lacks key(s) {', '.join(missing)}")
-        for key in _SUBJECT_KEYS:
-            _checked(rec[key], str, f"subject {who} key {key!r}")
+        who = (repr(rec["id"]) if isinstance(rec, dict) and isinstance(rec.get("id"), str)
+               else f"at position {n}")
+        try:
+            for key in ("id", "diagnosis", "sex", "manufacturer", "matrix"):
+                _field(rec, key, str)
+        except ValueError as exc:
+            raise ValueError(f"subject {who}: {exc}") from None
     return RegionAtlas(tuple(labels)), records
+
+
+def _matrix_from_csv(text: str) -> np.ndarray:
+    return check_connectome(np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2))
 
 
 def load_cohort(manifest_path) -> Cohort:
@@ -453,32 +465,19 @@ def load_cohort(manifest_path) -> Cohort:
          "subjects": [{"id": ..., "diagnosis": "AD"|"CN", "sex": "F"|"M",
                        "manufacturer": ..., "matrix": "relative/path.csv"}]}
 
-    Raises ValueError naming the file on a missing file, a manifest of any
-    other shape or types, or a malformed or invalid matrix.
+    Raises ValueError naming the manifest, and the matrix file where one is
+    at fault, on any missing, malformed or invalid input.
     """
-    manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise ValueError(f"missing file: {manifest_path}")
-    try:
-        atlas, records = _manifest_records(json.loads(manifest_path.read_text()))
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
-    base = manifest_path.parent
-    subjects = []
-    for rec in records:
-        mpath = base / rec["matrix"]
-        if not mpath.exists():
-            raise ValueError(f"missing file: {mpath}")
-        try:
-            raw = np.loadtxt(mpath, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ValueError(f"malformed matrix file {mpath}: {exc}") from exc
-        try:
-            w = check_connectome(raw)
-        except ValueError as exc:
-            raise ValueError(f"subject {rec['id']!r}: {exc}") from exc
-        subjects.append(Subject(rec["id"], w, rec["diagnosis"], rec["sex"], rec["manufacturer"]))
-    return Cohort(tuple(subjects), atlas)
+    base = Path(manifest_path).parent
+
+    def parse(text: str) -> Cohort:
+        atlas, records = _manifest_records(json.loads(text))
+        return Cohort(tuple(
+            Subject(rec["id"], read_input(base / rec["matrix"], _matrix_from_csv),
+                    rec["diagnosis"], rec["sex"], rec["manufacturer"])
+            for rec in records), atlas)
+
+    return read_input(manifest_path, parse)
 
 
 def save_cohort(cohort: Cohort, out_dir, name: str = "cohort") -> Path:
@@ -505,8 +504,6 @@ def mask_to_json(mask: EdgeMask) -> str:
     return json.dumps([[e.i, e.j] for e in mask.edges])
 
 
-def mask_from_json(text: str, keep_ratio: float | None = None) -> EdgeMask:
+def mask_from_json(text: str) -> EdgeMask:
     edges = edges_from_pairs(json.loads(text))
-    if keep_ratio is None:
-        keep_ratio = len(edges) / N_EDGES
-    return EdgeMask(edges, keep_ratio)
+    return EdgeMask(edges, len(edges) / N_EDGES)

@@ -38,7 +38,6 @@ from .taskgen import (
     HypothesisSpace,
     build_examples,
     build_space,
-    context_from_weights,
     partition_tasks,
 )
 from .tree import (
@@ -342,16 +341,13 @@ def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
 
             train_labels = [s.diagnosis for s in train.subjects]
             val_labels = [s.diagnosis for s in val.subjects]
+            val_features = apply_mask(val, arts.mask)
             train_pred = [predict(arts.hypothesis, ex.context).label for ex in arts.examples]
-            val_pred = [
-                predict(arts.hypothesis,
-                        context_from_weights(s.weights, arts.selected.edges)).label
-                for s in val.subjects]
+            val_pred = [predict(arts.hypothesis, ex.context).label
+                        for ex in build_examples(val_features, arts.selected)]
 
             dt_val_acc = rf_val_acc = None
             dt_atoms = rf_atoms = None
-            if arts.dt is not None or arts.rf is not None:
-                val_features = apply_mask(val, arts.mask)
             if arts.dt is not None:
                 dt_atoms = tree_atom_count(arts.dt)
                 dt_val_acc = evaluate(

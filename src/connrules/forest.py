@@ -38,6 +38,8 @@ class Forest:
     def __post_init__(self):
         if len(self.trees) != self.params.n_estimators:
             raise ValueError("forest must hold exactly n_estimators trees")
+        if not self.trees:
+            raise ValueError("empty forest")
 
 
 def _n_features_per_split(max_features, n_features: int) -> int | None:
@@ -95,8 +97,6 @@ def predict_forest(forest: Forest, x) -> str:
 
 def forest_importance(forest: Forest) -> ImportanceRanking:
     """Mean of per-tree normalized importances, renormalized to sum 1."""
-    if not forest.trees:
-        raise ValueError("empty forest")
     acc: dict[EdgeId, float] = {}
     for t in forest.trees:
         for e, v in tree_importance(t).scores.items():
@@ -109,8 +109,6 @@ def forest_importance(forest: Forest) -> ImportanceRanking:
 
 
 def forest_atom_count(forest: Forest) -> int:
-    if not forest.trees:
-        raise ValueError("empty forest")
     return sum(tree_atom_count(t) for t in forest.trees)
 
 
@@ -133,7 +131,8 @@ def forest_from_obj(obj: dict) -> Forest:
     a missing key, an unknown params key or a params value of the wrong
     type."""
     params = _from_obj(ForestParams, _field(obj, "params"), "params")
-    return Forest([tree_from_obj(t) for t in _field(obj, "trees")], params, _field(obj, "seed"))
+    return Forest([tree_from_obj(t) for t in _field(obj, "trees", list)], params,
+                  _field(obj, "seed", int))
 
 
 def forest_from_json(text: str) -> Forest:

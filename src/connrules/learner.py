@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .cohort import EdgeId, RegionAtlas, _field, edge
+from .cohort import EdgeId, RegionAtlas, _field, edge, edges_from_pairs
 from .taskgen import COMPARATORS, Example, LearningTask
 
 _COMP_INDEX = {c: k for k, c in enumerate(COMPARATORS)}
@@ -691,10 +691,8 @@ def hypothesis_from_obj(obj: dict) -> Hypothesis:
     for r in _field(obj, "rules", list):
         body = []
         for l in _field(r, "body", list):
-            pair = _field(l, "edge", list)
-            if len(pair) != 2 or any(type(v) is not int for v in pair):
-                raise ValueError(f"edge must be a pair of ints, not {pair!r}")
-            body.append(BodyLiteral(edge(*pair), _field(l, "comparator", str),
+            body.append(BodyLiteral(edges_from_pairs([_field(l, "edge")])[0],
+                                    _field(l, "comparator", str),
                                     _field(l, "threshold", int)))
         rules.append(Rule(tuple(body)))
     return Hypothesis(tuple(rules))

@@ -4,12 +4,12 @@ per-instance explanation edge lists supplied from an external explainer."""
 from __future__ import annotations
 
 import json
+import re
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
-from .cohort import Cohort, EdgeId, _field, edges_from_pairs
+from .cohort import Cohort, EdgeId, _field, edges_from_pairs, read_input
 from .tree import ImportanceRanking
 
 MODES = ("global_importance", "frequency_count")
@@ -25,10 +25,9 @@ class SelectorConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown selector mode {self.mode!r}")
-        if self.mode == "global_importance" and self.k_global < 1:
-            raise ValueError("k_global must be >= 1")
-        if self.mode == "frequency_count" and (self.k_instance < 1 or self.k_total < 1):
-            raise ValueError("k_instance and k_total must be >= 1")
+        for name in ("k_global", "k_instance", "k_total"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -37,6 +36,11 @@ class SelectedEdges:
     provenance: str  # "dt" | "rf" | "external"
 
     def __post_init__(self):
+        # a word, the only provenance a .las task file can hold and read back
+        if not isinstance(self.provenance, str) or not re.fullmatch(r"\w+", self.provenance):
+            raise ValueError(f"provenance must be a word, not {self.provenance!r}")
+        if not self.edges:
+            raise ValueError("no selected edges")
         if len(set(self.edges)) != len(self.edges):
             raise ValueError("selected edges must be unique")
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -72,6 +76,8 @@ def aggregate_frequency(
 ) -> SelectedEdges:
     """Top k_total edges by how many explanations mention them; ties break
     toward the lower EdgeId."""
+    if k_total < 1:
+        raise ValueError("k_total must be >= 1")
     if not explanations:
         raise ValueError("empty explanation list")
     counts = Counter(e for ex in explanations for e in ex.edges)
@@ -90,13 +96,13 @@ def load_explanations(path, cohort: Cohort | None = None) -> list[InstanceExplan
     k_instance distinct valid edges; subject ids are checked against the
     cohort when one is given. Every error names the file.
     """
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"missing file: {path}")
     known = {s.id for s in cohort.subjects} if cohort is not None else None
-    try:
-        doc = json.loads(path.read_text())
+
+    def parse(text: str) -> list[InstanceExplanation]:
+        doc = json.loads(text)
         k_instance = _field(doc, "k_instance", int)
+        if k_instance < 1:
+            raise ValueError("k_instance must be >= 1")
         out = []
         for rec in _field(doc, "explanations", list):
             sid = _field(rec, "subject_id", str)
@@ -107,6 +113,8 @@ def load_explanations(path, cohort: Cohort | None = None) -> list[InstanceExplan
                 raise ValueError(
                     f"explanation for {sid!r} has {len(edges)} edges, expected {k_instance}")
             out.append(InstanceExplanation(sid, edges))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return out
+        if not out:
+            raise ValueError("empty explanation list")
+        return out
+
+    return read_input(path, parse)

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import EdgeId, Features, edge
+from .cohort import EdgeId, Features, edge, read_input
 from .selection import SelectedEdges
 
 COMPARATORS = (">=", ">", "<", "<=")
@@ -122,8 +122,6 @@ def build_examples(
 ) -> list[Example]:
     """One example per subject, numbered ad_NNN or cn_NNN within its class;
     the context holds one scaled-strength fact per selected edge."""
-    if len(selected) == 0:
-        raise ValueError("no selected edges")
     if base_pen < 1:
         raise ValueError("base_pen must be >= 1")
     cols = []
@@ -293,7 +291,4 @@ def parse_task_text(text: str) -> LearningTask:
 
 
 def load_task(path) -> LearningTask:
-    path = Path(path)
-    if not path.exists():
-        raise ValueError(f"missing file: {path}")
-    return parse_task_text(path.read_text())
+    return read_input(path, parse_task_text)

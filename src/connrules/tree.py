@@ -358,17 +358,24 @@ def _node_to_obj(node: TreeNode, feature_order) -> dict:
 def _node_from_obj(obj: dict, index: dict[EdgeId, int]) -> TreeNode:
     if isinstance(obj, dict) and "prediction" in obj:
         counts = _field(obj, "counts")
-        return Leaf(ClassCounts(_field(counts, "ad"), _field(counts, "cn")), obj["prediction"])
+        prediction = _field(obj, "prediction", str)
+        if prediction not in (AD, CN):
+            raise ValueError(f"prediction must be AD or CN, not {prediction!r}")
+        return Leaf(ClassCounts(_field(counts, "ad", int), _field(counts, "cn", int)),
+                    prediction)
     feature = edges_from_pairs([_field(obj, "feature")])[0]
     if feature not in index:
         raise ValueError(f"split feature ({feature.i}, {feature.j}) not in feature_order")
+    n_samples = _field(obj, "n_samples", int)
+    if n_samples < 1:  # importance divides by the root's
+        raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     return Internal(
         index[feature],
-        _field(obj, "threshold"),
+        _field(obj, "threshold", float),
         _node_from_obj(_field(obj, "left"), index),
         _node_from_obj(_field(obj, "right"), index),
-        _field(obj, "impurity_decrease"),
-        _field(obj, "n_samples"),
+        _field(obj, "impurity_decrease", float),
+        n_samples,
     )
 
 
@@ -383,8 +390,10 @@ def tree_to_obj(tree: DecisionTree) -> dict:
 
 def tree_from_obj(obj: dict) -> DecisionTree:
     """Inverse of tree_to_obj. Raises ValueError naming a missing key, an
-    unknown params key or a params value of the wrong type."""
+    unknown params key or a value of the wrong type or out of range."""
     order = edges_from_pairs(_field(obj, "feature_order"))
+    if not order:
+        raise ValueError("feature_order is empty")
     index = {e: k for k, e in enumerate(order)}
     params = _from_obj(TreeParams, _field(obj, "params"), "params")
     return DecisionTree(_node_from_obj(_field(obj, "root"), index), params, order)

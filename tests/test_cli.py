@@ -144,7 +144,7 @@ class TestExitCodes:
         assert main(["build-task", "--cohort", str(workspace / "cohort.json"),
                      "--mask", str(workspace / "mask.json"), "--selected", str(selected),
                      "--out-dir", str(tmp_path / "tasks")]) == 2
-        assert f"{selected}: missing key(s) edges" in capsys.readouterr().err
+        assert f"{selected}: missing key 'edges'" in capsys.readouterr().err
 
     def test_selected_non_integer_index_is_2(self, workspace, tmp_path, capsys):
         selected = tmp_path / "selected.json"
@@ -156,6 +156,43 @@ class TestExitCodes:
             assert (f"{selected}: region index must be an integer, not {bad[0]!r}"
                     in capsys.readouterr().err)
         assert not (tmp_path / "tasks").exists()
+
+    def test_selected_provenance_not_a_word_is_2(self, workspace, tmp_path, capsys):
+        selected = tmp_path / "selected.json"
+        for bad in ("dt\n#pos(ad_999@50, {ad}, {cn}, {  }).", "dt\n#maxv(1).", 5):
+            selected.write_text(json.dumps({"edges": [[2, 5]], "provenance": bad}))
+            assert main(["build-task", "--cohort", str(workspace / "cohort.json"),
+                         "--mask", str(workspace / "mask.json"), "--selected", str(selected),
+                         "--out-dir", str(tmp_path / "tasks")]) == 2
+            assert (f"{selected}: provenance must be a word, not {bad!r}"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "tasks").exists()
+
+    def test_frequency_k_below_one_is_2(self, workspace, tmp_path, capsys):
+        path = tmp_path / "explanations.json"
+        path.write_text(json.dumps({"k_instance": 2, "explanations": [
+            {"subject_id": "s0000", "edges": [[2, 5], [0, 1]]},
+            {"subject_id": "s0001", "edges": [[2, 5], [0, 2]]}]}))
+        for k in ("-1", "0"):
+            assert main(["select", "--mode", "frequency", "--explanations", str(path),
+                         "--k", k, "--out", str(tmp_path / "selected.json")]) == 2
+            assert "k_total must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "selected.json").exists()
+
+    def test_model_node_field_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
+        for set_bad, message in [
+                (lambda root: root["left"]["counts"].update(ad="x"), "ad must be int, not str"),
+                (lambda root: root.update(n_samples="x"), "n_samples must be int, not str")]:
+            tree = json.loads((workspace / "dt.json").read_text())
+            root = tree["root"]
+            while "prediction" not in root["left"]:
+                root = root["left"]
+            set_bad(root)
+            model = tmp_path / "bad.json"
+            model.write_text(json.dumps(tree))
+            assert main(["select", "--mode", "global", "--model", str(model),
+                         "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
+            assert f"{model}: {message}" in capsys.readouterr().err
 
     def test_mask_non_integer_index_is_2(self, workspace, tmp_path, capsys):
         mask = tmp_path / "mask.json"
@@ -227,14 +264,14 @@ class TestExitCodes:
         assert main(["mask", "--cohort", str(manifest),
                      "--out", str(tmp_path / "m.json")]) == 2
         err = capsys.readouterr().err
-        assert f"subject {doc['subjects'][1]['id']!r} lacks key(s) diagnosis" in err
+        assert f"{manifest}: subject {doc['subjects'][1]['id']!r}: missing key 'diagnosis'" in err
 
     @pytest.mark.parametrize("change, message", [
-        (lambda doc: doc["subjects"], "manifest must be dict, not list"),
+        (lambda doc: doc["subjects"], "expected an object with key 'atlas', not list"),
         (lambda doc: {**doc, "subjects": [{**doc["subjects"][0], "matrix": 5}]},
-         "key 'matrix' must be str, not int"),
+         "subject 's0000': matrix must be str, not int"),
         (lambda doc: {**doc, "subjects": [{**doc["subjects"][0], "id": 7}]},
-         "subject at position 0 key 'id' must be str, not int"),
+         "subject at position 0: id must be str, not int"),
     ], ids=["list", "matrix-int", "id-int"])
     def test_manifest_of_wrong_type_is_2(self, workspace, tmp_path, capsys, change, message):
         doc = json.loads((workspace / "cohort.json").read_text())

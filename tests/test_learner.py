@@ -598,9 +598,9 @@ class TestHypothesisIO:
                 ("threshold", True, "threshold must be int, not bool"),
                 ("threshold", 3.0, "threshold must be int, not float"),
                 ("comparator", 1, "comparator must be str, not int"),
-                ("edge", 12, "edge must be list, not int"),
-                ("edge", [1, 2, 3], "edge must be a pair of ints"),
-                ("edge", ["1", 2], "edge must be a pair of ints")]:
+                ("edge", 12, "edge must be a pair \\[i, j\\], not 12"),
+                ("edge", [1, 2, 3], "edge must be a pair \\[i, j\\], not \\[1, 2, 3\\]"),
+                ("edge", ["1", 2], "region index must be an integer, not '1'")]:
             with pytest.raises(ValueError, match=message):
                 hypothesis_from_obj({"rules": [{"body": [{**literal, key: bad}]}]})
         with pytest.raises(ValueError, match="rules must be list, not dict"):

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from connrules.cohort import edge, generate_synthetic
+from connrules.crossval import config_from_obj
 from connrules.selection import (
+    MODES,
     InstanceExplanation,
+    SelectedEdges,
     SelectorConfig,
     aggregate_frequency,
     load_explanations,
@@ -83,6 +86,11 @@ class TestAggregateFrequency:
     def test_k_too_large(self):
         with pytest.raises(ValueError, match="exceeds distinct edge count"):
             aggregate_frequency([InstanceExplanation("a", (E1,))], 2)
+
+    def test_k_below_one_rejected(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k_total must be >= 1"):
+                aggregate_frequency([InstanceExplanation("a", (E1, E2))], k)
 
     def test_permutation_invariant(self):
         exps = [
@@ -182,7 +190,9 @@ class TestLoadExplanations:
                 ([{"subject_id": "ghost", "edges": [[0, 1], [0, 2]]}], 2),
                 ([{"subject_id": 7, "edges": [[0, 1], [0, 2]]}], 2),
                 ([{"subject_id": sid}], 2),
-                ([], 2.5)]:
+                ([], 2.5),
+                ([], 2),
+                ([{"subject_id": sid, "edges": []}], 0)]:
             write_explanations(p, records, k_instance)
             with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: "):
                 load_explanations(p, cohort)
@@ -199,3 +209,20 @@ class TestSelectorConfig:
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k_global"):
             SelectorConfig(mode="global_importance", k_global=0)
+
+    def test_every_k_checked_whatever_the_mode(self):
+        for mode in MODES:
+            for name in ("k_global", "k_instance", "k_total"):
+                with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                    SelectorConfig(mode=mode, **{name: 0})
+        with pytest.raises(ValueError, match="k_total must be >= 1"):
+            config_from_obj({"pipeline": "external_explanations",
+                             "explanations_path": "e.json", "selector": {"k_total": -1}})
+
+
+class TestSelectedEdges:
+    def test_provenance_must_be_a_word(self):
+        assert SelectedEdges((E1,), "rf_2").provenance == "rf_2"
+        for bad in ("dt\n#maxv(1).", "dt\n#pos(ad_999@50, {ad}, {cn}, {  }).", "", "d t", 5):
+            with pytest.raises(ValueError, match="provenance must be a word"):
+                SelectedEdges((E1,), bad)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -255,7 +257,7 @@ def trees(draw):
                        st.sampled_from((AD, CN)))
     nodes = st.recursive(leaves, lambda kids: st.builds(
         Internal, st.integers(0, len(order) - 1), finite, kids, kids, finite,
-        st.integers(0, 1000)), max_leaves=16)
+        st.integers(1, 1000)), max_leaves=16)
     params = st.builds(TreeParams, st.integers(0, 12), st.integers(2, 10))
     return DecisionTree(draw(nodes), draw(params), order)
 
@@ -285,6 +287,28 @@ class TestTreeJson:
             tree_from_obj({**obj, "root": {**obj["root"], "feature": [0, 3]}})
         with pytest.raises(ValueError, match="region index must be an integer"):
             tree_from_obj({**obj, "feature_order": [[0, 1], [0, 2.0]]})
+
+    def test_node_field_of_wrong_type_named(self):
+        leaf = Leaf(ClassCounts(1, 0), AD)
+        obj = tree_to_obj(DecisionTree(Internal(1, 0.5, leaf, leaf, 0.1, 2), TreeParams(),
+                                       (edge(0, 1), edge(0, 2))))
+        root, left = obj["root"], obj["root"]["left"]
+        for bad, message in [
+                ({**root, "left": {**left, "counts": {"ad": "x", "cn": 0}}},
+                 "ad must be int, not str"),
+                ({**root, "left": {**left, "counts": {"ad": 1, "cn": 0.5}}},
+                 "cn must be int, not float"),
+                ({**root, "left": {**left, "prediction": "XX"}},
+                 "prediction must be AD or CN, not 'XX'"),
+                ({**root, "n_samples": "x"}, "n_samples must be int, not str"),
+                ({**root, "n_samples": 0}, "n_samples must be >= 1, not 0"),
+                ({**root, "threshold": "0.5"}, "threshold must be float, not str"),
+                ({**root, "impurity_decrease": None},
+                 "impurity_decrease must be float, not NoneType")]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                tree_from_obj({**obj, "root": bad})
+        with pytest.raises(ValueError, match="feature_order is empty"):
+            tree_from_obj({**obj, "feature_order": [], "root": left})
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
