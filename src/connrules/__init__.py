@@ -58,7 +58,6 @@ from .learner import (
     parse_hypothesis_text,
     rule_fires,
     score,
-    snap_rule_to_domain,
     union_hypotheses,
 )
 from .selection import (

@@ -95,8 +95,12 @@ def cmd_train(args) -> int:
 
 def cmd_select(args) -> int:
     if args.mode == "global":
+        if args.model is None:
+            raise ValueError("select --mode global needs --model")
         selected = select_global(read_input(args.model, _ranking_from_json), args.k)
     else:
+        if args.explanations is None:
+            raise ValueError("select --mode frequency needs --explanations")
         cohort = load_cohort(args.cohort) if args.cohort else None
         explanations = load_explanations(args.explanations, cohort)
         selected = aggregate_frequency(explanations, args.k)
@@ -133,8 +137,9 @@ def cmd_learn(args) -> int:
     results = []
     for path in args.task:
         res = learn(load_task(path), budget=args.budget)
-        print(f"{path}: {res.candidates} candidates, {res.undominated} undominated, "
-              f"{res.nodes_expanded} nodes, optimal={res.optimal}")
+        print(f"{path}: {res.bodies} bodies, {res.filtered} filtered, "
+              f"{res.undominated} undominated, {res.nodes_expanded} nodes, "
+              f"optimal={res.optimal}")
         results.append(res)
     hypothesis = union_hypotheses([res.hypothesis for res in results])
     Path(args.out).write_text(hypothesis_to_json(hypothesis))

@@ -223,6 +223,11 @@ class EdgeMask:
         if not (0 < self.keep_ratio <= 1):
             raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         object.__setattr__(self, "edges", tuple(self.edges))
+        seen = set()
+        for e in self.edges:
+            if e in seen:
+                raise ValueError(f"mask repeats edge [{e.i}, {e.j}]")
+            seen.add(e)
 
     @property
     def kept(self) -> frozenset[EdgeId]:

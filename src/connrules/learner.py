@@ -18,18 +18,26 @@ space, then runs a branch-and-bound search over rule subsets:
    first body a walk in canonical order reaches, where size s extends the
    bodies of size s - 1, smallest size first. Rules firing on no AD example
    are dropped (they can only add atoms and CN penalties), and so are the
-   bodies that could extend them. The walk yields bare fire-sets, each with
-   its first body, already in (atom count, canonical) order.
-3. Dominance: candidate A dominates B when A fires on every AD example B
+   bodies that could extend them. The walk keeps fire-sets packed as rows
+   of uint64 words and makes each size from the last with a few array ANDs,
+   so its rows come in (atom count, canonical) order.
+3. Before any deduplication, the walked bodies are cut by a floor: a rule
+   in a hypothesis of total T has atoms + the CN penalty of its own
+   fire-set at most T, so against a first incumbent of total I (the empty
+   hypothesis or the best single fire-set, by popcounts over the rows) a
+   fire-set whose floor is above I is in no optimum and no tie. The few
+   survivors are deduplicated by first occurrence and then pruned by
+   dominance: candidate A dominates B when A fires on every AD example B
    fires on, on no CN example B does not, and comes strictly earlier in
    (atom count, canonical order). Swapping B for A in a hypothesis (or
    dropping B when A is already in it) never raises the score, and it gives
    fewer atoms or a lexicographically smaller sorted rule list, so the
    tie-break winner holds no dominated candidate. The order is strict and
-   transitive, so every dominated candidate is dropped at once. The prune
-   takes the fire-sets in walk order and sweeps them by the number of
-   examples each gets wrong (a dominator always gets fewer), testing the
-   order explicitly; rules are built only for the survivors.
+   transitive, and a dominator's floor is never above the floor of what it
+   dominates, so every dominated survivor is dropped at once. The prune
+   sweeps the packed rows by the number of examples each gets wrong (a
+   dominator always gets fewer), testing the order explicitly; ints and
+   rules are built only for what it keeps.
 4. The search branches on the first uncovered AD example: either some
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
@@ -51,7 +59,7 @@ from math import prod
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -162,7 +170,8 @@ class LearnResult:
     score: Score
     optimal: bool
     nodes_expanded: int = 0
-    candidates: int = 0  # coverage-distinct candidates enumerated
+    bodies: int = 0  # walked bodies that fire on an AD example
+    filtered: int = 0  # distinct fire-sets among them within the floor cut
     undominated: int = 0  # of those, the ones the search branches over
 
 
@@ -282,28 +291,78 @@ def _edge_literals(
 MAX_ENUMERATION = 2_000_000
 
 
-def _first_bodies(task: LearningTask) -> dict[int, tuple[BodyLiteral, ...]]:
-    """Each fire-set that holds an AD example, mapped to the first body the
-    walk reaches for it: its fewest-atom, smallest-key representative.
+def _pack(masks: Iterable[int], n_words: int) -> np.ndarray:
+    """The bitmasks as rows of n_words little-endian uint64 words each."""
+    return np.frombuffer(b"".join(m.to_bytes(8 * n_words, "little") for m in masks),
+                         dtype="<u8").reshape(-1, n_words)
 
-    The walk goes size by size: size s extends each body of size s - 1 that
-    still fires on an AD example, in order, by one literal of a later usable
-    edge. Each edge's literals come in sort-key order and usable edges in
-    canonical order, so the bodies of one size come in Rule.sort_key order,
-    and the dict's insertion order is (atom count, Rule.sort_key) order."""
+
+def _unpack(rows: np.ndarray) -> list[int]:
+    """Inverse of _pack: one int per row."""
+    width = 8 * rows.shape[1]
+    data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
+    return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+
+
+def _popcount(rows: np.ndarray) -> np.ndarray:
+    """The set bits of each row of uint64 words: a SWAR bit count of each
+    word, summed over the row."""
+    x = rows - ((rows >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
+
+
+def _first_occurrences(rows: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows no earlier row equals."""
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ranked = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return np.sort(order[first])
+
+
+@dataclass(frozen=True, eq=False)
+class _Walk:
+    """Every body that fires on an AD example, in walk order, with its
+    fire-set packed as uint64 words; see _walk."""
+
+    literals: tuple[BodyLiteral, ...]  # of the usable edges, in canonical order
+    reach: int  # the examples some literal holds on
+    fires: np.ndarray  # (bodies, words): fire-set of each body
+    size: np.ndarray  # literals in each body
+    last: np.ndarray  # index in literals of each body's last literal
+    parent: np.ndarray  # the body each one extends by its last literal; -1 at size 1
+
+    def body(self, row: int) -> tuple[BodyLiteral, ...]:
+        lits = []
+        while row >= 0:
+            lits.append(self.literals[self.last[row]])
+            row = self.parent[row]
+        return tuple(reversed(lits))
+
+
+def _walk(task: LearningTask) -> _Walk:
+    """The rule bodies of the task that fire on an AD example, size by size:
+    size s extends each body of size s - 1, in order, by one literal of a
+    later usable edge. Each edge's literals come in sort-key order and
+    usable edges in canonical order, so the bodies come in (atom count,
+    Rule.sort_key) order, and the first body with a given fire-set is its
+    fewest-atom, smallest-key representative. A body that misses every AD
+    example is dropped, and so are its extensions, which cannot regain one.
+    One step is a few array operations: the bodies of size s - 1 are
+    repeated once per literal they may take, and their fire-set rows ANDed
+    with those literals' rows."""
     examples = task.examples
     ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
-    sorted_edges = sorted(space.edges.edges)
-    lits = {
-        e: _edge_literals(e, examples, space.threshold_domain.get(e, ()), cn_mask, ad_mask)
-        for e in sorted_edges
-    }
-    usable = [e for e in sorted_edges if lits[e]]
+    lits = [_edge_literals(e, examples, space.threshold_domain.get(e, ()), cn_mask, ad_mask)
+            for e in sorted(space.edges.edges)]
+    usable = [edge_lits for edge_lits in lits if edge_lits]
 
     max_size = min(space.max_body_edges, len(usable))
-    projected = sum(prod(len(lits[e]) for e in combo)
+    projected = sum(prod(len(edge_lits) for edge_lits in combo)
                     for m in range(1, max_size + 1)
                     for combo in combinations(usable, m))
     if projected > MAX_ENUMERATION:
@@ -311,31 +370,54 @@ def _first_bodies(task: LearningTask) -> dict[int, tuple[BodyLiteral, ...]]:
             f"candidate enumeration would generate {projected} rule bodies "
             f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
 
-    best: dict[int, tuple[BodyLiteral, ...]] = {}
-    # (next usable edge, body, fires); -1 has every example bit set
-    prefixes: list[tuple[int, tuple[BodyLiteral, ...], int]] = [(0, (), -1)]
+    n_words = max(1, -(-len(examples) // 64))
+    masks = [mask for edge_lits in usable for _, mask in edge_lits]
+    literal_rows = _pack(masks, n_words)
+    n_lits = len(masks)
+    edge_sizes = [len(edge_lits) for edge_lits in usable]
+    # per literal: the first literal of the next usable edge
+    later = np.repeat(np.cumsum(edge_sizes, dtype=np.intp), edge_sizes)
+    ad_row = _pack([ad_mask], n_words)[0]
+
+    no_rows = np.empty(0, dtype=np.intp)
+    parts = [(np.empty((0, n_words), dtype=np.uint64), no_rows, no_rows, no_rows)]
+    # the bodies of the last size: their rows, fire-sets and first literal
+    # they may take; at first the empty body, which fires everywhere
+    rows = np.array([-1])
+    fires = np.full((1, n_words), np.iinfo(np.uint64).max, dtype=np.uint64)
+    nexts = np.zeros(1, dtype=np.intp)
+    done = 0
     for size in range(1, max_size + 1):
-        extended = []
-        for start, body, fires in prefixes:
-            for u in range(start, len(usable)):
-                for lit, mask in lits[usable[u]]:
-                    hit = fires & mask
-                    if not hit & ad_mask:
-                        continue  # no extension can regain an AD example
-                    if hit not in best:
-                        best[hit] = body + (lit,)
-                    if size < max_size:
-                        extended.append((u + 1, body + (lit,), hit))
-        prefixes = extended
-    return best
+        counts = n_lits - nexts
+        prefix = np.repeat(np.arange(len(rows)), counts)
+        lit = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - nexts, counts)
+        hit = fires[prefix] & literal_rows[lit]
+        keep = np.zeros(len(hit), dtype=bool)
+        for w in range(n_words):  # faster than any(axis=1) over a few words
+            keep |= (hit[:, w] & ad_row[w]) != 0
+        fires, prefix, lit = hit[keep], prefix[keep], lit[keep]
+        parts.append((fires, np.full(len(fires), size), lit, rows[prefix]))
+        rows = done + np.arange(len(fires))
+        nexts = later[lit]
+        done += len(fires)
+
+    reach = 0
+    for mask in masks:
+        reach |= mask
+    return _Walk(tuple(lit for edge_lits in usable for lit, _ in edge_lits), reach,
+                 *(np.concatenate(column) for column in zip(*parts)))
 
 
 def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     """Coverage-distinct candidate rules in canonical order. Every rule in
     the space whose fire-set contains at least one AD example is represented
     by exactly one candidate with identical coverage and minimal atoms.
-    Unpruned: learn builds rules only for the undominated fire-sets."""
-    cands = [Candidate(Rule(body), fires) for fires, body in _first_bodies(task).items()]
+    Unfiltered and unpruned: learn builds rules only for the fire-sets that
+    pass its floor filter and dominance prune."""
+    walk = _walk(task)
+    rows = _first_occurrences(walk.fires)
+    cands = [Candidate(Rule(walk.body(r)), fires)
+             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
     cands.sort(key=lambda c: c.rule.sort_key)
     return cands
 
@@ -343,33 +425,26 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
 _PRUNE_BLOCK_CELLS = 1 << 16  # uint64 cells per temporary array: 0.5 MB
 
 
-def _undominated(fire_sets: Sequence[int], ad_mask: int, n_examples: int) -> list[int]:
-    """The fire-sets no other one dominates, in their given order, which
-    must be the candidates' (atom count, index) order, as _first_bodies
+def _undominated(h: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of h no other row dominates. Row r is
+    h = fires ^ ad_mask (the AD examples a rule misses and the CN examples
+    it hits) of a distinct fire-set, packed as uint64 words, and the rows
+    must come in the candidates' (atom count, canonical) order, as the walk
     yields them.
 
-    With h = fires ^ ad_mask (the AD examples a rule misses and the CN
-    examples it hits), A dominates B iff h_A is a subset of h_B and A comes
-    first in that order. Fire-sets are distinct, so a dominator's h is a
-    proper subset with a smaller popcount, and rows of equal popcount never
-    dominate each other. Rows of h, as uint64 words, are swept one popcount
-    level at a time, lowest first, against the rows kept from lower levels,
-    in chunks that double as they go, sparsest first; a row is dropped as
-    soon as a chunk row that comes first in the order has an h within its
-    own. A dominated candidate has an undominated dominator (the end of a
-    chain of dominators, each earlier and sparser than the last, which
-    dominates it too by transitivity) in a lower level, so this finds every
-    one. Every matrix over pairs of rows holds at most _PRUNE_BLOCK_CELLS
-    cells."""
-    n_words = max(1, -(-n_examples // 64))
-    h = np.frombuffer(b"".join((fires ^ ad_mask).to_bytes(8 * n_words, "little")
-                               for fires in fire_sets), dtype="<u8").reshape(-1, n_words)
-    # popcount of each row: a SWAR bit count of each word, summed over the words
-    x = h - ((h >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    pop = ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).sum(axis=1)
-    del x
+    A dominates B iff h_A is a subset of h_B and A comes first in that
+    order. Fire-sets are distinct, so a dominator's h is a proper subset
+    with a smaller popcount, and rows of equal popcount never dominate each
+    other. The rows are swept one popcount level at a time, lowest first,
+    against the rows kept from lower levels, in chunks that double as they
+    go, sparsest first; a row is dropped as soon as a chunk row that comes
+    first in the order has an h within its own. A dominated candidate has
+    an undominated dominator (the end of a chain of dominators, each
+    earlier and sparser than the last, which dominates it too by
+    transitivity) in a lower level, so this finds every one. Every matrix
+    over pairs of rows holds at most _PRUNE_BLOCK_CELLS cells."""
+    n_words = h.shape[1]
+    pop = _popcount(h)
     order = np.argsort(pop, kind="stable")  # by popcount, then given order
     levels = np.flatnonzero(np.diff(pop[order])) + 1
 
@@ -393,32 +468,7 @@ def _undominated(fire_sets: Sequence[int], ad_mask: int, n_examples: int) -> lis
             size = min(2 * size, _PRUNE_BLOCK_CELLS)
         kept = np.concatenate([kept, h[rows]])
         kept_rows = np.concatenate([kept_rows, rows])
-    return [fire_sets[r] for r in np.sort(kept_rows).tolist()]
-
-
-def snap_rule_to_domain(rule: Rule, task: LearningTask) -> Rule:
-    """Equivalent rule with all thresholds drawn from the space's threshold
-    domain: each literal's satisfied set is unchanged."""
-    space = task.space
-    new_body = []
-    for lit in rule.body:
-        domain = space.threshold_domain.get(lit.edge, ())
-        if not domain:
-            raise ValueError(f"edge ({lit.edge.i}, {lit.edge.j}) has an empty domain")
-        observed = [v for ex in task.examples
-                    if (v := ex.context.get(lit.edge)) is not None]
-        lo, hi = domain[0], domain[-1]
-        t = lit.threshold
-        if lit.comparator in (">=", ">"):
-            sat = sorted(v for v in observed if lit.holds(v))
-            t = min(sat) if sat else hi  # >= hi and > hi are both empty
-            comp = ">=" if sat else lit.comparator
-        else:
-            sat = sorted(v for v in observed if lit.holds(v))
-            t = max(sat) if sat else lo  # < lo and <= lo are both empty
-            comp = "<=" if sat else lit.comparator
-        new_body.append(BodyLiteral(lit.edge, comp, t))
-    return Rule(tuple(new_body))
+    return np.sort(kept_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -493,23 +543,44 @@ def _greedy(cands: Sequence[Candidate], atoms_of: Sequence[int],
 
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """Minimal-score hypothesis via branch and bound over the undominated
-    candidates; the result counts both the enumerated and the searched ones.
+    candidates; the result counts the candidates at each stage.
+
+    Before the search, the walked bodies are cut to the fire-sets whose
+    floor (atoms + CN penalty they would incur on their own) is at most a
+    first incumbent total I: the better of the empty hypothesis and the
+    best single fire-set. A rule in a hypothesis of total T has a floor of
+    at most T, so the cut loses no optimum and no tie. The survivors are
+    deduplicated by first occurrence (a fire-set's first body has the
+    fewest atoms, so it survives whenever a copy does), pruned by dominance
+    (a dominator's floor is never above the dominated one's, so the prune
+    stays exact), and only then built into rules.
 
     The stack holds one generator of child nodes per node on the current
     path; the loop takes the next child from the top one. A generator tests
     each child's bound only when asked for it, so against the incumbent its
     elder siblings' subtrees left, as a recursive search would. Cover lists
-    are kept sorted by each candidate's static cost floor (atoms + CN
-    penalty it would incur on its own), so a node's branch loop stops as
-    soon as no remaining candidate can undercut the incumbent. When the node
-    budget runs out, the best incumbent found so far is returned with
+    are kept sorted by each candidate's floor, so a node's branch loop stops
+    as soon as no remaining candidate can undercut the incumbent. When the
+    node budget runs out, the best incumbent found so far is returned with
     optimal=False instead of raising.
     """
-    bodies = _first_bodies(task)
     examples = task.examples
     table = _PenaltyTable(examples)
-    cands = [Candidate(Rule(bodies[fires]), fires)
-             for fires in _undominated(list(bodies), table.ad_mask, len(examples))]
+    walk = _walk(task)
+    n_words = walk.fires.shape[1]
+
+    def over(groups) -> np.ndarray:  # each body's penalty sum over groups
+        return sum((p * _popcount(walk.fires & _pack([m], n_words)) for p, m in groups),
+                   np.zeros(len(walk.fires), dtype=np.int64))
+
+    floors = 1 + 2 * walk.size + over(table.cn_groups)
+    incumbent = table.ad_total + int((floors - over(table.ad_groups)).min(initial=0))
+    rows = np.flatnonzero(floors <= incumbent)
+    rows = rows[_first_occurrences(walk.fires[rows])]
+    n_filtered = len(rows)
+    rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], n_words))]
+    cands = [Candidate(Rule(walk.body(r)), fires)
+             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
     cands.sort(key=lambda c: c.rule.sort_key)
     n_cands = len(cands)
     atoms_of = [c.rule.atom_count for c in cands]
@@ -518,15 +589,14 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
 
     ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
     cover_list: dict[int, list[int]] = {k: [] for k in ad_positions}
-    coverable = 0
     for ci in sorted(range(n_cands), key=lambda ci: (floor_of[ci], ci)):
         hits = cands[ci].fires & table.ad_mask
-        coverable |= hits
         while hits:
             low = hits & -hits
             cover_list[low.bit_length() - 1].append(ci)
             hits ^= low
-    uncoverable = table.ad_mask & ~coverable
+    # the AD examples no body fires on, whichever candidates the cut keeps
+    uncoverable = table.ad_mask & ~walk.reach
 
     # incumbents: empty hypothesis, then greedy. Candidates are in canonical
     # rule order, so sorted index tuples compare like sorted rule lists.
@@ -605,7 +675,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(bodies), n_cands)
+                       len(walk.fires), n_filtered, n_cands)
 
 
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:

@@ -16,7 +16,15 @@ import numpy as np
 
 from connrules import learner
 from connrules.cohort import AD, CN
-from connrules.learner import Candidate, Hypothesis, LearnResult, Rule, enumerate_candidates, score
+from connrules.learner import (
+    BodyLiteral,
+    Candidate,
+    Hypothesis,
+    LearnResult,
+    Rule,
+    enumerate_candidates,
+    score,
+)
 from connrules.tree import ClassCounts, Internal, Leaf, TreeNode, TreeParams
 
 
@@ -163,20 +171,25 @@ def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:
     return best / n
 
 
+def _literals(task) -> tuple[int, dict]:
+    """The task's AD mask and each edge's useful literals, as learn has them."""
+    examples = task.examples
+    ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
+    cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
+    space = task.space
+    return ad_mask, {e: learner._edge_literals(e, examples, space.threshold_domain.get(e, ()),
+                                               cn_mask, ad_mask)
+                     for e in sorted(space.edges.edges)}
+
+
 def oracle_candidates(task) -> list[Candidate]:
     """enumerate_candidates by exhaustion: every body of 1..max_body_edges
     literals, one per distinct edge, whose fire-set holds an AD example; on
     each fire-set collision the rule with (atom_count, sort_key) smaller
     wins. Sorted by rule sort key."""
-    examples = task.examples
-    ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
-    cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
-    space = task.space
-    lits = {e: learner._edge_literals(e, examples, space.threshold_domain.get(e, ()),
-                                      cn_mask, ad_mask)
-            for e in sorted(space.edges.edges)}
+    ad_mask, lits = _literals(task)
     best: dict[int, Rule] = {}
-    for m in range(1, space.max_body_edges + 1):
+    for m in range(1, task.space.max_body_edges + 1):
         for combo in combinations(sorted(lits), m):
             for choice in product(*(lits[e] for e in combo)):
                 fires = -1
@@ -191,6 +204,59 @@ def oracle_candidates(task) -> list[Candidate]:
                     best[fires] = rule
     return sorted((Candidate(rule, fires) for fires, rule in best.items()),
                   key=lambda c: c.rule.sort_key)
+
+
+def oracle_walk(task) -> list[tuple[tuple[BodyLiteral, ...], int]]:
+    """Every body that fires on an AD example, with its fire-set, in the
+    walk's order, by a walk over Python ints: size s extends each body of
+    size s - 1, in order, by one literal of a later usable edge. A body
+    that misses every AD example is dropped with its extensions."""
+    ad_mask, lits = _literals(task)
+    usable = [e for e in lits if lits[e]]
+    walked = []
+    # (next usable edge, body, fires); -1 has every example bit set
+    prefixes: list[tuple[int, tuple[BodyLiteral, ...], int]] = [(0, (), -1)]
+    for _ in range(min(task.space.max_body_edges, len(usable))):
+        extended = []
+        for start, body, fires in prefixes:
+            for u in range(start, len(usable)):
+                for lit, mask in lits[usable[u]]:
+                    hit = fires & mask
+                    if hit & ad_mask:  # else no extension can regain an AD example
+                        extended.append((u + 1, body + (lit,), hit))
+        walked += [(body, fires) for _, body, fires in extended]
+        prefixes = extended
+    return walked
+
+
+def oracle_first_bodies(task) -> dict[int, tuple[BodyLiteral, ...]]:
+    """Each fire-set of oracle_walk mapped to the first body reaching it:
+    its fewest-atom, smallest-key representative. The insertion order is
+    (atom count, Rule.sort_key) order."""
+    best: dict[int, tuple[BodyLiteral, ...]] = {}
+    for body, fires in oracle_walk(task):
+        best.setdefault(fires, body)
+    return best
+
+
+def oracle_floor_cut(task) -> tuple[int, list[Candidate]]:
+    """The first incumbent total I, the smaller of the empty hypothesis's
+    total and the best single candidate's, and the candidates of
+    oracle_candidates whose floor (atoms plus the CN penalty of their
+    fire-set) is at most I, in the same order. Penalties are summed per
+    example."""
+    examples = task.examples
+
+    def penalty(fires: int, is_ad: bool) -> int:
+        return sum(ex.penalty for k, ex in enumerate(examples)
+                   if ex.is_ad == is_ad and fires >> k & 1)
+
+    ad_total = penalty(-1, True)
+    cands = oracle_candidates(task)
+    floors = [c.rule.atom_count + penalty(c.fires, False) for c in cands]
+    incumbent = min([ad_total] + [floor + ad_total - penalty(c.fires, True)
+                                  for c, floor in zip(cands, floors)])
+    return incumbent, [c for c, floor in zip(cands, floors) if floor <= incumbent]
 
 
 def oracle_undominated(task, cands) -> list[Candidate]:
@@ -246,3 +312,28 @@ def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> Le
                 best = combo
     hypothesis = Hypothesis(tuple(c.rule for c in best))
     return LearnResult(hypothesis, score(hypothesis, task), True)
+
+
+def snap_rule_to_domain(rule: Rule, task) -> Rule:
+    """Equivalent rule with all thresholds drawn from the space's threshold
+    domain: each literal's satisfied set is unchanged."""
+    space = task.space
+    new_body = []
+    for lit in rule.body:
+        domain = space.threshold_domain.get(lit.edge, ())
+        if not domain:
+            raise ValueError(f"edge ({lit.edge.i}, {lit.edge.j}) has an empty domain")
+        observed = [v for ex in task.examples
+                    if (v := ex.context.get(lit.edge)) is not None]
+        lo, hi = domain[0], domain[-1]
+        t = lit.threshold
+        if lit.comparator in (">=", ">"):
+            sat = sorted(v for v in observed if lit.holds(v))
+            t = min(sat) if sat else hi  # >= hi and > hi are both empty
+            comp = ">=" if sat else lit.comparator
+        else:
+            sat = sorted(v for v in observed if lit.holds(v))
+            t = max(sat) if sat else lo  # < lo and <= lo are both empty
+            comp = "<=" if sat else lit.comparator
+        new_body.append(BodyLiteral(lit.edge, comp, t))
+    return Rule(tuple(new_body))

@@ -38,12 +38,11 @@ from connrules.learner import (
     learn,
     parse_hypothesis_text,
     rule_fires,
-    snap_rule_to_domain,
 )
 from connrules.selection import SelectedEdges, SelectorConfig
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, partition_tasks
 from connrules.tree import ClassCounts, Internal, Leaf, TreeParams, fit_tree, gini, predict_tree
-from oracles import brute_force_learn, oracle_best_split, oracle_gini_exact
+from oracles import brute_force_learn, oracle_best_split, oracle_gini_exact, snap_rule_to_domain
 
 PLANTED = PlantedEdge(edge(2, 5), 2.0, "low")
 

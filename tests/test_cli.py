@@ -75,8 +75,8 @@ class TestWalkthrough:
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(tasks) + 1
         for task, line in zip(tasks, lines):
-            assert re.fullmatch(rf"{re.escape(task)}: \d+ candidates, \d+ undominated, "
-                                r"\d+ nodes, optimal=True", line)
+            assert re.fullmatch(rf"{re.escape(task)}: \d+ bodies, \d+ filtered, "
+                                r"\d+ undominated, \d+ nodes, optimal=True", line)
 
     def test_rf_train_and_select(self, workspace):
         model = str(workspace / "rf.json")
@@ -200,6 +200,22 @@ class TestExitCodes:
         assert main(["train", "--cohort", str(workspace / "cohort.json"),
                      "--mask", str(mask), "--out", str(tmp_path / "dt.json")]) == 2
         assert f"{mask}: region index must be an integer, not 2.7" in capsys.readouterr().err
+
+    def test_mask_repeating_an_edge_is_2(self, workspace, tmp_path, capsys):
+        mask = tmp_path / "mask.json"
+        mask.write_text(json.dumps([[0, 1], [0, 1], [2, 5]]))
+        assert main(["train", "--cohort", str(workspace / "cohort.json"),
+                     "--mask", str(mask), "--out", str(tmp_path / "dt.json")]) == 2
+        assert f"{mask}: mask repeats edge [0, 1]" in capsys.readouterr().err
+        assert not (tmp_path / "dt.json").exists()
+
+    @pytest.mark.parametrize("mode, option", [("global", "--model"),
+                                              ("frequency", "--explanations")])
+    def test_select_without_its_input_is_2(self, tmp_path, capsys, mode, option):
+        out = tmp_path / "s.json"
+        assert main(["select", "--mode", mode, "--k", "1", "--out", str(out)]) == 2
+        assert f"error: select --mode {mode} needs {option}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_model_missing_key_is_2(self, workspace, tmp_path, capsys):
         tree = json.loads((workspace / "dt.json").read_text())

@@ -14,8 +14,11 @@ from connrules.learner import (
     Candidate,
     _PRUNE_BLOCK_CELLS,
     _PenaltyTable,
-    _first_bodies,
+    _first_occurrences,
+    _pack,
     _undominated,
+    _unpack,
+    _walk,
     Hypothesis,
     Rule,
     Score,
@@ -30,12 +33,19 @@ from connrules.learner import (
     parse_rule_text,
     rule_fires,
     score,
-    snap_rule_to_domain,
     union_hypotheses,
 )
 from connrules.selection import SelectedEdges
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, serialize_task
-from oracles import brute_force_learn, oracle_candidates, oracle_undominated
+from oracles import (
+    brute_force_learn,
+    oracle_candidates,
+    oracle_first_bodies,
+    oracle_floor_cut,
+    oracle_undominated,
+    oracle_walk,
+    snap_rule_to_domain,
+)
 
 E1, E2, E3 = edge(1, 2), edge(3, 4), edge(5, 9)
 EDGE_POOL = [E1, E2, E3]
@@ -48,6 +58,13 @@ def make_example(eid, label, context, penalty=1):
 def make_task(examples, edges, max_body=2):
     space = build_space(SelectedEdges(tuple(edges), "dt"), examples, max_body)
     return LearningTask(space, tuple(examples))
+
+
+def undominated(fire_sets, ad_mask, n_examples):
+    """_undominated on fire-sets given as ints: the ones it keeps, in order."""
+    n_words = max(1, -(-n_examples // 64))
+    kept = _undominated(_pack((fires ^ ad_mask for fires in fire_sets), n_words))
+    return [fire_sets[r] for r in kept.tolist()]
 
 
 def random_task(rng, max_body=2):
@@ -189,7 +206,7 @@ class TestCandidates:
                 task = random_task(rng, max_body)
                 ordered = sorted(enumerate_candidates(task),
                                  key=lambda c: (c.rule.atom_count, c.rule.sort_key))
-                assert list(_first_bodies(task)) == [c.fires for c in ordered]
+                assert list(oracle_first_bodies(task)) == [c.fires for c in ordered]
 
     def test_every_space_rule_dominated_by_a_candidate(self):
         # brute-check tiny tasks: every single-literal rule has a candidate
@@ -226,10 +243,10 @@ class TestDominance:
                         for k in range(130)]
             tasks.append(make_task(examples, EDGE_POOL))
         for task in tasks:
-            bodies = _first_bodies(task)
+            bodies = oracle_first_bodies(task)
             ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
             kept = [Candidate(Rule(bodies[fires]), fires)
-                    for fires in _undominated(list(bodies), ad_mask, len(task.examples))]
+                    for fires in undominated(list(bodies), ad_mask, len(task.examples))]
             assert (sorted(kept, key=lambda c: c.rule.sort_key)
                     == oracle_undominated(task, enumerate_candidates(task)))
 
@@ -240,10 +257,10 @@ class TestDominance:
         # comes after it. The last four all have popcount(h) == 2 and no
         # earlier subset, so none of them drops another.
         ad_mask = 0b0011
-        assert _undominated([0b0111, 0b0011, 0b1011], ad_mask, 4) == [0b0111, 0b0011]
+        assert undominated([0b0111, 0b0011, 0b1011], ad_mask, 4) == [0b0111, 0b0011]
         level = [0b0101, 0b1001, 0b0110, 0b1010]
-        assert _undominated(level, ad_mask, 4) == level
-        assert _undominated([0b0111] + level, ad_mask, 4) == [0b0111, 0b1001, 0b1010]
+        assert undominated(level, ad_mask, 4) == level
+        assert undominated([0b0111] + level, ad_mask, 4) == [0b0111, 0b1001, 0b1010]
 
     def test_peak_memory_within_cap(self):
         # over 10,000 fire-sets in two uint64 words: the sweep's temporaries
@@ -254,7 +271,7 @@ class TestDominance:
                                  {e: int(rng.integers(0, 1000)) for e in EDGE_POOL})
                     for k in range(110)]
         task = make_task(examples, EDGE_POOL)
-        fire_sets = list(_first_bodies(task))
+        fire_sets = list(oracle_first_bodies(task))
         assert len(fire_sets) > 10_000
         ad_mask = (1 << 55) - 1
 
@@ -265,7 +282,7 @@ class TestDominance:
             packing = tracemalloc.get_traced_memory()[1]
             del packed
             tracemalloc.reset_peak()
-            kept = _undominated(fire_sets, ad_mask, len(examples))
+            kept = undominated(fire_sets, ad_mask, len(examples))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,6 +312,67 @@ class TestDominance:
         assert got.optimal
         assert got.score == want.score
         assert got.hypothesis == want.hypothesis
+
+
+def drawn_task(data, max_ad, top):
+    """A task with an example count on either side of a uint64 word
+    boundary, at most max_ad AD examples, and strengths in 0..top, some
+    missing. One task in ten is all CN, and each edge is absent from every
+    context one time in ten, so some tasks have no usable edge."""
+    n = data.draw(st.sampled_from([3, 63, 64, 65, 128, 129]))
+    edges = sorted(data.draw(st.lists(st.sampled_from(EDGE_POOL), min_size=1, max_size=3,
+                                      unique=True)))
+    max_body = data.draw(st.integers(1, 3))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_ad = 0 if rng.random() < 0.1 else int(rng.integers(1, min(n, max_ad) + 1))
+    present = [e for e in edges if rng.random() < 0.9]
+    examples = []
+    for k in range(n):
+        label = AD if k < n_ad else CN
+        context = {e: int(rng.integers(0, top + 1)) for e in present if rng.random() < 0.9}
+        # AD penalties up to 60, so that a rule often pays for its CN hits
+        penalty = int(rng.integers(1, 61 if label == AD else 4))
+        examples.append(make_example(f"{label.lower()}_{k:03d}", label, context, penalty))
+    return make_task(examples, edges, max_body)
+
+
+class TestPackedWalk:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_walk(self, data):
+        # every body, its fire-set and its place in the walk, and so the same
+        # first bodies in the same order
+        task = drawn_task(data, max_ad=129, top=5)
+        walk = _walk(task)
+        walked = oracle_walk(task)
+        assert [(walk.body(r), fires) for r, fires in enumerate(_unpack(walk.fires))] == walked
+        assert walk.size.tolist() == [len(body) for body, _ in walked]
+        first = _first_occurrences(walk.fires)
+        assert ([(fires, walk.body(r)) for r, fires in zip(first, _unpack(walk.fires[first]))]
+                == list(oracle_first_bodies(task).items()))
+        ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
+        reached = 0
+        for _, fires in walked:
+            reached |= fires
+        assert walk.reach & ad_mask == reached & ad_mask
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_floor_cut_keeps_the_optimum(self, data):
+        # at most two AD examples: the tie-break winner holds no rule whose
+        # AD examples the others cover, so it has at most one rule per AD
+        # example, and the brute force over pairs finds it
+        task = drawn_task(data, max_ad=2, top=2)
+        incumbent, cut = oracle_floor_cut(task)
+        got = learn(task)
+        want = brute_force_learn(task, max_rules=sum(ex.is_ad for ex in task.examples))
+        assert got.optimal
+        assert got.score == want.score
+        assert got.hypothesis == want.hypothesis
+        assert got.filtered == len(cut)
+        # every rule of the optimum has floor <= the first incumbent's total
+        assert set(want.hypothesis.rules) <= {c.rule for c in cut}
+        assert got.score.total <= incumbent
 
 
 class TestPenaltyTable:
@@ -384,13 +462,16 @@ class TestLearn:
             assert got.hypothesis == want.hypothesis
 
     def test_reports_candidate_counts(self):
+        # each stage recomputed by the oracles: every body the walk reaches,
+        # the distinct fire-sets within the floor cut, the undominated ones
         rng = np.random.default_rng(11)
         for _ in range(10):
             task = random_task(rng)
-            cands = enumerate_candidates(task)
+            _, cut = oracle_floor_cut(task)
             res = learn(task)
-            assert res.candidates == len(cands)
-            assert res.undominated == len(oracle_undominated(task, cands))
+            assert res.bodies == len(oracle_walk(task))
+            assert res.filtered == len(cut)
+            assert res.undominated == len(oracle_undominated(task, cut))
 
     def test_planted_single_edge_task(self):
         # AD iff strength on E1 below 40; noise-free
