@@ -335,6 +335,7 @@ class _Walk:
     parent: np.ndarray  # the body each one extends by its last literal; -1 at size 1
 
     def body(self, row: int) -> tuple[BodyLiteral, ...]:
+        """The body of a row, rebuilt along its parents."""
         lits = []
         while row >= 0:
             lits.append(self.literals[self.last[row]])
@@ -412,8 +413,8 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     """Coverage-distinct candidate rules in canonical order. Every rule in
     the space whose fire-set contains at least one AD example is represented
     by exactly one candidate with identical coverage and minimal atoms.
-    Unfiltered and unpruned: learn builds rules only for the fire-sets that
-    pass its floor filter and dominance prune."""
+    Uncut and unpruned: learn builds rules only for the fire-sets that pass
+    its floor cut and dominance prune."""
     walk = _walk(task)
     rows = _first_occurrences(walk.fires)
     cands = [Candidate(Rule(walk.body(r)), fires)
