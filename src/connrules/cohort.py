@@ -314,10 +314,10 @@ def compute_mask(cohort: Cohort, keep_ratio: float) -> EdgeMask:
     occurrence = (vals > 0).mean(axis=0)
     mean_w = vals.mean(axis=0)
     n_keep = math.ceil(keep_ratio * N_EDGES)
-    ranked = sorted(range(N_EDGES), key=lambda t: (-occurrence[t], -mean_w[t], t))
+    ranked = np.lexsort((-mean_w, -occurrence))[:n_keep]  # stable: ties keep EdgeId order
     all_edges = canonical_edges()
-    kept = sorted(t for t in ranked[:n_keep] if occurrence[t] > 0)
-    return EdgeMask(tuple(all_edges[t] for t in kept), keep_ratio)
+    kept = np.sort(ranked[occurrence[ranked] > 0])
+    return EdgeMask(tuple(all_edges[t] for t in kept.tolist()), keep_ratio)
 
 
 def apply_mask(cohort: Cohort, mask: EdgeMask) -> Features:

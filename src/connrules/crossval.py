@@ -75,6 +75,8 @@ class CVConfig:
             raise ValueError("subsample_fraction must be in (0, 1]")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
+        if self.budget < 1:
+            raise ValueError("budget must be >= 1")
         if self.pipeline not in PIPELINES:
             raise ValueError(f"unknown pipeline {self.pipeline!r}")
         if self.pipeline == "external_explanations" and not self.explanations_path:

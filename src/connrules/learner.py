@@ -493,8 +493,8 @@ class _PenaltyTable:
         self.ad_groups = sorted(ad_groups.items())
         self.cn_groups = sorted(cn_groups.items())
 
-    # plain loops: the search calls these tens of thousands of times per
-    # task, and a generator or a temporary list costs more than the sum
+    # plain loops: the greedy pass calls these once per candidate per round,
+    # and a generator or a temporary list costs more than the sum
     def ad_over(self, mask: int) -> int:
         total = 0
         for p, m in self.ad_groups:
@@ -506,12 +506,6 @@ class _PenaltyTable:
         for p, m in self.cn_groups:
             total += p * (mask & m).bit_count()
         return total
-
-    def min_ad_over(self, mask: int) -> int:
-        for p, m in self.ad_groups:  # ascending penalty: the first hit is the least
-            if mask & m:
-                return p
-        return 0
 
     def total(self, atoms: int, union: int) -> int:
         return atoms + self.ad_total - self.ad_over(union) + self.cn_over(union)
@@ -565,6 +559,8 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     node budget runs out, the best incumbent found so far is returned with
     optimal=False instead of raising.
     """
+    if budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {budget}")
     examples = task.examples
     table = _PenaltyTable(examples)
     walk = _walk(task)
@@ -585,19 +581,29 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     cands.sort(key=lambda c: c.rule.sort_key)
     n_cands = len(cands)
     atoms_of = [c.rule.atom_count for c in cands]
-    cn_solo = [table.cn_over(c.fires) for c in cands]
-    floor_of = [atoms_of[ci] + cn_solo[ci] for ci in range(n_cands)]
 
+    # one cover record (floor, atoms, fire-set, index) per candidate, where
+    # the floor is its atoms plus the CN penalty of its own fire-set, shared
+    # by the cover lists of the AD examples it fires on, each list in
+    # (floor, index) order
+    records = sorted(((atoms_of[ci] + table.cn_over(c.fires), atoms_of[ci], c.fires, ci)
+                      for ci, c in enumerate(cands)), key=lambda r: (r[0], r[3]))
     ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
-    cover_list: dict[int, list[int]] = {k: [] for k in ad_positions}
-    for ci in sorted(range(n_cands), key=lambda ci: (floor_of[ci], ci)):
-        hits = cands[ci].fires & table.ad_mask
+    cover_list: dict[int, list[tuple[int, int, int, int]]] = {k: [] for k in ad_positions}
+    for record in records:
+        hits = record[2] & table.ad_mask
         while hits:
             low = hits & -hits
-            cover_list[low.bit_length() - 1].append(ci)
+            cover_list[low.bit_length() - 1].append(record)
             hits ^= low
     # the AD examples no body fires on, whichever candidates the cut keeps
     uncoverable = table.ad_mask & ~walk.reach
+    coverable = table.ad_mask & ~uncoverable
+    ad_bits = [1 << e for e in ad_positions]
+    cn_groups = table.cn_groups
+    # per AD penalty level, ascending: what a still-free example of it adds
+    # to a bound, capped at 3
+    ad_caps = [(min(3, p), m) for p, m in table.ad_groups]
 
     # incumbents: empty hypothesis, then greedy. Candidates are in canonical
     # rule order, so sorted index tuples compare like sorted rule lists.
@@ -611,46 +617,55 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         best_rules, best_total, best_key = g_rules, g_total, g_key
 
     def children(k: int, chosen: tuple[int, ...], union: int, atoms: int,
-                 committed_pen: int, committed: int):
+                 committed_pen: int, committed: int, cn_union: int, uncov_pen: int):
         # the branches on AD example ad_positions[k]. Committed examples are
         # permanently uncovered: any candidate whose fire-set touches one is
         # banned, which keeps committed_pen a true lower bound for the whole
-        # subtree
+        # subtree. The node carries cn_union, the CN penalty of union, and
+        # uncov_pen, the penalty of the uncoverable examples not committed
         e = ad_positions[k]
-        uncov_pen = table.ad_over(uncoverable & ~committed)
-        cn_union = table.cn_over(union)
         base = atoms + committed_pen + uncov_pen
+        free = coverable & ~committed  # the AD examples a rule may still cover
 
-        for ci in cover_list[e]:
-            if base + floor_of[ci] > best_total:
+        for floor, rule_atoms, fires, ci in cover_list[e]:
+            if base + floor > best_total:
                 break  # sorted by floor: nothing later can fit either
-            if base + atoms_of[ci] + max(cn_union, cn_solo[ci]) > best_total:
+            # past the floor test, this is base + atoms + max(cn_union, the
+            # rule's own CN penalty) > best_total: a lower bound on the child
+            if base + rule_atoms + cn_union > best_total or fires & committed:
                 continue
-            fires = cands[ci].fires
-            if fires & committed:
-                continue
-            atoms2 = atoms + atoms_of[ci]
             union2 = union | fires
-            b = atoms2 + committed_pen + uncov_pen + table.cn_over(union2)
-            remaining = table.ad_mask & ~union2 & ~uncoverable & ~committed
+            cn_union2 = 0
+            for p, m in cn_groups:
+                cn_union2 += p * (union2 & m).bit_count()
+            b = base + rule_atoms + cn_union2
+            remaining = free & ~union2
             if remaining:
-                b += min(3, table.min_ad_over(remaining))
+                for p, m in ad_caps:  # the first level hit is the least
+                    if remaining & m:
+                        b += p
+                        break
             if b <= best_total:
-                yield k, chosen + (ci,), union2, atoms2, committed_pen, committed
+                yield (k, chosen + (ci,), union2, atoms + rule_atoms, committed_pen, committed,
+                       cn_union2, uncov_pen)
         # no chosen rule covers this example: commit its penalty
-        committed2 = committed | (1 << e)
-        committed_pen2 = committed_pen + examples[e].penalty
-        b = (atoms + committed_pen2 + table.ad_over(uncoverable & ~committed2)
-             + cn_union)
-        remaining = table.ad_mask & ~union & ~uncoverable & ~committed2
+        bit = ad_bits[k]
+        pen = examples[e].penalty
+        uncov_pen2 = uncov_pen - pen if uncoverable & bit else uncov_pen
+        b = atoms + committed_pen + pen + uncov_pen2 + cn_union
+        remaining = free & ~union & ~bit
         if remaining:
-            b += min(3, table.min_ad_over(remaining))
+            for p, m in ad_caps:
+                if remaining & m:
+                    b += p
+                    break
         if b <= best_total:
-            yield k + 1, chosen, union, atoms, committed_pen2, committed2
+            yield (k + 1, chosen, union, atoms, committed_pen + pen, committed | bit,
+                   cn_union, uncov_pen2)
 
     nodes = 0
     optimal = True
-    stack = [iter([(0, (), 0, 0, 0, 0)])]
+    stack = [iter([(0, (), 0, 0, 0, 0, 0, table.ad_over(uncoverable))])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -660,16 +675,17 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         if nodes > budget:
             optimal = False
             break
-        k, chosen, union, atoms, committed_pen, committed = node
-        while k < len(ad_positions):
-            bit = 1 << ad_positions[k]
-            if not (union & bit) and not (committed & bit):
-                break
+        k, chosen, union, atoms, committed_pen, committed, cn_union, uncov_pen = node
+        decided = union | committed
+        while k < len(ad_bits) and decided & ad_bits[k]:
             k += 1
-        if k < len(ad_positions):
-            stack.append(children(k, chosen, union, atoms, committed_pen, committed))
+        if k < len(ad_bits):
+            stack.append(children(k, chosen, union, atoms, committed_pen, committed,
+                                  cn_union, uncov_pen))
             continue
-        total = table.total(atoms, union)
+        # every AD example is covered or committed, and no rule fires on a
+        # committed one, so the uncovered AD penalty is committed_pen
+        total = atoms + committed_pen + cn_union
         key = (atoms, tuple(sorted(chosen)))
         if (total, key) < (best_total, best_key):
             best_rules, best_total, best_key = list(chosen), total, key

@@ -237,8 +237,9 @@ _DECLARATION = re.compile(  # fixed or derived lines: accepted, not read
     r"#modeh\(ad\)\.|#modeb\(1, var\(strength\) (?:>=|>|<|<=) const\(threshold\)\)\."
     r"|#constant\(threshold, -?\d+\)\.")
 _MAXV = re.compile(r"#maxv\((\d+)\)\.")
-_THRESHOLDS = re.compile(r"% thresholds\((\d+),(\d+)\): (.*)")
+_THRESHOLDS = re.compile(r"% thresholds\((\d+),(\d+)\):(?: (.*))?")  # an empty domain ends at ':'
 _PROVENANCE = re.compile(r"% provenance: (\w+)")
+_RESERVED_COMMENT = re.compile(r"%\s*(thresholds|provenance)\b")
 _POS = re.compile(r"#pos\((\w+)@(\d+), \{(\w+)\}, \{(\w+)\}, \{ (.*) \}\)\.")
 _FACT = r"connection\(region\((\d+)\), region\((\d+)\), (\d+)\)\."
 _FACTS = re.compile(rf"(?:{_FACT}(?: {_FACT})*)?")
@@ -247,11 +248,14 @@ _FACTS = re.compile(rf"(?:{_FACT}(?: {_FACT})*)?")
 def parse_task_text(text: str) -> LearningTask:
     """Inverse of task_to_text. Blank and other % comment lines are
     skipped; any other line this module does not write raises ValueError
-    with its 1-based line number."""
+    with its 1-based line number, and so does a % thresholds or
+    % provenance line that is malformed, a second thresholds line for one
+    edge, or one for an edge no #modeb declares."""
     edges = []
     provenance = "external"
     max_body = 1
     domain: dict[EdgeId, tuple[int, ...]] = {}
+    domain_line: dict[EdgeId, int] = {}
     examples = []
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -263,8 +267,12 @@ def parse_task_text(text: str) -> LearningTask:
             elif m := _MAXV.fullmatch(line):
                 max_body = int(m.group(1))
             elif m := _THRESHOLDS.fullmatch(line):
-                domain[edge(int(m.group(1)), int(m.group(2)))] = tuple(
-                    int(v) for v in m.group(3).split())
+                e = edge(int(m.group(1)), int(m.group(2)))
+                if e in domain:
+                    raise ValueError(f"second thresholds line for edge ({e.i}, {e.j}), "
+                                     f"after line {domain_line[e]}")
+                domain[e] = tuple(int(v) for v in (m.group(3) or "").split())
+                domain_line[e] = n
             elif m := _POS.fullmatch(line):
                 eid, pen, inc, exc, facts = m.groups()
                 if (inc, exc) not in (("ad", "cn"), ("cn", "ad")):
@@ -277,12 +285,18 @@ def parse_task_text(text: str) -> LearningTask:
                 if len(context) != len(found):
                     raise ValueError(f"example {eid!r} repeats an edge")
                 examples.append(Example(eid, int(pen), inc == "ad", context))
+            elif m := _RESERVED_COMMENT.match(line):
+                raise ValueError(f"malformed {m.group(1)} line {line!r}")
             elif line and not line.startswith("%") and not _DECLARATION.fullmatch(line):
                 raise ValueError(f"unrecognised line {line!r}")
         except ValueError as exc:
             raise ValueError(f"line {n}: {exc}") from None
     if not examples:
         raise ValueError("task has no examples")
+    for e, n in domain_line.items():
+        if e not in edges:
+            raise ValueError(f"line {n}: thresholds for edge ({e.i}, {e.j}), "
+                             "which no #modeb declares")
     selected = SelectedEdges(tuple(edges), provenance)
     for e in selected.edges:
         domain.setdefault(e, ())

@@ -9,19 +9,28 @@ of nodes from dense ranks and row weights.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations, product
 
 import numpy as np
 
 from connrules import learner
-from connrules.cohort import AD, CN
+from connrules.cohort import AD, CN, N_EDGES, N_REGIONS, EdgeMask, canonical_edges
 from connrules.learner import (
+    DEFAULT_NODE_BUDGET,
     BodyLiteral,
     Candidate,
     Hypothesis,
     LearnResult,
     Rule,
+    _first_occurrences,
+    _greedy,
+    _pack,
+    _popcount,
+    _undominated,
+    _unpack,
+    _walk,
     enumerate_candidates,
     score,
 )
@@ -150,6 +159,19 @@ def oracle_fit_tree(X: np.ndarray, is_ad: np.ndarray, rows, params: TreeParams,
                         gain, n)
 
     return grow(np.arange(len(X)), 0)
+
+
+def oracle_compute_mask(cohort, keep_ratio: float) -> EdgeMask:
+    """compute_mask by a Python sort of the edge indices on the key
+    (-occurrence, -mean weight, index), with numpy scalars in the key."""
+    iu = np.triu_indices(N_REGIONS, k=1)
+    vals = np.stack([s.weights[iu] for s in cohort.subjects])
+    occurrence = (vals > 0).mean(axis=0)
+    mean_w = vals.mean(axis=0)
+    ranked = sorted(range(N_EDGES), key=lambda t: (-occurrence[t], -mean_w[t], t))
+    kept = sorted(t for t in ranked[:math.ceil(keep_ratio * N_EDGES)] if occurrence[t] > 0)
+    all_edges = canonical_edges()
+    return EdgeMask(tuple(all_edges[t] for t in kept), keep_ratio)
 
 
 def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:
@@ -312,6 +334,137 @@ def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> Le
                 best = combo
     hypothesis = Hypothesis(tuple(c.rule for c in best))
     return LearnResult(hypothesis, score(hypothesis, task), True)
+
+
+class OraclePenaltyTable(learner._PenaltyTable):
+    """learner._PenaltyTable with min_ad_over, which only oracle_learn calls."""
+
+    def min_ad_over(self, mask: int) -> int:
+        for p, m in self.ad_groups:  # ascending penalty: the first hit is the least
+            if mask & m:
+                return p
+        return 0
+
+
+def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
+    """learn as it was before its search ran over cover records: every node
+    recomputes the CN penalty of its union and the penalty of the uncommitted
+    uncoverable AD examples through the penalty table, and every child reads
+    the candidate's atoms, floor and fire-set from parallel lists. The walk,
+    cut, prune and greedy are learn's own, so the two must agree on every
+    LearnResult field, node count included."""
+    examples = task.examples
+    table = OraclePenaltyTable(examples)
+    walk = _walk(task)
+    n_words = walk.fires.shape[1]
+
+    def over(groups) -> np.ndarray:  # each body's penalty sum over groups
+        return sum((p * _popcount(walk.fires & _pack([m], n_words)) for p, m in groups),
+                   np.zeros(len(walk.fires), dtype=np.int64))
+
+    floors = 1 + 2 * walk.size + over(table.cn_groups)
+    incumbent = table.ad_total + int((floors - over(table.ad_groups)).min(initial=0))
+    rows = np.flatnonzero(floors <= incumbent)
+    rows = rows[_first_occurrences(walk.fires[rows])]
+    n_filtered = len(rows)
+    rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], n_words))]
+    cands = [Candidate(Rule(walk.body(r)), fires)
+             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
+    cands.sort(key=lambda c: c.rule.sort_key)
+    n_cands = len(cands)
+    atoms_of = [c.rule.atom_count for c in cands]
+    cn_solo = [table.cn_over(c.fires) for c in cands]
+    floor_of = [atoms_of[ci] + cn_solo[ci] for ci in range(n_cands)]
+
+    ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
+    cover_list: dict[int, list[int]] = {k: [] for k in ad_positions}
+    for ci in sorted(range(n_cands), key=lambda ci: (floor_of[ci], ci)):
+        hits = cands[ci].fires & table.ad_mask
+        while hits:
+            low = hits & -hits
+            cover_list[low.bit_length() - 1].append(ci)
+            hits ^= low
+    # the AD examples no body fires on, whichever candidates the cut keeps
+    uncoverable = table.ad_mask & ~walk.reach
+
+    # incumbents: empty hypothesis, then greedy. Candidates are in canonical
+    # rule order, so sorted index tuples compare like sorted rule lists.
+    best_rules: list[int] = []
+    best_total = table.total(0, 0)
+    best_key = (0, ())
+    g_rules, g_union, g_atoms = _greedy(cands, atoms_of, table)
+    g_total = table.total(g_atoms, g_union)
+    g_key = (g_atoms, tuple(sorted(g_rules)))
+    if (g_total, g_key) < (best_total, best_key):
+        best_rules, best_total, best_key = g_rules, g_total, g_key
+
+    def children(k: int, chosen: tuple[int, ...], union: int, atoms: int,
+                 committed_pen: int, committed: int):
+        # the branches on AD example ad_positions[k]. Committed examples are
+        # permanently uncovered: any candidate whose fire-set touches one is
+        # banned, which keeps committed_pen a true lower bound for the whole
+        # subtree
+        e = ad_positions[k]
+        uncov_pen = table.ad_over(uncoverable & ~committed)
+        cn_union = table.cn_over(union)
+        base = atoms + committed_pen + uncov_pen
+
+        for ci in cover_list[e]:
+            if base + floor_of[ci] > best_total:
+                break  # sorted by floor: nothing later can fit either
+            if base + atoms_of[ci] + max(cn_union, cn_solo[ci]) > best_total:
+                continue
+            fires = cands[ci].fires
+            if fires & committed:
+                continue
+            atoms2 = atoms + atoms_of[ci]
+            union2 = union | fires
+            b = atoms2 + committed_pen + uncov_pen + table.cn_over(union2)
+            remaining = table.ad_mask & ~union2 & ~uncoverable & ~committed
+            if remaining:
+                b += min(3, table.min_ad_over(remaining))
+            if b <= best_total:
+                yield k, chosen + (ci,), union2, atoms2, committed_pen, committed
+        # no chosen rule covers this example: commit its penalty
+        committed2 = committed | (1 << e)
+        committed_pen2 = committed_pen + examples[e].penalty
+        b = (atoms + committed_pen2 + table.ad_over(uncoverable & ~committed2)
+             + cn_union)
+        remaining = table.ad_mask & ~union & ~uncoverable & ~committed2
+        if remaining:
+            b += min(3, table.min_ad_over(remaining))
+        if b <= best_total:
+            yield k + 1, chosen, union, atoms, committed_pen2, committed2
+
+    nodes = 0
+    optimal = True
+    stack = [iter([(0, (), 0, 0, 0, 0)])]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > budget:
+            optimal = False
+            break
+        k, chosen, union, atoms, committed_pen, committed = node
+        while k < len(ad_positions):
+            bit = 1 << ad_positions[k]
+            if not (union & bit) and not (committed & bit):
+                break
+            k += 1
+        if k < len(ad_positions):
+            stack.append(children(k, chosen, union, atoms, committed_pen, committed))
+            continue
+        total = table.total(atoms, union)
+        key = (atoms, tuple(sorted(chosen)))
+        if (total, key) < (best_total, best_key):
+            best_rules, best_total, best_key = list(chosen), total, key
+
+    hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
+    return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
+                       len(walk.fires), n_filtered, n_cands)
 
 
 def snap_rule_to_domain(rule: Rule, task) -> Rule:

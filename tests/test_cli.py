@@ -138,6 +138,21 @@ class TestExitCodes:
         assert (tmp_path / "h.json").exists()  # incumbent still written
         assert f"budget exceeded on 1 task(s): {task};" in capsys.readouterr().err
 
+    def test_budget_below_1_is_2(self, workspace, tmp_path, capsys):
+        task = sorted((workspace / "tasks").glob("task_*.las"))[0]
+        cfg_path = tmp_path / "cv.json"
+        for budget in ("0", "-5"):
+            assert main(["learn", "--task", str(task), "--budget", budget,
+                         "--out", str(tmp_path / "h.json")]) == 2
+            assert f"node budget must be >= 1, got {budget}" in capsys.readouterr().err
+            cfg_path.write_text(json.dumps({"budget": int(budget)}))
+            assert main(["cv", "--config", str(cfg_path),
+                         "--cohort", str(workspace / "cohort.json"),
+                         "--out-dir", str(tmp_path / "run")]) == 2
+            assert "budget must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
+        assert not (tmp_path / "run").exists()
+
     def test_selected_missing_key_is_2(self, workspace, tmp_path, capsys):
         selected = tmp_path / "selected.json"
         selected.write_text(json.dumps({"edge": [[2, 5]], "provenance": "dt"}))

@@ -27,7 +27,7 @@ from connrules.cohort import (
     mask_to_json,
     save_cohort,
 )
-from oracles import oracle_best_split
+from oracles import oracle_best_split, oracle_compute_mask
 
 
 def make_weights(entries=None, fill=0.0):
@@ -213,6 +213,19 @@ class TestComputeMask:
         cohort = make_cohort([make_weights({(0, 1): 1.0})])
         mask = compute_mask(cohort, 1.0)
         assert mask.edges == (edge(0, 1),)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_python_sort_oracle(self, seed):
+        # strengths from {0, 1, 2} over 4 subjects: every occurrence level and
+        # every mean is shared by hundreds of edges, so both tie-breaks decide
+        rng = np.random.default_rng(seed)
+        weights = []
+        for _ in range(4):
+            w = np.triu(rng.integers(0, 3, size=(N_REGIONS, N_REGIONS)).astype(float), 1)
+            weights.append(w + w.T)
+        cohort = make_cohort(weights)
+        for keep_ratio in (0.05, 0.30, 1.0):
+            assert compute_mask(cohort, keep_ratio) == oracle_compute_mask(cohort, keep_ratio)
 
     def test_invalid_ratio(self):
         cohort = make_cohort([make_weights(fill=1.0)])

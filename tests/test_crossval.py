@@ -317,3 +317,10 @@ class TestConfig:
             tiny_config(pipeline="svm")
         with pytest.raises(ValueError, match="explanations_path"):
             tiny_config(pipeline="external_explanations")
+
+    def test_budget_below_1_rejected(self):
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                tiny_config(budget=budget)
+            with pytest.raises(ValueError, match="budget must be >= 1"):
+                config_from_obj({**config_to_obj(tiny_config()), "budget": budget})

@@ -4,16 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from connrules.cli import main
 from connrules.cohort import AD, CN, canonical_edges, default_atlas, edge
 from connrules.learner import (
+    DEFAULT_NODE_BUDGET,
     BodyLiteral,
     Candidate,
     _PRUNE_BLOCK_CELLS,
-    _PenaltyTable,
     _first_occurrences,
     _pack,
     _undominated,
@@ -38,10 +38,12 @@ from connrules.learner import (
 from connrules.selection import SelectedEdges
 from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, serialize_task
 from oracles import (
+    OraclePenaltyTable,
     brute_force_learn,
     oracle_candidates,
     oracle_first_bodies,
     oracle_floor_cut,
+    oracle_learn,
     oracle_undominated,
     oracle_walk,
     snap_rule_to_domain,
@@ -375,6 +377,22 @@ class TestPackedWalk:
         assert got.score.total <= incumbent
 
 
+class TestCoverRecordSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_oracle_learn(self, data):
+        # every LearnResult field, node count included, against the search that
+        # recomputes its penalty sums at every node: up to 60 AD and 3 CN
+        # penalty levels, and budgets that stop the search at once, early, or
+        # not at all. At the default budget only searches that end within
+        # 10,000 nodes are run, which keeps the two solves under a second
+        task = drawn_task(data, max_ad=129, top=5)
+        budget = data.draw(st.sampled_from([1, 2, 5, 50, DEFAULT_NODE_BUDGET]))
+        if budget == DEFAULT_NODE_BUDGET:
+            assume(learn(task, 10_000).optimal)
+        assert learn(task, budget) == oracle_learn(task, budget)
+
+
 class TestPenaltyTable:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -388,7 +406,7 @@ class TestPenaltyTable:
             extra = data.draw(st.lists(st.sampled_from(levels), max_size=8))
             examples += [make_example("", label, {}, p) for p in levels + extra]
         examples = data.draw(st.permutations(examples))
-        table = _PenaltyTable(examples)
+        table = OraclePenaltyTable(examples)  # learn's table, plus min_ad_over
         mask = data.draw(st.integers(0, (1 << len(examples)) - 1))
         atoms = data.draw(st.integers(0, 30))
         inside = [ex for k, ex in enumerate(examples) if mask >> k & 1]
@@ -532,6 +550,14 @@ class TestLearn:
         # the incumbent is still a valid scored hypothesis
         assert res.score.total >= brute_force_learn(task).score.total
         assert score(res.hypothesis, task).total == res.score.total
+
+
+    def test_budget_below_1_rejected(self):
+        # a budget of 0 would still expand the root and report optimal=False
+        task = random_task(np.random.default_rng(5))
+        for budget in (0, -5):
+            with pytest.raises(ValueError, match=f"node budget must be >= 1, got {budget}"):
+                learn(task, budget=budget)
 
 
 class TestVisitingOrder:

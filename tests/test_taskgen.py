@@ -299,6 +299,29 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match=r"\(2, 5\) must be strictly increasing"):
             parse_task_text(text)
 
+    def test_malformed_thresholds_line_rejected(self):
+        # skipped as a comment, it would leave edge (2, 5) an empty domain
+        text = self.golden_with("% thresholds(2,5):", "% thresholds (2,5):")
+        with pytest.raises(ValueError, match=r"^line 11: malformed thresholds line"):
+            parse_task_text(text)
+
+    def test_malformed_provenance_line_rejected(self):
+        text = self.golden_with("% provenance: dt", "% provenance:dt")
+        with pytest.raises(ValueError, match=r"^line 2: malformed provenance line"):
+            parse_task_text(text)
+
+    def test_second_thresholds_line_for_an_edge_rejected(self):
+        text = self.golden_with("% thresholds(3,17):", "% thresholds(2,5): 1 2\n% thresholds(3,17):")
+        with pytest.raises(ValueError, match=r"^line 12: second thresholds line for edge "
+                                             r"\(2, 5\), after line 11"):
+            parse_task_text(text)
+
+    def test_thresholds_for_an_undeclared_edge_rejected(self):
+        text = self.golden_with("% thresholds(3,17):", "% thresholds(4,9): 1 2\n% thresholds(3,17):")
+        with pytest.raises(ValueError, match=r"^line 12: thresholds for edge \(4, 9\), "
+                                             r"which no #modeb declares"):
+            parse_task_text(text)
+
     def test_unrecognised_line_rejected(self):
         with pytest.raises(ValueError, match=r"^line 5: unrecognised line 'garbage'"):
             parse_task_text(self.golden_with("#modeh(ad).", "% fine\n\ngarbage"))
