@@ -42,9 +42,15 @@ space, then runs a branch-and-bound search over rule subsets:
    specific candidate covers it, or none does (its penalty is committed).
    Node bound = atoms so far + committed AD penalties + penalties of AD
    examples no candidate can cover + CN penalties already incurred. A
-   greedy weighted-cover pass seeds the incumbent. The search runs depth
-   first from an explicit stack of child generators, so a path may hold
-   one node per AD example whatever the interpreter's recursion limit.
+   greedy weighted-cover pass seeds the incumbent. Each AD example has a
+   cover list of one (floor, atoms, fire-set, index) record per candidate
+   firing on it, sorted by floor, and each node carries its CN penalty and
+   the penalty of the uncoverable examples it has not committed: a child
+   that adds a rule passes on the CN penalty its bound computed, and a
+   commit subtracts the example's penalty if it is uncoverable. The search
+   runs depth first from an explicit stack of child generators, so a path
+   may hold one node per AD example whatever the interpreter's recursion
+   limit.
 
 Ties between optimal hypotheses break toward fewer atoms, then the
 lexicographically smallest rule list under the canonical (edge, comparator,
@@ -553,11 +559,18 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     The stack holds one generator of child nodes per node on the current
     path; the loop takes the next child from the top one. A generator tests
     each child's bound only when asked for it, so against the incumbent its
-    elder siblings' subtrees left, as a recursive search would. Cover lists
-    are kept sorted by each candidate's floor, so a node's branch loop stops
-    as soon as no remaining candidate can undercut the incumbent. When the
-    node budget runs out, the best incumbent found so far is returned with
-    optimal=False instead of raising.
+    elder siblings' subtrees left, as a recursive search would. A node
+    branches over the cover list of its first undecided AD example: one
+    (floor, atoms, fire-set, index) record per candidate, sorted by floor,
+    so its branch loop stops as soon as no remaining candidate can undercut
+    the incumbent. A node carries the CN penalty of its rules' union and
+    the penalty of the uncoverable AD examples it has not committed, and
+    computes once the AD examples a rule may still cover; each child's bound
+    adds the CN penalty of its new union and the least penalty, capped at 3,
+    of an AD example left free, one loop over the penalty levels each. When
+    the node budget runs out, the best incumbent found so far is returned
+    with optimal=False instead of raising; a budget below 1 raises
+    ValueError.
     """
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")

@@ -250,12 +250,11 @@ def parse_task_text(text: str) -> LearningTask:
     skipped; any other line this module does not write raises ValueError
     with its 1-based line number, and so does a % thresholds or
     % provenance line that is malformed, a second thresholds line for one
-    edge, or one for an edge no #modeb declares."""
+    edge, or one for an edge no earlier #modeb declares."""
     edges = []
     provenance = "external"
     max_body = 1
     domain: dict[EdgeId, tuple[int, ...]] = {}
-    domain_line: dict[EdgeId, int] = {}
     examples = []
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -268,11 +267,12 @@ def parse_task_text(text: str) -> LearningTask:
                 max_body = int(m.group(1))
             elif m := _THRESHOLDS.fullmatch(line):
                 e = edge(int(m.group(1)), int(m.group(2)))
+                if e not in edges:
+                    raise ValueError(
+                        f"thresholds for edge ({e.i}, {e.j}), which no earlier #modeb declares")
                 if e in domain:
-                    raise ValueError(f"second thresholds line for edge ({e.i}, {e.j}), "
-                                     f"after line {domain_line[e]}")
+                    raise ValueError(f"second thresholds line for edge ({e.i}, {e.j})")
                 domain[e] = tuple(int(v) for v in (m.group(3) or "").split())
-                domain_line[e] = n
             elif m := _POS.fullmatch(line):
                 eid, pen, inc, exc, facts = m.groups()
                 if (inc, exc) not in (("ad", "cn"), ("cn", "ad")):
@@ -293,10 +293,6 @@ def parse_task_text(text: str) -> LearningTask:
             raise ValueError(f"line {n}: {exc}") from None
     if not examples:
         raise ValueError("task has no examples")
-    for e, n in domain_line.items():
-        if e not in edges:
-            raise ValueError(f"line {n}: thresholds for edge ({e.i}, {e.j}), "
-                             "which no #modeb declares")
     selected = SelectedEdges(tuple(edges), provenance)
     for e in selected.edges:
         domain.setdefault(e, ())
