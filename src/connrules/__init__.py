@@ -30,7 +30,6 @@ from .crossval import (
     CVConfig,
     RunReport,
     fit_fold,
-    report_interpretability,
     report_to_json,
     run_pipeline,
     stratified_folds,
@@ -86,7 +85,6 @@ from .tree import (
     DecisionTree,
     ImportanceRanking,
     TreeParams,
-    best_split,
     fit_tree,
     gini,
     predict_tree,

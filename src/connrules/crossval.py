@@ -33,13 +33,7 @@ from .selection import (
     load_explanations,
     select_global,
 )
-from .taskgen import (
-    Example,
-    HypothesisSpace,
-    build_examples,
-    build_space,
-    partition_tasks,
-)
+from .taskgen import Example, build_examples, build_space, partition_tasks
 from .tree import (
     DecisionTree,
     TreeParams,
@@ -152,7 +146,6 @@ def stratified_folds(cohort: Cohort, n_folds: int, seed: int) -> dict[str, int]:
 class FoldArtifacts:
     mask: EdgeMask
     selected: SelectedEdges
-    space: HypothesisSpace
     examples: list[Example]  # one per training subject, in subject order
     hypothesis: Hypothesis
     optimal: bool
@@ -204,7 +197,7 @@ def fit_fold(
         examples, space, config.n_ad_subsets, config.base_pen, seed=partition_seed)
     results = [learn(task, budget=config.budget) for task in partition.tasks]
     hypothesis = union_hypotheses([res.hypothesis for res in results])
-    return FoldArtifacts(mask, selected, space, examples, hypothesis,
+    return FoldArtifacts(mask, selected, examples, hypothesis,
                          all(res.optimal for res in results), dt, rf)
 
 
@@ -274,18 +267,6 @@ def mean_std(values: Sequence[float]) -> dict:
     mean = float(np.mean(values))
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return {"mean": mean, "std": std}
-
-
-def report_interpretability(report: RunReport) -> dict:
-    """Mean and sample std of hypothesis, tree, and forest atom counts
-    across all repeat x fold cells."""
-    summary = report.summary()
-    out = {}
-    for key in ("hypothesis_atoms", "dt_atoms", "rf_atoms"):
-        if summary[key] is None:
-            raise ValueError(f"report lacks {key}; rerun with fit_reference_models")
-        out[key] = summary[key]
-    return out
 
 
 def report_to_obj(report: RunReport) -> dict:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from .cohort import AD, CN, EdgeId, Features, _field, _from_obj
@@ -114,12 +114,7 @@ def forest_atom_count(forest: Forest) -> int:
 
 def forest_to_json(forest: Forest) -> str:
     obj = {
-        "params": {
-            "n_estimators": forest.params.n_estimators,
-            "max_depth": forest.params.max_depth,
-            "min_samples_split": forest.params.min_samples_split,
-            "max_features": forest.params.max_features,
-        },
+        "params": asdict(forest.params),
         "seed": forest.seed,
         "trees": [tree_to_obj(t) for t in forest.trees],
     }
@@ -133,7 +128,3 @@ def forest_from_obj(obj: dict) -> Forest:
     params = _from_obj(ForestParams, _field(obj, "params"), "params")
     return Forest([tree_from_obj(t) for t in _field(obj, "trees", list)], params,
                   _field(obj, "seed", int))
-
-
-def forest_from_json(text: str) -> Forest:
-    return forest_from_obj(json.loads(text))

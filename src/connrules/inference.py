@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -69,13 +69,7 @@ def evaluate(true_labels: Sequence[str], predicted: Sequence[str]) -> Metrics:
 
 
 def metrics_to_obj(m: Metrics) -> dict:
-    return {
-        "accuracy": m.accuracy,
-        "sensitivity": m.sensitivity,
-        "specificity": m.specificity,
-        "confusion": {"tp": m.confusion.tp, "fn": m.confusion.fn,
-                      "fp": m.confusion.fp, "tn": m.confusion.tn},
-    }
+    return asdict(m)
 
 
 def predictions_to_csv(

@@ -62,7 +62,6 @@ from __future__ import annotations
 import json
 import re
 from math import prod
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
@@ -240,57 +239,42 @@ def _edge_literals(
     ad_mask: int,
 ) -> list[tuple[BodyLiteral, int]]:
     """Distinct useful satisfied-sets for one edge with a representative
-    literal each, after the class-boundary reduction."""
-    pairs = sorted(
-        (ex.context[e], k) for k, ex in enumerate(examples) if e in ex.context)
-    if not pairs:
-        return []
-    values: list[int] = []
-    groups: list[int] = []
-    for v, k in pairs:
-        if not values or v != values[-1]:
-            values.append(v)
-            groups.append(0)
-        groups[-1] |= 1 << k
-    d = len(values)
-    suffix = [0] * (d + 1)
-    for k in range(d - 1, -1, -1):
-        suffix[k] = suffix[k + 1] | groups[k]
-    prefix = [0] * d
-    run = 0
-    for k in range(d):
-        run |= groups[k]
-        prefix[k] = run
+    literal each, after the class-boundary reduction.
 
-    def suffix_keep(k: int) -> bool:
-        return k == 0 or (groups[k - 1] & cn_mask) != 0
-
-    def prefix_keep(k: int) -> bool:
-        return k == d - 1 or (groups[k + 1] & cn_mask) != 0
+    At the i-th lowest observed value, >= holds on the values from i up,
+    > from i + 1 up, < below i and <= up to i. Each literal is kept only
+    when the value just outside it (at i - 1, i, i and i + 1) holds a CN
+    example or lies past either end. Domain thresholds that are not
+    observed give sets an observed one already gives."""
+    groups: dict[int, int] = {}  # value -> the examples holding it
+    for k, ex in enumerate(examples):
+        v = ex.context.get(e)
+        if v is not None:
+            groups[v] = groups.get(v, 0) | 1 << k
+    values = sorted(groups)
+    steps = [groups[v] for v in values]
+    prefix = [0]  # prefix[i]: the examples at the i lowest values
+    for m in steps:
+        prefix.append(prefix[-1] | m)
+    suffix = [0]  # reversed below, to suffix[i]: the examples from the i-th value up
+    for m in reversed(steps):
+        suffix.append(suffix[-1] | m)
+    suffix.reverse()
+    # outside[j]: the value at index j - 1 holds a CN example, or lies past either end
+    outside = [True] + [(m & cn_mask) != 0 for m in steps] + [True]
+    domain = set(domain)
+    at = [i for i, v in enumerate(values) if v in domain]
 
     out: list[tuple[BodyLiteral, int]] = []
     seen: set[int] = set()
-    observed = set(values)
-    for comp in COMPARATORS:
-        for t in domain:
-            if t not in observed:  # sentinel sets duplicate observed-threshold sets
-                continue
-            if comp == ">=":
-                k = bisect_left(values, t)
-                mask, keep = (suffix[k], suffix_keep(k)) if k < d else (0, False)
-            elif comp == ">":
-                k = bisect_right(values, t)
-                mask, keep = (suffix[k], suffix_keep(k)) if k < d else (0, False)
-            elif comp == "<":
-                k = bisect_left(values, t) - 1
-                mask, keep = (prefix[k], prefix_keep(k)) if k >= 0 else (0, False)
-            else:
-                k = bisect_right(values, t) - 1
-                mask, keep = (prefix[k], prefix_keep(k)) if k >= 0 else (0, False)
-            if not keep or mask == 0 or (mask & ad_mask) == 0 or mask in seen:
-                continue
-            seen.add(mask)
-            out.append((BodyLiteral(e, comp, t), mask))
+    # in COMPARATORS order: the sets of index i + shift, kept by outside[i + bound]
+    for comp, sets, shift, bound in ((">=", suffix, 0, 0), (">", suffix, 1, 1),
+                                     ("<", prefix, 0, 1), ("<=", prefix, 1, 2)):
+        for i in at:
+            mask = sets[i + shift]
+            if outside[i + bound] and mask & ad_mask and mask not in seen:
+                seen.add(mask)
+                out.append((BodyLiteral(e, comp, values[i]), mask))
     return out
 
 

@@ -12,20 +12,17 @@ from typing import Sequence
 from .cohort import Cohort, EdgeId, _field, edges_from_pairs, read_input
 from .tree import ImportanceRanking
 
-MODES = ("global_importance", "frequency_count")
-
 
 @dataclass(frozen=True)
 class SelectorConfig:
-    mode: str = "global_importance"
+    """How many edges each pipeline selects: k_global from a dt or rf
+    ranking, k_total from external explanations."""
+
     k_global: int = 3
-    k_instance: int = 10
     k_total: int = 4
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown selector mode {self.mode!r}")
-        for name in ("k_global", "k_instance", "k_total"):
+        for name in ("k_global", "k_total"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 

@@ -249,21 +249,30 @@ def parse_task_text(text: str) -> LearningTask:
     """Inverse of task_to_text. Blank and other % comment lines are
     skipped; any other line this module does not write raises ValueError
     with its 1-based line number, and so does a % thresholds or
-    % provenance line that is malformed, a second thresholds line for one
-    edge, or one for an edge no earlier #modeb declares."""
+    % provenance line that is malformed, a second provenance or #maxv line,
+    a second thresholds line for one edge, a repeated #modeb edge or
+    example id, or a thresholds line for an edge no earlier #modeb declares."""
     edges = []
-    provenance = "external"
-    max_body = 1
+    provenance = None
+    max_body = None
     domain: dict[EdgeId, tuple[int, ...]] = {}
     examples = []
+    ids = set()
     for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         try:
             if m := _PROVENANCE.fullmatch(line):
+                if provenance is not None:
+                    raise ValueError("second provenance line")
                 provenance = m.group(1)
             elif m := _MODEB_CONN.fullmatch(line):
-                edges.append(edge(int(m.group(1)), int(m.group(2))))
+                e = edge(int(m.group(1)), int(m.group(2)))
+                if e in edges:
+                    raise ValueError(f"second #modeb for edge ({e.i}, {e.j})")
+                edges.append(e)
             elif m := _MAXV.fullmatch(line):
+                if max_body is not None:
+                    raise ValueError("second #maxv line")
                 max_body = int(m.group(1))
             elif m := _THRESHOLDS.fullmatch(line):
                 e = edge(int(m.group(1)), int(m.group(2)))
@@ -275,6 +284,9 @@ def parse_task_text(text: str) -> LearningTask:
                 domain[e] = tuple(int(v) for v in (m.group(3) or "").split())
             elif m := _POS.fullmatch(line):
                 eid, pen, inc, exc, facts = m.groups()
+                if eid in ids:
+                    raise ValueError(f"repeated example id {eid!r}")
+                ids.add(eid)
                 if (inc, exc) not in (("ad", "cn"), ("cn", "ad")):
                     raise ValueError(
                         f"example {eid!r} must include one of ad, cn and exclude the other")
@@ -293,10 +305,10 @@ def parse_task_text(text: str) -> LearningTask:
             raise ValueError(f"line {n}: {exc}") from None
     if not examples:
         raise ValueError("task has no examples")
-    selected = SelectedEdges(tuple(edges), provenance)
+    selected = SelectedEdges(tuple(edges), "external" if provenance is None else provenance)
     for e in selected.edges:
         domain.setdefault(e, ())
-    space = HypothesisSpace(selected, max_body, domain)
+    space = HypothesisSpace(selected, 1 if max_body is None else max_body, domain)
     return LearningTask(space, tuple(examples))
 
 

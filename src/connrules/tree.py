@@ -9,7 +9,7 @@ threshold), and leaf ties predict CN.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Union
 
 import numpy as np
@@ -31,14 +31,18 @@ class ClassCounts:
         return self.n_ad + self.n_cn
 
 
+def _impurity(n_ad, n_cn, n):
+    """1 - p_ad^2 - p_cn^2 over counts n_ad + n_cn = n; numbers or arrays."""
+    pa = n_ad / n
+    pc = n_cn / n
+    return 1.0 - pa * pa - pc * pc
+
+
 def gini(counts: ClassCounts) -> float:
     """Two-class Gini impurity 1 - p_ad^2 - p_cn^2, in [0, 0.5]."""
-    n = counts.total
-    if n == 0:
+    if counts.total == 0:
         raise ValueError("empty node")
-    pa = counts.n_ad / n
-    pc = counts.n_cn / n
-    return 1.0 - pa * pa - pc * pc
+    return _impurity(counts.n_ad, counts.n_cn, counts.total)
 
 
 @dataclass
@@ -126,11 +130,9 @@ def _best_splits(features: Features, nodes: list[_Node]) -> list:
     n_ranks = V.shape[1]
     m = len(nodes[0].feats)  # segment k * m + j is feature j of node k
     seg_feat = np.concatenate([node.feats for node in nodes])
-    totals = []  # n, n_ad and parent impurity of each node
-    for node in nodes:
-        pa = node.n_ad / node.n
-        pc = (node.n - node.n_ad) / node.n
-        totals.append((node.n, node.n_ad, 1.0 - pa * pa - pc * pc))
+    # n, n_ad and parent impurity of each node
+    totals = [(node.n, node.n_ad, _impurity(node.n_ad, node.n - node.n_ad, node.n))
+              for node in nodes]
     seg_totals = np.repeat(np.array(totals).T, m, axis=1)
     best_rank = np.empty(len(seg_feat), dtype=np.intp)  # of each segment's best threshold
     best_gain = np.empty(len(seg_feat))
@@ -169,15 +171,9 @@ def _best_splits(features: Features, nodes: list[_Node]) -> list:
         bins, nl, la = bins[cand], nl[cand], la[cand]
         n, na, parent = np.repeat(seg_totals[:, s0:s1], run - 1, axis=1)
         nr = n - nl
-        lc = nl - la
         ra = na - la
-        rc = nr - ra
-        pla = la / nl
-        plc = lc / nl
-        pra = ra / nr
-        prc = rc / nr
-        gl = 1.0 - pla * pla - plc * plc
-        gr = 1.0 - pra * pra - prc * prc
+        gl = _impurity(la, nl - la, nl)
+        gr = _impurity(ra, nr - ra, nr)
         gain = np.full(size, -np.inf)
         gain[bins] = parent - (nl / n) * gl - (nr / n) * gr
         gain = gain.reshape(-1, n_ranks)
@@ -262,16 +258,6 @@ def _grow(
                               depth + 1, internal, "right"))
             stacks[t].append((node.rows[goes_left], node.weights[goes_left],
                               depth + 1, internal, "left"))
-
-
-def best_split(features: Features) -> tuple[int, float, float] | None:
-    """Exhaustive best split over all features; None if nothing improves."""
-    if len(features) < 2:
-        raise ValueError("best_split needs at least 2 samples")
-    root = fit_tree(features, TreeParams(max_depth=1)).root
-    if isinstance(root, Leaf):
-        return None
-    return root.feature, root.threshold, root.impurity_decrease
 
 
 def fit_tree(features: Features, params: TreeParams | None = None) -> DecisionTree:
@@ -381,8 +367,7 @@ def _node_from_obj(obj: dict, index: dict[EdgeId, int]) -> TreeNode:
 
 def tree_to_obj(tree: DecisionTree) -> dict:
     return {
-        "params": {"max_depth": tree.params.max_depth,
-                   "min_samples_split": tree.params.min_samples_split},
+        "params": asdict(tree.params),
         "feature_order": [[e.i, e.j] for e in tree.feature_order],
         "root": _node_to_obj(tree.root, tree.feature_order),
     }
@@ -402,6 +387,3 @@ def tree_from_obj(obj: dict) -> DecisionTree:
 def tree_to_json(tree: DecisionTree) -> str:
     return json.dumps(tree_to_obj(tree), indent=1)
 
-
-def tree_from_json(text: str) -> DecisionTree:
-    return tree_from_obj(json.loads(text))

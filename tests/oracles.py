@@ -34,6 +34,7 @@ from connrules.learner import (
     enumerate_candidates,
     score,
 )
+from connrules.taskgen import COMPARATORS
 from connrules.tree import ClassCounts, Internal, Leaf, TreeNode, TreeParams
 
 
@@ -191,6 +192,32 @@ def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:
                 hits = (la if lpred_ad else ll - la) + (rr - ra if lpred_ad else ra)
                 best = max(best, hits)
     return best / n
+
+
+def oracle_edge_literals(e, examples, domain, cn_mask: int, ad_mask: int) -> list:
+    """_edge_literals by evaluating every literal on every example: for each
+    comparator, then each domain threshold that some example holds, the
+    literal's satisfied set, kept when it holds an AD example, is new, and
+    the nearest value it does not satisfy holds a CN example (or there is
+    no such value)."""
+    held = {k: ex.context[e] for k, ex in enumerate(examples) if e in ex.context}
+    observed = set(held.values())
+    out, seen = [], set()
+    for comp in COMPARATORS:
+        for t in domain:
+            if t not in observed:
+                continue
+            lit = BodyLiteral(e, comp, t)
+            mask = sum(1 << k for k, v in held.items() if lit.holds(v))
+            missed = [v for v in observed if not lit.holds(v)]
+            if missed:
+                nearest = max(missed) if comp in (">=", ">") else min(missed)
+                if not any(held[k] == nearest and (cn_mask >> k) & 1 for k in held):
+                    continue
+            if mask & ad_mask and mask not in seen:
+                seen.add(mask)
+                out.append((lit, mask))
+    return out
 
 
 def _literals(task) -> tuple[int, dict]:

@@ -311,8 +311,7 @@ def test_c9_end_to_end_determinism(tmp_path):
     config = {
         "n_repeats": 2, "n_folds": 2, "base_seed": 11, "pipeline": "dt",
         "subsample_fraction": 0.9,
-        "selector": {"mode": "global_importance", "k_global": 2,
-                     "k_instance": 10, "k_total": 4},
+        "selector": {"k_global": 2, "k_total": 4},
         "n_ad_subsets": 2, "keep_ratio": 0.30, "max_body_edges": 2,
         "fit_reference_models": False,
     }

@@ -106,8 +106,7 @@ class TestCvAndReport:
         config = {
             "n_repeats": 1, "n_folds": 2, "base_seed": 0, "pipeline": "dt",
             "subsample_fraction": 0.9,
-            "selector": {"mode": "global_importance", "k_global": 2,
-                         "k_instance": 10, "k_total": 4},
+            "selector": {"k_global": 2, "k_total": 4},
             "n_ad_subsets": 2, "keep_ratio": 0.30, "max_body_edges": 2,
             "fit_reference_models": True,
         }
@@ -286,6 +285,13 @@ class TestExitCodes:
                      "--cohort", str(workspace / "cohort.json"),
                      "--out-dir", str(tmp_path / "run")]) == 2
         assert "unknown config key(s): n_repeat" in capsys.readouterr().err
+        # selection follows pipeline, and an explanations file states its own width
+        cfg_path.write_text(json.dumps({"selector": {"mode": "global_importance",
+                                                     "k_instance": 10}}))
+        assert main(["cv", "--config", str(cfg_path),
+                     "--cohort", str(workspace / "cohort.json"),
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert "unknown selector key(s): k_instance, mode" in capsys.readouterr().err
 
     def test_manifest_missing_key_is_2(self, workspace, tmp_path, capsys):
         doc = json.loads((workspace / "cohort.json").read_text())

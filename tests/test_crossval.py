@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from connrules.crossval import (
     config_to_obj,
     fit_fold,
     mean_std,
-    report_interpretability,
     report_to_json,
     run_pipeline,
     stratified_folds,
@@ -218,7 +218,7 @@ class TestRunPipeline:
         path.write_text(json.dumps({"k_instance": 2, "explanations": records}))
         config = tiny_config(
             pipeline="external_explanations",
-            selector=SelectorConfig(mode="frequency_count", k_instance=2, k_total=2),
+            selector=SelectorConfig(k_total=2),
             explanations_path=str(path),
         )
         report = run_pipeline(config, cohort)
@@ -233,14 +233,15 @@ class TestRunPipeline:
         for fr in report.folds:
             assert fr.dt_atoms is not None and fr.dt_atoms >= 1
             assert fr.rf_atoms is not None and fr.rf_atoms >= 100
-        interp = report_interpretability(report)
-        assert set(interp) == {"hypothesis_atoms", "dt_atoms", "rf_atoms"}
+        summary = report.summary()
+        for key in ("hypothesis_atoms", "dt_atoms", "rf_atoms"):
+            assert set(summary[key]) == {"mean", "std"}
 
     def test_interpretability_requires_reference_models(self):
         cohort = generate_synthetic(5, 10, [PLANTED], 0.0)
-        report = run_pipeline(tiny_config(), cohort)
-        with pytest.raises(ValueError, match="fit_reference_models"):
-            report_interpretability(report)
+        summary = run_pipeline(tiny_config(), cohort).summary()
+        assert summary["rf_atoms"] is None  # the dt pipeline fits only the tree
+        assert set(summary["dt_atoms"]) == set(summary["hypothesis_atoms"]) == {"mean", "std"}
 
 
 class TestSummaries:
@@ -282,6 +283,14 @@ class TestSummaries:
 
 
 class TestConfig:
+    def test_readme_config_block_is_a_cv_config(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"`cv\.json` mirrors the `CVConfig` dataclass:\n\n```json\n(.*?)```",
+                          readme, re.S)
+        config = config_from_obj(json.loads(block.group(1)))
+        assert config == CVConfig(selector=SelectorConfig(k_global=3, k_total=4),
+                                  keep_ratio=0.30, max_body_edges=2)
+
     def test_json_round_trip(self):
         config = tiny_config(pipeline="dt", budget=1234)
         assert config_from_obj(config_to_obj(config)) == config

@@ -18,7 +18,6 @@ from connrules.forest import (
     _n_features_per_split,
     fit_forest,
     forest_atom_count,
-    forest_from_json,
     forest_from_obj,
     forest_importance,
     forest_to_json,
@@ -276,7 +275,7 @@ class TestForestJson:
         X = rng.uniform(0, 10, size=(20, 4))
         labels = [AD if rng.random() < 0.5 else CN for _ in range(20)]
         forest = fit_forest(vectors(X, labels), ForestParams(n_estimators=3), seed=1)
-        back = forest_from_json(forest_to_json(forest))
+        back = forest_from_obj(json.loads(forest_to_json(forest)))
         assert forest_to_json(back) == forest_to_json(forest)
 
     def test_missing_key_named(self):

@@ -14,6 +14,7 @@ from connrules.learner import (
     BodyLiteral,
     Candidate,
     _PRUNE_BLOCK_CELLS,
+    _edge_literals,
     _first_occurrences,
     _pack,
     _undominated,
@@ -41,6 +42,7 @@ from oracles import (
     OraclePenaltyTable,
     brute_force_learn,
     oracle_candidates,
+    oracle_edge_literals,
     oracle_first_bodies,
     oracle_floor_cut,
     oracle_learn,
@@ -336,6 +338,23 @@ def drawn_task(data, max_ad, top):
         penalty = int(rng.integers(1, 61 if label == AD else 4))
         examples.append(make_example(f"{label.lower()}_{k:03d}", label, context, penalty))
     return make_task(examples, edges, max_body)
+
+
+class TestEdgeLiterals:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_oracle(self, data):
+        # the task's own domain, and a drawn part of it
+        task = drawn_task(data, max_ad=129, top=data.draw(st.sampled_from([3, 40])))
+        examples = task.examples
+        ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
+        cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
+        for e in task.space.edges.edges:
+            full = task.space.threshold_domain[e]
+            keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
+            for domain in (full, tuple(t for t, k in zip(full, keep) if k)):
+                assert (_edge_literals(e, examples, domain, cn_mask, ad_mask)
+                        == oracle_edge_literals(e, examples, domain, cn_mask, ad_mask))
 
 
 class TestPackedWalk:

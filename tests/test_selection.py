@@ -7,7 +7,6 @@ import pytest
 from connrules.cohort import edge, generate_synthetic
 from connrules.crossval import config_from_obj
 from connrules.selection import (
-    MODES,
     InstanceExplanation,
     SelectedEdges,
     SelectorConfig,
@@ -202,19 +201,14 @@ class TestLoadExplanations:
 
 
 class TestSelectorConfig:
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="unknown selector mode"):
-            SelectorConfig(mode="psychic")
-
     def test_bad_k(self):
         with pytest.raises(ValueError, match="k_global"):
-            SelectorConfig(mode="global_importance", k_global=0)
+            SelectorConfig(k_global=0)
 
-    def test_every_k_checked_whatever_the_mode(self):
-        for mode in MODES:
-            for name in ("k_global", "k_instance", "k_total"):
-                with pytest.raises(ValueError, match=f"{name} must be >= 1"):
-                    SelectorConfig(mode=mode, **{name: 0})
+    def test_every_k_checked(self):
+        for name in ("k_global", "k_total"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                SelectorConfig(**{name: 0})
         with pytest.raises(ValueError, match="k_total must be >= 1"):
             config_from_obj({"pipeline": "external_explanations",
                              "explanations_path": "e.json", "selector": {"k_total": -1}})

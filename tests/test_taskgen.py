@@ -321,6 +321,24 @@ class TestStrictParsing:
                                              r"which no earlier #modeb declares"):
             parse_task_text(text)
 
+    def test_doubled_line_parses_the_same_or_names_the_copy(self):
+        # a line that declares something read must not be given twice, even
+        # with the same value: the second copy of it is the line named
+        lines = GOLDEN.read_text().splitlines(keepends=True)
+        want = parse_task_text("".join(lines))
+        rejected = []
+        for k, line in enumerate(lines):
+            text = "".join(lines[:k + 1] + lines[k:])
+            try:
+                got = parse_task_text(text)
+            except ValueError as exc:
+                assert str(exc).startswith(f"line {k + 2}: "), (line, str(exc))
+                rejected.append(line.split("(")[0].split(":")[0])
+            else:
+                assert got == want, line
+        assert rejected == (["% provenance", "#modeb", "#modeb", "#maxv",
+                             "% thresholds", "% thresholds"] + ["#pos"] * 4)
+
     def test_unrecognised_line_rejected(self):
         with pytest.raises(ValueError, match=r"^line 5: unrecognised line 'garbage'"):
             parse_task_text(self.golden_with("#modeh(ad).", "% fine\n\ngarbage"))
@@ -347,7 +365,7 @@ def tasks(draw):
         st.integers(1, 50),
         st.booleans(),
         st.dictionaries(st.sampled_from(edges), st.integers(0, 5000)),
-    ), min_size=1, max_size=6))
+    ), min_size=1, max_size=6, unique_by=lambda ex: ex.id))  # a .las file names each once
     return LearningTask(space, tuple(examples))
 
 

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -13,12 +14,10 @@ from connrules.tree import (
     Internal,
     Leaf,
     TreeParams,
-    best_split,
     fit_tree,
     gini,
     predict_tree,
     tree_atom_count,
-    tree_from_json,
     tree_from_obj,
     tree_importance,
     tree_to_json,
@@ -32,6 +31,13 @@ def vectors(X, labels):
     X = np.asarray(X, dtype=float)
     return Features(X, np.array([lab == AD for lab in labels], dtype=bool),
                     tuple(f"s{k}" for k in range(len(X))), tuple(canonical_edges()[:X.shape[1]]))
+
+
+def best_split(features):
+    """(feature, threshold, gain) of the best root split, or None."""
+    root = fit_tree(features, TreeParams(max_depth=1)).root
+    return None if isinstance(root, Leaf) else (root.feature, root.threshold,
+                                                root.impurity_decrease)
 
 
 def accuracy(tree, samples, labels):
@@ -266,7 +272,7 @@ class TestTreeJson:
     @settings(max_examples=100, deadline=None)
     @given(trees())
     def test_round_trip_property(self, tree):
-        assert tree_from_json(tree_to_json(tree)) == tree
+        assert tree_from_obj(json.loads(tree_to_json(tree))) == tree
 
     def test_missing_key_named(self):
         leaf = Leaf(ClassCounts(1, 0), AD)
@@ -315,7 +321,7 @@ class TestTreeJson:
         X, labels = random_dataset(rng)
         samples = vectors(X, labels)
         tree = fit_tree(samples)
-        back = tree_from_json(tree_to_json(tree))
+        back = tree_from_obj(json.loads(tree_to_json(tree)))
         assert tree_to_json(back) == tree_to_json(tree)
         for x in samples.X:
             assert predict_tree(back, x) == predict_tree(tree, x)
