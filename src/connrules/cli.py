@@ -29,6 +29,7 @@ from .cohort import (
 from .forest import ForestParams, fit_forest, forest_from_obj, forest_importance, forest_to_json
 from .inference import evaluate, metrics_to_obj, predict, predictions_to_csv
 from .learner import (
+    DEFAULT_NODE_BUDGET,
     hypothesis_from_json,
     hypothesis_to_json,
     hypothesis_to_text,
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("learn", help="solve task(s) and union the hypotheses")
     p.add_argument("--task", action="append", required=True,
                    help=".las task file, as build-task writes it; repeatable")
-    p.add_argument("--budget", type=int, default=500_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", required=True, help="hypothesis JSON path")
     p.set_defaults(func=cmd_learn)
 

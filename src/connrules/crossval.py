@@ -24,7 +24,7 @@ from .forest import (
     predict_forest,
 )
 from .inference import Metrics, evaluate, metrics_to_obj, predict
-from .learner import Hypothesis, learn, union_hypotheses
+from .learner import DEFAULT_NODE_BUDGET, Hypothesis, learn, union_hypotheses
 from .selection import (
     InstanceExplanation,
     SelectedEdges,
@@ -58,7 +58,7 @@ class CVConfig:
     keep_ratio: float = 0.30
     max_body_edges: int = 2
     base_pen: int = 1
-    budget: int = 500_000
+    budget: int = DEFAULT_NODE_BUDGET
     explanations_path: str | None = None
     fit_reference_models: bool = True
 
@@ -69,6 +69,11 @@ class CVConfig:
             raise ValueError("subsample_fraction must be in (0, 1]")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
+        if not (0 < self.keep_ratio <= 1):
+            raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
+        for name in ("n_ad_subsets", "max_body_edges", "base_pen"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.budget < 1:
             raise ValueError("budget must be >= 1")
         if self.pipeline not in PIPELINES:

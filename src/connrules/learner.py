@@ -40,17 +40,15 @@ space, then runs a branch-and-bound search over rule subsets:
    rules are built only for what it keeps.
 4. The search branches on the first uncovered AD example: either some
    specific candidate covers it, or none does (its penalty is committed).
-   Node bound = atoms so far + committed AD penalties + penalties of AD
-   examples no candidate can cover + CN penalties already incurred. A
-   greedy weighted-cover pass seeds the incumbent. Each AD example has a
-   cover list of one (floor, atoms, fire-set, index) record per candidate
-   firing on it, sorted by floor, and each node carries its CN penalty and
-   the penalty of the uncoverable examples it has not committed: a child
-   that adds a rule passes on the CN penalty its bound computed, and a
-   commit subtracts the example's penalty if it is uncoverable. The search
-   runs depth first from an explicit stack of child generators, so a path
-   may hold one node per AD example whatever the interpreter's recursion
-   limit.
+   The AD examples no candidate fires on are committed at the root. Node
+   bound = atoms so far + committed AD penalties + CN penalties already
+   incurred. A greedy weighted-cover pass seeds the incumbent. Each AD
+   example has a cover list of one (floor, atoms, fire-set, index) record
+   per candidate firing on it, sorted by floor, and each node carries its
+   CN penalty, which a child that adds a rule passes on from its bound.
+   The search runs depth first from an explicit stack of child generators,
+   so a path may hold one node per AD example whatever the interpreter's
+   recursion limit.
 
 Ties between optimal hypotheses break toward fewer atoms, then the
 lexicographically smallest rule list under the canonical (edge, comparator,
@@ -399,6 +397,15 @@ def _walk(task: LearningTask) -> _Walk:
                  *(np.concatenate(column) for column in zip(*parts)))
 
 
+def _candidates(walk: _Walk, rows: np.ndarray) -> tuple[list[Candidate], np.ndarray]:
+    """The candidates of the given walk rows in canonical rule order, and
+    the rows in that order."""
+    cands = [Candidate(Rule(walk.body(r)), fires)
+             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
+    order = sorted(range(len(cands)), key=lambda i: cands[i].rule.sort_key)
+    return [cands[i] for i in order], rows[order]
+
+
 def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     """Coverage-distinct candidate rules in canonical order. Every rule in
     the space whose fire-set contains at least one AD example is represented
@@ -406,11 +413,7 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     Uncut and unpruned: learn builds rules only for the fire-sets that pass
     its floor cut and dominance prune."""
     walk = _walk(task)
-    rows = _first_occurrences(walk.fires)
-    cands = [Candidate(Rule(walk.body(r)), fires)
-             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
-    cands.sort(key=lambda c: c.rule.sort_key)
-    return cands
+    return _candidates(walk, _first_occurrences(walk.fires))[0]
 
 
 _PRUNE_BLOCK_CELLS = 1 << 16  # uint64 cells per temporary array: 0.5 MB
@@ -526,40 +529,13 @@ def _greedy(cands: Sequence[Candidate], atoms_of: Sequence[int],
         remaining.remove(best_ci)
 
 
-def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
-    """Minimal-score hypothesis via branch and bound over the undominated
-    candidates; the result counts the candidates at each stage.
-
-    Before the search, the walked bodies are cut to the fire-sets whose
-    floor (atoms + CN penalty they would incur on their own) is at most a
-    first incumbent total I: the better of the empty hypothesis and the
-    best single fire-set. A rule in a hypothesis of total T has a floor of
-    at most T, so the cut loses no optimum and no tie. The survivors are
-    deduplicated by first occurrence (a fire-set's first body has the
-    fewest atoms, so it survives whenever a copy does), pruned by dominance
-    (a dominator's floor is never above the dominated one's, so the prune
-    stays exact), and only then built into rules.
-
-    The stack holds one generator of child nodes per node on the current
-    path; the loop takes the next child from the top one. A generator tests
-    each child's bound only when asked for it, so against the incumbent its
-    elder siblings' subtrees left, as a recursive search would. A node
-    branches over the cover list of its first undecided AD example: one
-    (floor, atoms, fire-set, index) record per candidate, sorted by floor,
-    so its branch loop stops as soon as no remaining candidate can undercut
-    the incumbent. A node carries the CN penalty of its rules' union and
-    the penalty of the uncoverable AD examples it has not committed, and
-    computes once the AD examples a rule may still cover; each child's bound
-    adds the CN penalty of its new union and the least penalty, capped at 3,
-    of an AD example left free, one loop over the penalty levels each. When
-    the node budget runs out, the best incumbent found so far is returned
-    with optimal=False instead of raising; a budget below 1 raises
-    ValueError.
-    """
-    if budget < 1:
-        raise ValueError(f"node budget must be >= 1, got {budget}")
-    examples = task.examples
-    table = _PenaltyTable(examples)
+def _search_inputs(task: LearningTask, table: _PenaltyTable
+                   ) -> tuple[_Walk, int, list[Candidate], list[int]]:
+    """learn's pre-search, items 2 and 3 of the module docstring: the walk,
+    the number of distinct fire-sets within the floor cut, and the
+    undominated candidates in canonical order with their floors (atoms +
+    the CN penalty of their own fire-set). A fire-set's first body has the
+    fewest atoms, so the dedupe keeps it whenever the cut keeps a copy."""
     walk = _walk(task)
     n_words = walk.fires.shape[1]
 
@@ -573,18 +549,43 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     rows = rows[_first_occurrences(walk.fires[rows])]
     n_filtered = len(rows)
     rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], n_words))]
-    cands = [Candidate(Rule(walk.body(r)), fires)
-             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
-    cands.sort(key=lambda c: c.rule.sort_key)
-    n_cands = len(cands)
+    cands, rows = _candidates(walk, rows)
+    return walk, n_filtered, cands, floors[rows].tolist()
+
+
+def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
+    """Minimal-score hypothesis via branch and bound over the undominated
+    candidates of _search_inputs; the result counts the candidates at each
+    stage.
+
+    The AD examples no candidate fires on are committed at the root: every
+    hypothesis leaves them uncovered. The stack holds one generator of
+    child nodes per node on the current path; the loop takes the next child
+    from the top one. A generator tests each child's bound only when asked
+    for it, so against the incumbent its elder siblings' subtrees left, as
+    a recursive search would. A node branches over the cover list of its
+    first undecided AD example: one (floor, atoms, fire-set, index) record
+    per candidate, sorted by floor, so its branch loop stops as soon as no
+    remaining candidate can undercut the incumbent. A node carries the CN
+    penalty of its rules' union and computes once the AD examples a rule
+    may still cover; each child's bound adds the CN penalty of its new
+    union and the least penalty, capped at 3, of an AD example left free,
+    one loop over the penalty levels each. When the node budget runs out,
+    the best incumbent found so far is returned with optimal=False instead
+    of raising; a budget below 1 raises ValueError.
+    """
+    if budget < 1:
+        raise ValueError(f"node budget must be >= 1, got {budget}")
+    examples = task.examples
+    table = _PenaltyTable(examples)
+    walk, n_filtered, cands, floors = _search_inputs(task, table)
     atoms_of = [c.rule.atom_count for c in cands]
 
-    # one cover record (floor, atoms, fire-set, index) per candidate, where
-    # the floor is its atoms plus the CN penalty of its own fire-set, shared
+    # one cover record (floor, atoms, fire-set, index) per candidate, shared
     # by the cover lists of the AD examples it fires on, each list in
     # (floor, index) order
-    records = sorted(((atoms_of[ci] + table.cn_over(c.fires), atoms_of[ci], c.fires, ci)
-                      for ci, c in enumerate(cands)), key=lambda r: (r[0], r[3]))
+    records = sorted(zip(floors, atoms_of, [c.fires for c in cands], range(len(cands))),
+                     key=lambda r: (r[0], r[3]))
     ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
     cover_list: dict[int, list[tuple[int, int, int, int]]] = {k: [] for k in ad_positions}
     for record in records:
@@ -594,8 +595,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
             cover_list[low.bit_length() - 1].append(record)
             hits ^= low
     # the AD examples no body fires on, whichever candidates the cut keeps
-    uncoverable = table.ad_mask & ~walk.reach
-    coverable = table.ad_mask & ~uncoverable
+    unreached = table.ad_mask & ~walk.reach
     ad_bits = [1 << e for e in ad_positions]
     cn_groups = table.cn_groups
     # per AD penalty level, ascending: what a still-free example of it adds
@@ -614,15 +614,14 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         best_rules, best_total, best_key = g_rules, g_total, g_key
 
     def children(k: int, chosen: tuple[int, ...], union: int, atoms: int,
-                 committed_pen: int, committed: int, cn_union: int, uncov_pen: int):
+                 committed_pen: int, committed: int, cn_union: int):
         # the branches on AD example ad_positions[k]. Committed examples are
         # permanently uncovered: any candidate whose fire-set touches one is
         # banned, which keeps committed_pen a true lower bound for the whole
-        # subtree. The node carries cn_union, the CN penalty of union, and
-        # uncov_pen, the penalty of the uncoverable examples not committed
+        # subtree. The node carries cn_union, the CN penalty of union
         e = ad_positions[k]
-        base = atoms + committed_pen + uncov_pen
-        free = coverable & ~committed  # the AD examples a rule may still cover
+        base = atoms + committed_pen
+        free = table.ad_mask & ~committed  # the AD examples a rule may still cover
 
         for floor, rule_atoms, fires, ci in cover_list[e]:
             if base + floor > best_total:
@@ -644,12 +643,11 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
                         break
             if b <= best_total:
                 yield (k, chosen + (ci,), union2, atoms + rule_atoms, committed_pen, committed,
-                       cn_union2, uncov_pen)
+                       cn_union2)
         # no chosen rule covers this example: commit its penalty
         bit = ad_bits[k]
         pen = examples[e].penalty
-        uncov_pen2 = uncov_pen - pen if uncoverable & bit else uncov_pen
-        b = atoms + committed_pen + pen + uncov_pen2 + cn_union
+        b = base + pen + cn_union
         remaining = free & ~union & ~bit
         if remaining:
             for p, m in ad_caps:
@@ -657,12 +655,12 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
                     b += p
                     break
         if b <= best_total:
-            yield (k + 1, chosen, union, atoms, committed_pen + pen, committed | bit,
-                   cn_union, uncov_pen2)
+            yield k + 1, chosen, union, atoms, committed_pen + pen, committed | bit, cn_union
 
     nodes = 0
     optimal = True
-    stack = [iter([(0, (), 0, 0, 0, 0, 0, table.ad_over(uncoverable))])]
+    # the unreached AD examples start committed: no hypothesis covers them
+    stack = [iter([(0, (), 0, 0, table.ad_over(unreached), unreached, 0)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -672,13 +670,12 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         if nodes > budget:
             optimal = False
             break
-        k, chosen, union, atoms, committed_pen, committed, cn_union, uncov_pen = node
+        k, chosen, union, atoms, committed_pen, committed, cn_union = node
         decided = union | committed
         while k < len(ad_bits) and decided & ad_bits[k]:
             k += 1
         if k < len(ad_bits):
-            stack.append(children(k, chosen, union, atoms, committed_pen, committed,
-                                  cn_union, uncov_pen))
+            stack.append(children(k, chosen, union, atoms, committed_pen, committed, cn_union))
             continue
         # every AD example is covered or committed, and no rule fires on a
         # committed one, so the uncovered AD penalty is committed_pen
@@ -689,7 +686,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(walk.fires), n_filtered, n_cands)
+                       len(walk.fires), n_filtered, len(cands))
 
 
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:

@@ -99,7 +99,11 @@ class LearningTask:
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
         known = set(self.space.edges.edges)
+        ids = set()
         for ex in self.examples:
+            if ex.id in ids:
+                raise ValueError(f"repeated example id {ex.id!r}")
+            ids.add(ex.id)
             stray = set(ex.context) - known
             if stray:
                 raise ValueError(

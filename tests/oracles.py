@@ -24,13 +24,8 @@ from connrules.learner import (
     Hypothesis,
     LearnResult,
     Rule,
-    _first_occurrences,
     _greedy,
-    _pack,
-    _popcount,
-    _undominated,
-    _unpack,
-    _walk,
+    _search_inputs,
     enumerate_candidates,
     score,
 )
@@ -375,44 +370,29 @@ class OraclePenaltyTable(learner._PenaltyTable):
 
 def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """learn as it was before its search ran over cover records: every node
-    recomputes the CN penalty of its union and the penalty of the uncommitted
-    uncoverable AD examples through the penalty table, and every child reads
-    the candidate's atoms, floor and fire-set from parallel lists. The walk,
-    cut, prune and greedy are learn's own, so the two must agree on every
-    LearnResult field, node count included."""
+    recomputes the CN penalty of its union through the penalty table, and
+    every child reads the candidate's atoms, floor and fire-set from
+    parallel lists, with the floors recomputed from the rules. It shares
+    learn's pre-search (walk, cut, dedupe, prune and candidate list), its
+    greedy and its root commit of the AD examples no body fires on, so the
+    two must agree on every LearnResult field, node count included."""
     examples = task.examples
     table = OraclePenaltyTable(examples)
-    walk = _walk(task)
-    n_words = walk.fires.shape[1]
-
-    def over(groups) -> np.ndarray:  # each body's penalty sum over groups
-        return sum((p * _popcount(walk.fires & _pack([m], n_words)) for p, m in groups),
-                   np.zeros(len(walk.fires), dtype=np.int64))
-
-    floors = 1 + 2 * walk.size + over(table.cn_groups)
-    incumbent = table.ad_total + int((floors - over(table.ad_groups)).min(initial=0))
-    rows = np.flatnonzero(floors <= incumbent)
-    rows = rows[_first_occurrences(walk.fires[rows])]
-    n_filtered = len(rows)
-    rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], n_words))]
-    cands = [Candidate(Rule(walk.body(r)), fires)
-             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
-    cands.sort(key=lambda c: c.rule.sort_key)
-    n_cands = len(cands)
+    walk, n_filtered, cands, _ = _search_inputs(task, table)
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
-    floor_of = [atoms_of[ci] + cn_solo[ci] for ci in range(n_cands)]
+    floor_of = [atoms + cn for atoms, cn in zip(atoms_of, cn_solo)]
 
     ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
     cover_list: dict[int, list[int]] = {k: [] for k in ad_positions}
-    for ci in sorted(range(n_cands), key=lambda ci: (floor_of[ci], ci)):
+    for ci in sorted(range(len(cands)), key=lambda ci: (floor_of[ci], ci)):
         hits = cands[ci].fires & table.ad_mask
         while hits:
             low = hits & -hits
             cover_list[low.bit_length() - 1].append(ci)
             hits ^= low
     # the AD examples no body fires on, whichever candidates the cut keeps
-    uncoverable = table.ad_mask & ~walk.reach
+    unreached = table.ad_mask & ~walk.reach
 
     # incumbents: empty hypothesis, then greedy. Candidates are in canonical
     # rule order, so sorted index tuples compare like sorted rule lists.
@@ -432,9 +412,8 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         # banned, which keeps committed_pen a true lower bound for the whole
         # subtree
         e = ad_positions[k]
-        uncov_pen = table.ad_over(uncoverable & ~committed)
         cn_union = table.cn_over(union)
-        base = atoms + committed_pen + uncov_pen
+        base = atoms + committed_pen
 
         for ci in cover_list[e]:
             if base + floor_of[ci] > best_total:
@@ -446,8 +425,8 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
                 continue
             atoms2 = atoms + atoms_of[ci]
             union2 = union | fires
-            b = atoms2 + committed_pen + uncov_pen + table.cn_over(union2)
-            remaining = table.ad_mask & ~union2 & ~uncoverable & ~committed
+            b = atoms2 + committed_pen + table.cn_over(union2)
+            remaining = table.ad_mask & ~union2 & ~committed
             if remaining:
                 b += min(3, table.min_ad_over(remaining))
             if b <= best_total:
@@ -455,9 +434,8 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         # no chosen rule covers this example: commit its penalty
         committed2 = committed | (1 << e)
         committed_pen2 = committed_pen + examples[e].penalty
-        b = (atoms + committed_pen2 + table.ad_over(uncoverable & ~committed2)
-             + cn_union)
-        remaining = table.ad_mask & ~union & ~uncoverable & ~committed2
+        b = atoms + committed_pen2 + cn_union
+        remaining = table.ad_mask & ~union & ~committed2
         if remaining:
             b += min(3, table.min_ad_over(remaining))
         if b <= best_total:
@@ -465,7 +443,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
 
     nodes = 0
     optimal = True
-    stack = [iter([(0, (), 0, 0, 0, 0)])]
+    stack = [iter([(0, (), 0, 0, table.ad_over(unreached), unreached)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -491,7 +469,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(walk.fires), n_filtered, n_cands)
+                       len(walk.fires), n_filtered, len(cands))
 
 
 def snap_rule_to_domain(rule: Rule, task) -> Rule:

@@ -326,6 +326,12 @@ class TestConfig:
             tiny_config(pipeline="svm")
         with pytest.raises(ValueError, match="explanations_path"):
             tiny_config(pipeline="external_explanations")
+        for keep_ratio in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"keep_ratio must be in \(0, 1\]"):
+                tiny_config(keep_ratio=keep_ratio)
+        for name in ("n_ad_subsets", "max_body_edges", "base_pen"):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                tiny_config(**{name: 0})
 
     def test_budget_below_1_rejected(self):
         for budget in (0, -5):

@@ -193,7 +193,11 @@ def test_bad_task_among_several_is_named(ws, tmp_path):
 def test_config_errors_name_the_file(ws, tmp_path):
     config = tmp_path / "cv.json"
     for text, message in [("{not json", "Expecting property name"),
-                          ('{"n_folds": "5"}', "config key 'n_folds' must be int, not str")]:
+                          ('{"n_folds": "5"}', "config key 'n_folds' must be int, not str"),
+                          ('{"keep_ratio": 0.0}', "keep_ratio must be in (0, 1], got 0.0"),
+                          ('{"n_ad_subsets": 0}', "n_ad_subsets must be >= 1"),
+                          ('{"max_body_edges": 0}', "max_body_edges must be >= 1"),
+                          ('{"base_pen": 0}', "base_pen must be >= 1")]:
         config.write_text(text)
         code, err = run(["cv", "--config", str(config),
                          "--cohort", str(ws / "small" / "cohort.json"),

@@ -599,8 +599,9 @@ class TestVisitingOrder:
 
 
 class TestDeepTask:
-    # a search path holds one node per AD example, so more AD examples than
-    # the interpreter's recursion limit must not matter
+    # more AD examples than the interpreter's recursion limit must not
+    # matter, and the bare ones, which no rule can cover, are committed at
+    # the root instead of costing a node each
     @staticmethod
     def deep_task():
         n_bare = sys.getrecursionlimit() + 100
@@ -613,6 +614,7 @@ class TestDeepTask:
         task, n_bare = self.deep_task()
         res = learn(task)
         assert res.optimal
+        assert res.nodes_expanded <= 3
         # the bare AD examples stay uncovered; one rule covers the rest
         assert res.score == Score(3, n_bare)
         assert all(covers(res.hypothesis, ex) for ex in task.examples[n_bare:])

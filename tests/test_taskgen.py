@@ -253,6 +253,13 @@ class TestExampleValidation:
         with pytest.raises(ValueError, match="outside the space"):
             LearningTask(space, (examples[0], stray))
 
+    def test_repeated_id_rejected(self):
+        # task_to_text would write such a task, and parse_task_text rejects it
+        examples = [make_example("a", AD, {E1: 1}), make_example("a", CN, {E1: 5})]
+        space = build_space(SelectedEdges((E1,), "dt"), examples)
+        with pytest.raises(ValueError, match="repeated example id 'a'"):
+            LearningTask(space, tuple(examples))
+
 
 class TestStrictParsing:
     """Malformed input raises ValueError naming its 1-based line; none of it
