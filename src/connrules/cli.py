@@ -160,7 +160,7 @@ def cmd_infer(args) -> int:
                             if Path(args.hypothesis).suffix == ".json" else parse_hypothesis_text)
     edges = sorted({l.edge for r in hypothesis.rules for l in r.body})
     labels = [s.diagnosis for s in cohort.subjects]
-    predictions = [predict(hypothesis, context_from_weights(s.weights, edges), s.id)
+    predictions = [predict(hypothesis, context_from_weights(s.strengths, edges), s.id)
                    for s in cohort.subjects]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,13 +1,13 @@
-"""Cohort data model: weighted connectomes, group-level edge masking into a
-features matrix, and a synthetic cohort generator with planted discriminative
-edges."""
+"""Cohort data model: weighted connectomes, each held as its 3486 edge
+strengths in canonical edge order, group-level edge masking into a features
+matrix, and a synthetic cohort generator with planted discriminative edges."""
 
 from __future__ import annotations
 
 import io
 import json
 import math
-from dataclasses import dataclass, field, is_dataclass
+from dataclasses import dataclass, is_dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_type_hints
@@ -16,6 +16,7 @@ import numpy as np
 
 N_REGIONS = 84
 N_EDGES = N_REGIONS * (N_REGIONS - 1) // 2  # 3486
+_TRIU = np.triu_indices(N_REGIONS, k=1)  # (rows, cols) of the edges in canonical order
 
 AD = "AD"
 CN = "CN"
@@ -116,12 +117,17 @@ def canonical_edges() -> list[EdgeId]:
     return [EdgeId(i, j) for i in range(N_REGIONS) for j in range(i + 1, N_REGIONS)]
 
 
+def edge_column(i, j):
+    """Position of edge (i, j), i < j, in canonical edge order: its column in
+    a strengths row. i and j may be integer arrays of matching shape."""
+    return i * (2 * N_REGIONS - i - 1) // 2 + j - i - 1
+
+
 @dataclass(frozen=True)
 class RegionAtlas:
     """Fixed 84-region parcellation; maps labels to 0-based indices."""
 
     names: tuple[str, ...]
-    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -130,7 +136,6 @@ class RegionAtlas:
         if len(set(names)) != len(names):
             raise ValueError("atlas labels must be unique")
         object.__setattr__(self, "names", names)
-        object.__setattr__(self, "index", {n: k for k, n in enumerate(names)})
 
 
 def default_atlas() -> RegionAtlas:
@@ -142,11 +147,12 @@ def default_atlas() -> RegionAtlas:
 
 
 def check_connectome(weights) -> np.ndarray:
-    """Validate and normalize a raw connectivity matrix.
+    """Validate a raw connectivity matrix and return its edge strengths.
 
-    Enforces: square 84x84, nonnegative, diagonal zero (within 1e-12),
-    symmetric within 1e-9 (then symmetrized by averaging). Returns a
-    read-only float64 copy.
+    Enforces: square 84x84, finite, nonnegative, diagonal zero (within
+    1e-12), symmetric within 1e-9. Returns the upper triangle of the matrix
+    symmetrized by averaging, as a read-only float64 array of the 3486
+    strengths in canonical edge order.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -165,21 +171,23 @@ def check_connectome(weights) -> np.ndarray:
     if np.max(asym) > 1e-9:
         i, j = np.unravel_index(int(np.argmax(asym)), w.shape)
         raise ValueError(f"asymmetric weights at ({i}, {j}): {w[i, j]} vs {w[j, i]}")
-    w = (w + w.T) / 2.0
-    np.fill_diagonal(w, 0.0)
-    w.flags.writeable = False
-    return w
+    strengths = (w + w.T)[_TRIU] / 2.0
+    strengths.flags.writeable = False
+    return strengths
 
 
 @dataclass(frozen=True, eq=False)
 class Subject:
     id: str
-    weights: np.ndarray  # validated 84x84 connectome
+    strengths: np.ndarray  # (3486,) connectome strengths in canonical edge order
     diagnosis: str
     sex: str
     manufacturer: str
 
     def __post_init__(self):
+        if np.shape(self.strengths) != (N_EDGES,):
+            raise ValueError(f"strengths must have shape ({N_EDGES},), "
+                             f"got {np.shape(self.strengths)}")
         if self.diagnosis not in LABELS:
             raise ValueError(f"diagnosis must be AD or CN, got {self.diagnosis!r}")
         if self.sex not in SEXES:
@@ -214,24 +222,19 @@ class Cohort:
 
 @dataclass(frozen=True)
 class EdgeMask:
-    """Kept edges in canonical order plus the ratio that produced them."""
+    """Kept edges in canonical order; at least one."""
 
     edges: tuple[EdgeId, ...]
-    keep_ratio: float
 
     def __post_init__(self):
-        if not (0 < self.keep_ratio <= 1):
-            raise ValueError(f"keep_ratio must be in (0, 1], got {self.keep_ratio}")
         object.__setattr__(self, "edges", tuple(self.edges))
+        if not self.edges:
+            raise ValueError("mask keeps no edges")
         seen = set()
         for e in self.edges:
             if e in seen:
                 raise ValueError(f"mask repeats edge [{e.i}, {e.j}]")
             seen.add(e)
-
-    @property
-    def kept(self) -> frozenset[EdgeId]:
-        return frozenset(self.edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -294,12 +297,6 @@ class Features:
 # Masking and flattening
 # ---------------------------------------------------------------------------
 
-def _triu_values(cohort: Cohort) -> np.ndarray:
-    """(n_subjects, 3486) strengths in canonical edge order."""
-    iu = np.triu_indices(N_REGIONS, k=1)
-    return np.stack([s.weights[iu] for s in cohort.subjects])
-
-
 def compute_mask(cohort: Cohort, keep_ratio: float) -> EdgeMask:
     """Group-level proportional threshold.
 
@@ -310,24 +307,20 @@ def compute_mask(cohort: Cohort, keep_ratio: float) -> EdgeMask:
     """
     if not (0 < keep_ratio <= 1):
         raise ValueError(f"keep_ratio must be in (0, 1], got {keep_ratio}")
-    vals = _triu_values(cohort)
+    vals = np.stack([s.strengths for s in cohort.subjects])
     occurrence = (vals > 0).mean(axis=0)
     mean_w = vals.mean(axis=0)
     n_keep = math.ceil(keep_ratio * N_EDGES)
     ranked = np.lexsort((-mean_w, -occurrence))[:n_keep]  # stable: ties keep EdgeId order
-    all_edges = canonical_edges()
     kept = np.sort(ranked[occurrence[ranked] > 0])
-    return EdgeMask(tuple(all_edges[t] for t in kept.tolist()), keep_ratio)
+    return EdgeMask(tuple(map(EdgeId, _TRIU[0][kept].tolist(), _TRIU[1][kept].tolist())))
 
 
 def apply_mask(cohort: Cohort, mask: EdgeMask) -> Features:
-    """Flatten each subject's connectome to the masked feature space."""
-    if len(mask) == 0:
-        raise ValueError("empty feature space: mask keeps no edges")
-    rows = np.array([e.i for e in mask.edges])
-    cols = np.array([e.j for e in mask.edges])
+    """Each subject's strengths of the mask's edges, one row per subject."""
+    cols = edge_column(*np.array(mask.edges).T)
     return Features(
-        np.stack([s.weights[rows, cols] for s in cohort.subjects]),
+        np.stack([s.strengths for s in cohort.subjects])[:, cols],
         np.array([s.diagnosis == AD for s in cohort.subjects]),
         tuple(s.id for s in cohort.subjects),
         mask.edges,
@@ -388,13 +381,12 @@ def generate_synthetic(
 
     rng = np.random.default_rng(seed % 2**32)
     n = 2 * n_per_class
-    edge_index = {e: k for k, e in enumerate(canonical_edges())}
     strengths = rng.lognormal(mean=0.0, sigma=0.5, size=(n, N_EDGES))
     base_ad = np.arange(n) < n_per_class
     for p in planted:
         lo = rng.uniform(0.1 * p.threshold, 0.9 * p.threshold, size=n_per_class)
         hi = rng.uniform(1.1 * p.threshold, 1.9 * p.threshold, size=n_per_class)
-        col = edge_index[edge(*p.edge)]
+        col = edge_column(*edge(*p.edge))
         if p.direction == "low":
             strengths[base_ad, col] = lo
             strengths[~base_ad, col] = hi
@@ -402,21 +394,17 @@ def generate_synthetic(
             strengths[base_ad, col] = hi
             strengths[~base_ad, col] = lo
     flips = rng.random(n) < noise_rate
+    strengths.flags.writeable = False
 
-    iu = np.triu_indices(N_REGIONS, k=1)
     combos = [("F", "MfrA"), ("F", "MfrB"), ("M", "MfrA"), ("M", "MfrB")]
     subjects = []
     within_class = 0
     for k in range(n):
         if k == n_per_class:
             within_class = 0
-        w = np.zeros((N_REGIONS, N_REGIONS))
-        w[iu] = strengths[k]
-        w = w + w.T
-        w.flags.writeable = False
         is_ad = bool(base_ad[k]) ^ bool(flips[k])
         sex, mfr = combos[within_class % 4]
-        subjects.append(Subject(f"s{k:04d}", w, AD if is_ad else CN, sex, mfr))
+        subjects.append(Subject(f"s{k:04d}", strengths[k], AD if is_ad else CN, sex, mfr))
         within_class += 1
     return Cohort(tuple(subjects), default_atlas())
 
@@ -493,7 +481,9 @@ def save_cohort(cohort: Cohort, out_dir, name: str = "cohort") -> Path:
     recs = []
     for s in cohort.subjects:
         rel = f"matrices/{s.id}.csv"
-        np.savetxt(out_dir / rel, s.weights, delimiter=",", fmt="%.17g")
+        w = np.zeros((N_REGIONS, N_REGIONS))
+        w[_TRIU] = s.strengths
+        np.savetxt(out_dir / rel, w + w.T, delimiter=",", fmt="%.17g")
         recs.append({
             "id": s.id, "diagnosis": s.diagnosis, "sex": s.sex,
             "manufacturer": s.manufacturer, "matrix": rel,
@@ -510,5 +500,4 @@ def mask_to_json(mask: EdgeMask) -> str:
 
 
 def mask_from_json(text: str) -> EdgeMask:
-    edges = edges_from_pairs(json.loads(text))
-    return EdgeMask(edges, len(edges) / N_EDGES)
+    return EdgeMask(edges_from_pairs(json.loads(text)))

@@ -184,7 +184,7 @@ def fit_fold(
         # explanations describe the masked network: count only edges the
         # training mask keeps, over training subjects only
         train_ids = {s.id for s in train.subjects}
-        kept = mask.kept
+        kept = set(mask.edges)
         local = []
         for ex in explanations or []:
             if ex.subject_id not in train_ids:

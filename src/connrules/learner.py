@@ -154,9 +154,6 @@ class Hypothesis:
         return len(self.rules)
 
 
-EMPTY_HYPOTHESIS = Hypothesis(())
-
-
 @dataclass(frozen=True)
 class Score:
     length: int

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cohort import EdgeId, Features, edge, read_input
+from .cohort import EdgeId, Features, edge, edge_column, read_input
 from .selection import SelectedEdges
 
 COMPARATORS = (">=", ">", "<", "<=")
@@ -49,9 +49,9 @@ def scale_strength(raw: float) -> int:
     return int((q * 1000).to_integral_value(rounding=ROUND_HALF_EVEN))
 
 
-def context_from_weights(weights: np.ndarray, edges: Sequence[EdgeId]) -> dict[EdgeId, int]:
-    """Scaled strengths of the given edges from a full connectome."""
-    return {e: scale_strength(weights[e.i, e.j]) for e in edges}
+def context_from_weights(strengths: np.ndarray, edges: Sequence[EdgeId]) -> dict[EdgeId, int]:
+    """Scaled strengths of the given edges from a subject's strengths row."""
+    return {e: scale_strength(strengths[edge_column(*e)]) for e in edges}
 
 
 @dataclass(frozen=True)

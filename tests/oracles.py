@@ -16,7 +16,7 @@ from itertools import combinations, product
 import numpy as np
 
 from connrules import learner
-from connrules.cohort import AD, CN, N_EDGES, N_REGIONS, EdgeMask, canonical_edges
+from connrules.cohort import AD, CN, N_EDGES, EdgeMask, canonical_edges
 from connrules.learner import (
     DEFAULT_NODE_BUDGET,
     BodyLiteral,
@@ -160,14 +160,13 @@ def oracle_fit_tree(X: np.ndarray, is_ad: np.ndarray, rows, params: TreeParams,
 def oracle_compute_mask(cohort, keep_ratio: float) -> EdgeMask:
     """compute_mask by a Python sort of the edge indices on the key
     (-occurrence, -mean weight, index), with numpy scalars in the key."""
-    iu = np.triu_indices(N_REGIONS, k=1)
-    vals = np.stack([s.weights[iu] for s in cohort.subjects])
+    vals = np.stack([s.strengths for s in cohort.subjects])
     occurrence = (vals > 0).mean(axis=0)
     mean_w = vals.mean(axis=0)
     ranked = sorted(range(N_EDGES), key=lambda t: (-occurrence[t], -mean_w[t], t))
     kept = sorted(t for t in ranked[:math.ceil(keep_ratio * N_EDGES)] if occurrence[t] > 0)
     all_edges = canonical_edges()
-    return EdgeMask(tuple(all_edges[t] for t in kept), keep_ratio)
+    return EdgeMask(tuple(all_edges[t] for t in kept))
 
 
 def oracle_training_accuracy_stump(X: np.ndarray, is_ad: np.ndarray) -> float:

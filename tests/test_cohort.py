@@ -21,6 +21,7 @@ from connrules.cohort import (
     compute_mask,
     default_atlas,
     edge,
+    edge_column,
     generate_synthetic,
     load_cohort,
     mask_from_json,
@@ -78,6 +79,10 @@ class TestEdgeId:
         edges = canonical_edges()
         assert edges == sorted(edges)
 
+    def test_column_is_canonical_position(self):
+        edges = canonical_edges()
+        assert [edge_column(*e) for e in edges] == [edges.index(e) for e in edges]
+
 
 class TestConnectomeValidation:
     def test_nonzero_diagonal_rejected(self):
@@ -99,11 +104,15 @@ class TestConnectomeValidation:
         with pytest.raises(ValueError, match="negative weight"):
             check_connectome(w)
 
-    def test_small_asymmetry_averaged(self):
+    def test_small_asymmetry_averaged(self, tmp_path):
         w = make_weights({(0, 1): 1.0})
         w[0, 1] += 4e-10
         out = check_connectome(w)
-        assert out[0, 1] == out[1, 0] == pytest.approx(1.0 + 2e-10)
+        assert out.shape == (N_EDGES,) and not out.flags.writeable
+        assert out[edge_column(0, 1)] == pytest.approx(1.0 + 2e-10)
+        manifest = save_cohort(make_cohort([w]), tmp_path)
+        saved = np.loadtxt(manifest.parent / "matrices" / "s0.csv", delimiter=",")
+        assert saved[0, 1] == saved[1, 0] == out[edge_column(0, 1)]
 
     def test_large_asymmetry_rejected(self):
         w = make_weights({(0, 1): 1.0})
@@ -121,7 +130,18 @@ class TestManifestIO:
         for a, b in zip(cohort.subjects, loaded.subjects):
             assert a.id == b.id
             assert a.diagnosis == b.diagnosis
-            np.testing.assert_array_equal(a.weights, b.weights)
+            np.testing.assert_array_equal(a.strengths, b.strengths)
+
+    def test_mask_columns_match_saved_matrices(self, tmp_path):
+        cohort = generate_synthetic(4, 2)
+        manifest = save_cohort(cohort, tmp_path)
+        rng = np.random.default_rng(0)
+        edges = sorted({edge(*rng.choice(N_REGIONS, size=2, replace=False)) for _ in range(50)})
+        X = apply_mask(cohort, EdgeMask(edges)).X
+        for k, s in enumerate(cohort.subjects):
+            saved = np.loadtxt(manifest.parent / "matrices" / f"{s.id}.csv", delimiter=",")
+            for c, (i, j) in enumerate(edges):
+                assert X[k, c] == saved[i, j] == saved[j, i]
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ValueError, match="missing file"):
@@ -168,6 +188,10 @@ class TestManifestIO:
         s = Subject("dup", w, AD, "F", "MfrA")
         with pytest.raises(ValueError, match="duplicate subject id"):
             Cohort((s, Subject("dup", w, CN, "M", "MfrB")), default_atlas())
+
+    def test_full_matrix_rejected_as_strengths(self):
+        with pytest.raises(ValueError, match=r"strengths must have shape \(3486,\), got \(84, 84\)"):
+            Subject("a", make_weights({(0, 1): 1.0}), AD, "F", "MfrA")
 
 
 class TestComputeMask:
@@ -240,7 +264,7 @@ class TestComputeMask:
 class TestApplyMask:
     def test_shapes_and_order(self):
         cohort = make_cohort([make_weights(fill=1.0)] * 10, labels=[AD] * 10)
-        mask = EdgeMask(tuple(canonical_edges()[:5]), 5 / N_EDGES)
+        mask = EdgeMask(tuple(canonical_edges()[:5]))
         features = apply_mask(cohort, mask)
         assert features.X.shape == (10, 5)
         assert features.is_ad.tolist() == [True] * 10
@@ -250,13 +274,12 @@ class TestApplyMask:
     def test_zero_weight_kept_as_zero(self):
         w = make_weights({(0, 1): 1.0})  # edge (0, 2) is zero
         cohort = make_cohort([w])
-        mask = EdgeMask((edge(0, 1), edge(0, 2)), 2 / N_EDGES)
+        mask = EdgeMask((edge(0, 1), edge(0, 2)))
         assert apply_mask(cohort, mask).X.tolist() == [[1.0, 0.0]]
 
     def test_empty_mask_rejected(self):
-        cohort = make_cohort([make_weights(fill=1.0)])
-        with pytest.raises(ValueError, match="empty feature space"):
-            apply_mask(cohort, EdgeMask((), 0.001))
+        with pytest.raises(ValueError, match="mask keeps no edges"):
+            EdgeMask(())
 
 
 class TestFeatures:
@@ -282,24 +305,27 @@ class TestGenerateSynthetic:
         b = generate_synthetic(7, 5, [PlantedEdge(edge(2, 5), 2.0, "low")], 0.0)
         for sa, sb in zip(a.subjects, b.subjects):
             assert sa.id == sb.id and sa.diagnosis == sb.diagnosis
-            np.testing.assert_array_equal(sa.weights, sb.weights)
+            np.testing.assert_array_equal(sa.strengths, sb.strengths)
 
     def test_minimal_cohort(self):
         cohort = generate_synthetic(0, 1)
         assert len(cohort) == 2
         assert sorted(s.diagnosis for s in cohort.subjects) == [AD, CN]
 
-    def test_invariants_hold(self):
+    def test_invariants_hold(self, tmp_path):
         cohort = generate_synthetic(11, 3, [PlantedEdge(edge(10, 40), 3.0, "high")], 0.1)
+        manifest = save_cohort(cohort, tmp_path)
         for s in cohort.subjects:
-            np.testing.assert_array_equal(s.weights, s.weights.T)
-            assert np.all(np.diagonal(s.weights) == 0.0)
-            assert np.all(s.weights >= 0)
+            assert s.strengths.shape == (N_EDGES,) and not s.strengths.flags.writeable
+            assert np.all(s.strengths >= 0)
+            saved = np.loadtxt(manifest.parent / "matrices" / f"{s.id}.csv", delimiter=",")
+            np.testing.assert_array_equal(saved, saved.T)
+            assert np.all(np.diagonal(saved) == 0.0)
 
     def test_planted_edge_separates_perfectly(self):
         planted = PlantedEdge(edge(2, 5), 2.0, "low")
         cohort = generate_synthetic(7, 50, [planted], 0.0)
-        col = np.array([s.weights[2, 5] for s in cohort.subjects])
+        col = np.array([s.strengths[edge_column(2, 5)] for s in cohort.subjects])
         is_ad = np.array([s.diagnosis == AD for s in cohort.subjects])
         split = oracle_best_split(col[:, None], is_ad)
         assert split is not None
@@ -324,7 +350,7 @@ class TestGenerateSynthetic:
 
 class TestMaskJson:
     def test_round_trip(self):
-        mask = EdgeMask(tuple(canonical_edges()[:4]), 4 / N_EDGES)
+        mask = EdgeMask(tuple(canonical_edges()[:4]))
         text = mask_to_json(mask)
         assert json.loads(text) == [[0, 1], [0, 2], [0, 3], [0, 4]]
         back = mask_from_json(text)

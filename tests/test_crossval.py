@@ -46,7 +46,7 @@ def tiny_config(**kw):
 
 def relabel(cohort, subject_id, new_label):
     subjects = tuple(
-        Subject(s.id, s.weights, new_label if s.id == subject_id else s.diagnosis,
+        Subject(s.id, s.strengths, new_label if s.id == subject_id else s.diagnosis,
                 s.sex, s.manufacturer)
         for s in cohort.subjects)
     return Cohort(subjects, cohort.atlas)
@@ -61,7 +61,7 @@ class TestStratifiedSubsample:
         k = 0
         for size, (label, sex) in zip(sizes, combos):
             for _ in range(size):
-                w = base.subjects[k].weights
+                w = base.subjects[k].strengths
                 subjects.append(Subject(f"x{k:03d}", w, label, sex, "MfrA"))
                 k += 1
         return Cohort(tuple(subjects), base.atlas)
@@ -201,7 +201,7 @@ class TestRunPipeline:
         cohort = generate_synthetic(5, 20, [PLANTED], 0.0)
         # distractor edges with the highest mean weight survive any 30% mask
         iu = np.triu_indices(84, k=1)
-        means = np.mean([s.weights[iu] for s in cohort.subjects], axis=0)
+        means = np.mean([s.strengths for s in cohort.subjects], axis=0)
         order = np.argsort(-means)
         distractors = []
         for t in order:
