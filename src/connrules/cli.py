@@ -135,6 +135,9 @@ def cmd_build_task(args) -> int:
 
 
 def cmd_learn(args) -> int:
+    out = Path(args.out)
+    if out.with_suffix(".lp") == out:
+        raise ValueError(f"--out {args.out} is the path of the .lp rule text written beside it")
     results = []
     for path in args.task:
         res = learn(load_task(path), budget=args.budget)
@@ -143,8 +146,8 @@ def cmd_learn(args) -> int:
               f"optimal={res.optimal}")
         results.append(res)
     hypothesis = union_hypotheses([res.hypothesis for res in results])
-    Path(args.out).write_text(hypothesis_to_json(hypothesis))
-    Path(args.out).with_suffix(".lp").write_text(hypothesis_to_text(hypothesis))
+    out.write_text(hypothesis_to_json(hypothesis))
+    out.with_suffix(".lp").write_text(hypothesis_to_text(hypothesis))
     exhausted = [path for path, res in zip(args.task, results) if not res.optimal]
     print(f"wrote {args.out} ({len(hypothesis)} rules, {hypothesis.atom_count} atoms)")
     if exhausted:

@@ -242,12 +242,11 @@ class EdgeMask:
 
 @dataclass(frozen=True, eq=False)
 class Features:
-    """Masked strengths of a cohort: row k is subject ids[k], column c is
-    edges[c]; is_ad is the one label field."""
+    """Masked strengths of a cohort: row k is the cohort's subject k, column
+    c is edges[c]; is_ad is the one label field."""
 
     X: np.ndarray
     is_ad: np.ndarray
-    ids: tuple[str, ...]
     edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
@@ -255,8 +254,8 @@ class Features:
         is_ad = np.asarray(self.is_ad, dtype=bool)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError("empty sample set")
-        if is_ad.shape != (len(X),) or len(self.ids) != len(X):
-            raise ValueError("labels and ids must match the row count")
+        if is_ad.shape != (len(X),):
+            raise ValueError("labels must match the row count")
         if len(self.edges) != X.shape[1]:
             raise ValueError("edge labels do not match the column count")
         if not np.isfinite(X).all():
@@ -322,7 +321,6 @@ def apply_mask(cohort: Cohort, mask: EdgeMask) -> Features:
     return Features(
         np.stack([s.strengths for s in cohort.subjects])[:, cols],
         np.array([s.diagnosis == AD for s in cohort.subjects]),
-        tuple(s.id for s in cohort.subjects),
         mask.edges,
     )
 

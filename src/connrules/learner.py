@@ -38,14 +38,17 @@ space, then runs a branch-and-bound search over rule subsets:
    sweeps the packed rows by the number of examples each gets wrong (a
    dominator always gets fewer), testing the order explicitly; ints and
    rules are built only for what it keeps.
-4. The search branches on the first uncovered AD example: either some
-   specific candidate covers it, or none does (its penalty is committed).
-   The AD examples no candidate fires on are committed at the root. Node
-   bound = atoms so far + committed AD penalties + CN penalties already
-   incurred. A greedy weighted-cover pass seeds the incumbent. Each AD
-   example has a cover list of one (floor, atoms, fire-set, index) record
-   per candidate firing on it, sorted by floor, and each node carries its
-   CN penalty, which a child that adds a rule passes on from its bound.
+4. The search branches on the AD examples in order: either some specific
+   candidate covers the first undecided one, or none does (its penalty is
+   committed). A node at AD ordinal k has decided every AD example before
+   k, so its committed set is implied: the examples before k its rules
+   miss, and the AD examples no body fires on, committed at the root. A
+   node keeps only k, its rules, their union and atom count, the committed
+   penalty and the union's CN penalty. Node bound = atoms so far +
+   committed AD penalties + CN penalties already incurred. The greedy
+   weighted-cover pass, which starts from the empty hypothesis, seeds the
+   incumbent. Each AD example has a cover list of one (floor, atoms,
+   fire-set, index) record per candidate firing on it, sorted by floor.
    The search runs depth first from an explicit stack of child generators,
    so a path may hold one node per AD example whatever the interpreter's
    recursion limit.
@@ -66,7 +69,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .cohort import EdgeId, RegionAtlas, _field, edge, edges_from_pairs
+from .cohort import EdgeId, _field, edge, edges_from_pairs
 from .taskgen import COMPARATORS, Example, LearningTask
 
 _COMP_INDEX = {c: k for k, c in enumerate(COMPARATORS)}
@@ -121,17 +124,12 @@ class Rule:
     def sort_key(self) -> tuple:
         return tuple(l.sort_key for l in self.body)
 
-    def to_text(self, atlas: RegionAtlas | None = None) -> str:
+    def to_text(self) -> str:
         parts = []
         for k, lit in enumerate(self.body):
             parts.append(f"connection(region({lit.edge.i}), region({lit.edge.j}), V{k})")
             parts.append(f"V{k} {lit.comparator} {lit.threshold}")
-        line = "ad :- " + ", ".join(parts) + "."
-        if atlas is not None:
-            names = ", ".join(
-                f"{atlas.names[l.edge.i]}--{atlas.names[l.edge.j]}" for l in self.body)
-            line += f"  % {names}"
-        return line
+        return "ad :- " + ", ".join(parts) + "."
 
 
 @dataclass(frozen=True)
@@ -200,15 +198,14 @@ def score(hypothesis: Hypothesis, task: LearningTask) -> Score:
     """Atom count plus penalties of uncovered examples; rejects rules that
     fall outside the task's hypothesis space."""
     space = task.space
-    known = set(space.edges.edges)
     for rule in hypothesis.rules:
         if len(rule.body) > space.max_body_edges:
             raise ValueError(f"rule outside the space: body too long in {rule.to_text()}")
         for lit in rule.body:
-            if lit.edge not in known:
+            if lit.edge not in space.threshold_domain:  # keyed by the selected edges
                 raise ValueError(
                     f"rule outside the space: edge ({lit.edge.i}, {lit.edge.j}) not selected")
-            if lit.threshold not in space.threshold_domain.get(lit.edge, ()):
+            if lit.threshold not in space.threshold_domain[lit.edge]:
                 raise ValueError(
                     f"rule outside the space: threshold {lit.threshold} not in the "
                     f"domain of ({lit.edge.i}, {lit.edge.j})")
@@ -343,7 +340,7 @@ def _walk(task: LearningTask) -> _Walk:
     ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
-    lits = [_edge_literals(e, examples, space.threshold_domain.get(e, ()), cn_mask, ad_mask)
+    lits = [_edge_literals(e, examples, space.threshold_domain[e], cn_mask, ad_mask)
             for e in sorted(space.edges.edges)]
     usable = [edge_lits for edge_lits in lits if edge_lits]
 
@@ -555,109 +552,99 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     candidates of _search_inputs; the result counts the candidates at each
     stage.
 
-    The AD examples no candidate fires on are committed at the root: every
-    hypothesis leaves them uncovered. The stack holds one generator of
-    child nodes per node on the current path; the loop takes the next child
-    from the top one. A generator tests each child's bound only when asked
-    for it, so against the incumbent its elder siblings' subtrees left, as
-    a recursive search would. A node branches over the cover list of its
-    first undecided AD example: one (floor, atoms, fire-set, index) record
-    per candidate, sorted by floor, so its branch loop stops as soon as no
-    remaining candidate can undercut the incumbent. A node carries the CN
-    penalty of its rules' union and computes once the AD examples a rule
-    may still cover; each child's bound adds the CN penalty of its new
-    union and the least penalty, capped at 3, of an AD example left free,
-    one loop over the penalty levels each. When the node budget runs out,
-    the best incumbent found so far is returned with optimal=False instead
-    of raising; a budget below 1 raises ValueError.
+    A node (k, chosen, union, atoms, committed_pen, cn_union) branches on AD
+    ordinal k, the first AD example neither covered nor committed. Its
+    committed AD examples are implied by k: those before k that union
+    misses, and those no body fires on, which every hypothesis leaves
+    uncovered, so their penalty is committed at the root. The stack holds
+    one generator of child nodes per node on the current path; the loop
+    takes the next child from the top one. A generator tests each child's
+    bound only when asked for it, so against the incumbent its elder
+    siblings' subtrees left, as a recursive search would. A node branches
+    over its ordinal's cover list, sorted by floor, so its branch loop
+    stops as soon as no remaining candidate can undercut the incumbent.
+    Each child's bound adds the CN penalty of its new union and the least
+    penalty, capped at 3, of an AD example left coverable, one loop over
+    the penalty levels each. When the node budget runs out, the best
+    incumbent found so far is returned with optimal=False instead of
+    raising; a budget below 1 raises ValueError.
     """
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
-    examples = task.examples
-    table = _PenaltyTable(examples)
+    table = _PenaltyTable(task.examples)
     walk, n_filtered, cands, floors = _search_inputs(task, table)
     atoms_of = [c.rule.atom_count for c in cands]
 
-    # one cover record (floor, atoms, fire-set, index) per candidate, shared
-    # by the cover lists of the AD examples it fires on, each list in
+    # per AD ordinal: its bit and penalty, and its cover list of the records
+    # (floor, atoms, fire-set, index) of the candidates firing on it, in
     # (floor, index) order
+    ad = [(1 << e, ex.penalty) for e, ex in enumerate(task.examples) if ex.is_ad]
     records = sorted(zip(floors, atoms_of, [c.fires for c in cands], range(len(cands))),
                      key=lambda r: (r[0], r[3]))
-    ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
-    cover_list: dict[int, list[tuple[int, int, int, int]]] = {k: [] for k in ad_positions}
-    for record in records:
-        hits = record[2] & table.ad_mask
-        while hits:
-            low = hits & -hits
-            cover_list[low.bit_length() - 1].append(record)
-            hits ^= low
+    cover_list = [[r for r in records if r[2] & bit] for bit, _ in ad]
     # the AD examples no body fires on, whichever candidates the cut keeps
     unreached = table.ad_mask & ~walk.reach
-    ad_bits = [1 << e for e in ad_positions]
+    # later[k]: the AD examples from ordinal k on that some body fires on
+    later = [0] * (len(ad) + 1)
+    for k in range(len(ad) - 1, -1, -1):
+        later[k] = later[k + 1] | (ad[k][0] & walk.reach)
     cn_groups = table.cn_groups
-    # per AD penalty level, ascending: what a still-free example of it adds
+    # per AD penalty level, ascending: what a still-coverable example of it adds
     # to a bound, capped at 3
     ad_caps = [(min(3, p), m) for p, m in table.ad_groups]
 
-    # incumbents: empty hypothesis, then greedy. Candidates are in canonical
-    # rule order, so sorted index tuples compare like sorted rule lists.
-    best_rules: list[int] = []
-    best_total = table.total(0, 0)
-    best_key = (0, ())
-    g_rules, g_union, g_atoms = _greedy(cands, atoms_of, table)
-    g_total = table.total(g_atoms, g_union)
-    g_key = (g_atoms, tuple(sorted(g_rules)))
-    if (g_total, g_key) < (best_total, best_key):
-        best_rules, best_total, best_key = g_rules, g_total, g_key
+    # the greedy pass starts from the empty hypothesis and takes only rules
+    # that lower the score, so it is never worse than the empty one.
+    # Candidates are in canonical rule order, so sorted index tuples compare
+    # like sorted rule lists.
+    best_rules, g_union, g_atoms = _greedy(cands, atoms_of, table)
+    best_total = table.total(g_atoms, g_union)
+    best_key = (g_atoms, tuple(sorted(best_rules)))
 
     def children(k: int, chosen: tuple[int, ...], union: int, atoms: int,
-                 committed_pen: int, committed: int, cn_union: int):
-        # the branches on AD example ad_positions[k]. Committed examples are
-        # permanently uncovered: any candidate whose fire-set touches one is
-        # banned, which keeps committed_pen a true lower bound for the whole
-        # subtree. The node carries cn_union, the CN penalty of union
-        e = ad_positions[k]
+                 committed_pen: int, cn_union: int):
+        # the branches on AD ordinal k. The committed examples stay
+        # uncovered: a candidate firing on one is banned, which keeps
+        # committed_pen a true lower bound for the whole subtree
         base = atoms + committed_pen
-        free = table.ad_mask & ~committed  # the AD examples a rule may still cover
+        coverable = later[k]
+        banned = table.ad_mask & ~coverable & ~union
 
-        for floor, rule_atoms, fires, ci in cover_list[e]:
+        for floor, rule_atoms, fires, ci in cover_list[k]:
             if base + floor > best_total:
                 break  # sorted by floor: nothing later can fit either
             # past the floor test, this is base + atoms + max(cn_union, the
             # rule's own CN penalty) > best_total: a lower bound on the child
-            if base + rule_atoms + cn_union > best_total or fires & committed:
+            if base + rule_atoms + cn_union > best_total or fires & banned:
                 continue
             union2 = union | fires
             cn_union2 = 0
             for p, m in cn_groups:
                 cn_union2 += p * (union2 & m).bit_count()
             b = base + rule_atoms + cn_union2
-            remaining = free & ~union2
+            remaining = coverable & ~union2
             if remaining:
                 for p, m in ad_caps:  # the first level hit is the least
                     if remaining & m:
                         b += p
                         break
             if b <= best_total:
-                yield (k, chosen + (ci,), union2, atoms + rule_atoms, committed_pen, committed,
-                       cn_union2)
+                yield k, chosen + (ci,), union2, atoms + rule_atoms, committed_pen, cn_union2
         # no chosen rule covers this example: commit its penalty
-        bit = ad_bits[k]
-        pen = examples[e].penalty
+        pen = ad[k][1]
         b = base + pen + cn_union
-        remaining = free & ~union & ~bit
+        remaining = later[k + 1] & ~union
         if remaining:
             for p, m in ad_caps:
                 if remaining & m:
                     b += p
                     break
         if b <= best_total:
-            yield k + 1, chosen, union, atoms, committed_pen + pen, committed | bit, cn_union
+            yield k + 1, chosen, union, atoms, committed_pen + pen, cn_union
 
     nodes = 0
     optimal = True
-    # the unreached AD examples start committed: no hypothesis covers them
-    stack = [iter([(0, (), 0, 0, table.ad_over(unreached), unreached, 0)])]
+    stack = [iter([(0, (), 0, 0, table.ad_over(unreached), 0)])]
     while stack:
         node = next(stack[-1], None)
         if node is None:
@@ -667,12 +654,12 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         if nodes > budget:
             optimal = False
             break
-        k, chosen, union, atoms, committed_pen, committed, cn_union = node
-        decided = union | committed
-        while k < len(ad_bits) and decided & ad_bits[k]:
+        k, chosen, union, atoms, committed_pen, cn_union = node
+        decided = union | unreached
+        while k < len(ad) and decided & ad[k][0]:
             k += 1
-        if k < len(ad_bits):
-            stack.append(children(k, chosen, union, atoms, committed_pen, committed, cn_union))
+        if k < len(ad):
+            stack.append(children(k, chosen, union, atoms, committed_pen, cn_union))
             continue
         # every AD example is covered or committed, and no rule fires on a
         # committed one, so the uncovered AD penalty is committed_pen
@@ -700,10 +687,10 @@ def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:
 # Hypothesis I/O
 # ---------------------------------------------------------------------------
 
-def hypothesis_to_text(hyp: Hypothesis, atlas: RegionAtlas | None = None) -> str:
+def hypothesis_to_text(hyp: Hypothesis) -> str:
     if not hyp.rules:
         return "% empty hypothesis: no rule fires, every subject is predicted cn\n"
-    return "\n".join(r.to_text(atlas) for r in hyp.rules) + "\n"
+    return "\n".join(r.to_text() for r in hyp.rules) + "\n"
 
 
 _RULE_LINE = re.compile(r"ad :- (.*)\.(?:\s*%.*)?")

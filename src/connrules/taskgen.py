@@ -85,7 +85,13 @@ class HypothesisSpace:
     def __post_init__(self):
         if self.max_body_edges < 1:
             raise ValueError("max_body_edges must be >= 1")
+        selected = set(self.edges.edges)
+        for e in self.edges.edges:
+            if e not in self.threshold_domain:
+                raise ValueError(f"no thresholds for selected edge ({e.i}, {e.j})")
         for e, dom in self.threshold_domain.items():
+            if e not in selected:
+                raise ValueError(f"thresholds for unselected edge ({e.i}, {e.j})")
             # candidate enumeration relies on ascending literals per edge
             if any(a >= b for a, b in zip(dom, dom[1:])):
                 raise ValueError(f"thresholds of ({e.i}, {e.j}) must be strictly increasing")

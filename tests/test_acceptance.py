@@ -130,8 +130,7 @@ def test_c2_cart_oracle_equivalence():
         if len(set(labels)) == 1:
             labels[0] = AD if labels[0] == CN else CN
         is_ad = np.array([l == AD for l in labels])
-        samples = Features(X, is_ad, tuple(f"s{k}" for k in range(n)),
-                           tuple(canonical_edges()[:f]))
+        samples = Features(X, is_ad, tuple(canonical_edges()[:f]))
 
         stump = fit_tree(samples, TreeParams(max_depth=1))
         want = oracle_best_split(X, is_ad)

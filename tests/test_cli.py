@@ -152,6 +152,14 @@ class TestExitCodes:
         assert not (tmp_path / "h.json").exists()
         assert not (tmp_path / "run").exists()
 
+    def test_learn_out_with_lp_suffix_is_2(self, workspace, tmp_path, capsys):
+        # the rule text goes to --out with suffix .lp: it would overwrite the JSON
+        task = sorted((workspace / "tasks").glob("task_*.las"))[0]
+        out = tmp_path / "h.lp"
+        assert main(["learn", "--task", str(task), "--out", str(out)]) == 2
+        assert f"--out {out} is the path of the .lp rule text" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_selected_missing_key_is_2(self, workspace, tmp_path, capsys):
         selected = tmp_path / "selected.json"
         selected.write_text(json.dumps({"edge": [[2, 5]], "provenance": "dt"}))

@@ -268,7 +268,6 @@ class TestApplyMask:
         features = apply_mask(cohort, mask)
         assert features.X.shape == (10, 5)
         assert features.is_ad.tolist() == [True] * 10
-        assert features.ids == tuple(s.id for s in cohort.subjects)
         assert features.edges == mask.edges
 
     def test_zero_weight_kept_as_zero(self):
@@ -287,11 +286,11 @@ class TestFeatures:
     def test_non_finite_strength_rejected(self, bad):
         X = np.array([[1.0, 2.0], [3.0, bad]])
         with pytest.raises(ValueError, match="non-finite strength .* at row 1, column 1"):
-            Features(X, np.array([True, False]), ("a", "b"), (edge(0, 1), edge(0, 2)))
+            Features(X, np.array([True, False]), (edge(0, 1), edge(0, 2)))
 
     def test_ranks_order_values_and_share_ties(self):
         X = np.array([[2.0, 0.5], [1.0, 0.5], [2.0, 9.0], [0.0, 0.5]])
-        features = Features(X, np.zeros(4, dtype=bool), tuple("abcd"), (edge(0, 1), edge(0, 2)))
+        features = Features(X, np.zeros(4, dtype=bool), (edge(0, 1), edge(0, 2)))
         R, V = features.ranks
         assert R.dtype == np.uint8
         assert R.tolist() == [[2, 1, 2, 0], [0, 0, 1, 0]]

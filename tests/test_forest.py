@@ -41,7 +41,7 @@ def vectors(X, labels):
     """Features over the first canonical edges, one row per label."""
     X = np.asarray(X, dtype=float)
     return Features(X, np.array([lab == AD for lab in labels], dtype=bool),
-                    tuple(f"s{k}" for k in range(len(X))), tuple(canonical_edges()[:X.shape[1]]))
+                    tuple(canonical_edges()[:X.shape[1]]))
 
 
 def stump(feature, threshold, left_label, right_label, n=4):
@@ -87,8 +87,7 @@ class TestReductionToCart:
         forest = fit_forest(samples, ForestParams(n_estimators=1, max_features=None), seed=0)
         # tree 0 draws its bootstrap rows from the documented sub-seed (seed, 0)
         idx = np.random.default_rng([0, 0]).integers(0, 25, size=25)
-        boot = Features(samples.X[idx], samples.is_ad[idx],
-                        tuple(samples.ids[k] for k in idx), samples.edges)
+        boot = Features(samples.X[idx], samples.is_ad[idx], samples.edges)
         tree = fit_tree(boot)
         assert tree_to_json(forest.trees[0]) == tree_to_json(tree)
         for x in samples.X:
@@ -105,7 +104,7 @@ def tied_features(draw):
     X = draw(arrays(float, (n, n_cols), elements=st.sampled_from(levels)))
     X = np.column_stack([X, X[:, draw(st.integers(0, n_cols - 1))]])
     is_ad = draw(arrays(bool, n))
-    return Features(X, is_ad, tuple(f"s{k}" for k in range(n)), tuple(canonical_edges()[:n_cols + 1]))
+    return Features(X, is_ad, tuple(canonical_edges()[:n_cols + 1]))
 
 
 def oracle_tree(features, rows, params, sampler=None):

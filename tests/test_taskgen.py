@@ -30,7 +30,7 @@ def make_example(eid, label, context, penalty=1):
 
 def toy_vectors():
     X = np.array([[0.123, 2.0], [0.5, 1.5], [2.0, 0.4], [1.7, 0.9]])
-    return Features(X, np.array([True, True, False, False]), ("p0", "p1", "p2", "p3"), (E1, E2))
+    return Features(X, np.array([True, True, False, False]), (E1, E2))
 
 
 class TestScaleStrength:
@@ -111,6 +111,14 @@ class TestBuildSpace:
     def test_max_body_edges_validated(self):
         with pytest.raises(ValueError, match="max_body_edges"):
             build_space(SelectedEdges((E1,), "dt"), [], 0)
+
+    @pytest.mark.parametrize("domain, message", [
+        ({E1: (1, 2)}, r"no thresholds for selected edge \(3, 17\)"),
+        ({E1: (1, 2), E2: (), E3: (5,)}, r"thresholds for unselected edge \(10, 40\)"),
+    ], ids=["missing", "extra"])
+    def test_domain_keys_must_be_the_selected_edges(self, domain, message):
+        with pytest.raises(ValueError, match=message):
+            HypothesisSpace(SelectedEdges((E1, E2), "dt"), 2, domain)
 
 
 class TestPartitionTasks:

@@ -30,7 +30,7 @@ def vectors(X, labels):
     """Features over the first canonical edges, one row per label."""
     X = np.asarray(X, dtype=float)
     return Features(X, np.array([lab == AD for lab in labels], dtype=bool),
-                    tuple(f"s{k}" for k in range(len(X))), tuple(canonical_edges()[:X.shape[1]]))
+                    tuple(canonical_edges()[:X.shape[1]]))
 
 
 def best_split(features):
