@@ -9,6 +9,7 @@ import json
 import math
 from dataclasses import dataclass, is_dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple, Sequence, get_type_hints
 
@@ -150,9 +151,9 @@ def check_connectome(weights) -> np.ndarray:
     """Validate a raw connectivity matrix and return its edge strengths.
 
     Enforces: square 84x84, finite, nonnegative, diagonal zero (within
-    1e-12), symmetric within 1e-9. Returns the upper triangle of the matrix
-    symmetrized by averaging, as a read-only float64 array of the 3486
-    strengths in canonical edge order.
+    1e-12), symmetric within 1e-9, and every sum w[i, j] + w[j, i] finite.
+    Returns the upper triangle of the matrix symmetrized by averaging, as a
+    read-only float64 array of the 3486 strengths in canonical edge order.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -171,7 +172,15 @@ def check_connectome(weights) -> np.ndarray:
     if np.max(asym) > 1e-9:
         i, j = np.unravel_index(int(np.argmax(asym)), w.shape)
         raise ValueError(f"asymmetric weights at ({i}, {j}): {w[i, j]} vs {w[j, i]}")
-    strengths = (w + w.T)[_TRIU] / 2.0
+    with np.errstate(over="ignore"):
+        sums = (w + w.T)[_TRIU]
+    finite = np.isfinite(sums)
+    if not finite.all():
+        c = int(np.argmin(finite))
+        i, j = _TRIU[0][c], _TRIU[1][c]
+        raise ValueError(f"weights at ({i}, {j}) and ({j}, {i}) overflow when averaged: "
+                         f"{w[i, j]} + {w[j, i]}")
+    strengths = sums / 2.0
     strengths.flags.writeable = False
     return strengths
 
@@ -347,8 +356,11 @@ class PlantedEdge:
     direction: str = "low"
 
     def __post_init__(self):
-        if self.threshold <= 0:
-            raise ValueError("planted threshold must be > 0")
+        # strengths reach 1.9 x threshold, and a load sums each one with its
+        # mirror cell: that sum must be finite for the saved cohort to load
+        if not (self.threshold > 0 and math.isfinite(2 * (1.9 * self.threshold))):
+            raise ValueError("planted threshold must be > 0 and at most "
+                             f"{np.finfo(float).max / 3.8:.3g}, got {self.threshold}")
         if self.direction not in ("low", "high"):
             raise ValueError(f"direction must be 'low' or 'high', got {self.direction!r}")
 
@@ -472,16 +484,27 @@ def load_cohort(manifest_path) -> Cohort:
 
 
 def save_cohort(cohort: Cohort, out_dir, name: str = "cohort") -> Path:
-    """Write a cohort as manifest + per-subject matrices; returns manifest path."""
+    """Write a cohort as manifest + per-subject matrices; returns manifest path.
+
+    A subject's CSV holds the bytes np.savetxt(w + w.T, delimiter=",",
+    fmt="%.17g") writes for the symmetric matrix of its strengths, but each
+    of the 3486 strengths is formatted once and the 84 rows are filled from
+    those strings, with the literal 0 on the diagonal."""
     out_dir = Path(out_dir)
     mat_dir = out_dir / "matrices"
     mat_dir.mkdir(parents=True, exist_ok=True)
+    # cells[r][c]: the text of cell (r, c) among a subject's strength texts,
+    # whose last entry, past the 3486 strengths, is the diagonal's 0
+    cells = np.full((N_REGIONS, N_REGIONS), N_EDGES)
+    cells[_TRIU] = cells[_TRIU[::-1]] = np.arange(N_EDGES)
+    rows = [itemgetter(*row) for row in cells.tolist()]
     recs = []
     for s in cohort.subjects:
         rel = f"matrices/{s.id}.csv"
-        w = np.zeros((N_REGIONS, N_REGIONS))
-        w[_TRIU] = s.strengths
-        np.savetxt(out_dir / rel, w + w.T, delimiter=",", fmt="%.17g")
+        # w + w.T adds 0.0 to each strength, which writes a -0.0 strength as 0
+        text = ["%.17g" % v for v in (s.strengths + 0.0).tolist()]
+        text.append("0")
+        (out_dir / rel).write_text("".join([",".join(row(text)) + "\n" for row in rows]))
         recs.append({
             "id": s.id, "diagnosis": s.diagnosis, "sex": s.sex,
             "manufacturer": s.manufacturer, "matrix": rel,

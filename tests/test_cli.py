@@ -1,10 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 from connrules.cli import main
-from connrules.cohort import load_cohort
+from connrules.cohort import N_REGIONS, default_atlas, load_cohort
 
 
 @pytest.fixture(scope="module")
@@ -285,6 +286,27 @@ class TestExitCodes:
 
     def test_bad_planted_spec_is_2(self, tmp_path):
         assert main(["synth", "--planted", "1,2,3", "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf", "1e308", "5e307"])
+    def test_planted_threshold_out_of_range_is_2(self, tmp_path, capsys, threshold):
+        assert main(["synth", "--planted", f"2,5,{threshold},low", "--out", str(tmp_path)]) == 2
+        assert "planted threshold must be > 0 and at most" in capsys.readouterr().err
+        assert not (tmp_path / "cohort.json").exists()
+
+    def test_mask_of_overflowing_weights_is_2(self, tmp_path, capsys):
+        w = np.zeros((N_REGIONS, N_REGIONS))
+        w[0, 1] = w[1, 0] = 1e308
+        matrix = tmp_path / "s0.csv"
+        np.savetxt(matrix, w, delimiter=",")
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({"atlas": list(default_atlas().names), "subjects": [
+            {"id": "s0", "diagnosis": "AD", "sex": "F", "manufacturer": "MfrA",
+             "matrix": "s0.csv"}]}))
+        out = tmp_path / "mask.json"
+        assert main(["mask", "--cohort", str(manifest), "--out", str(out)]) == 2
+        assert (f"error: {manifest}: {matrix}: weights at (0, 1) and (1, 0) overflow"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_unknown_config_key_is_2(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "cv.json"

@@ -1,9 +1,15 @@
+import io
 import json
 import math
 import re
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from connrules.cohort import (
     AD,
@@ -119,6 +125,60 @@ class TestConnectomeValidation:
         w[0, 1] += 1e-6
         with pytest.raises(ValueError, match="asymmetric"):
             check_connectome(w)
+
+    def test_overflowing_pair_rejected(self):
+        # each weight is finite, but w[i, j] + w[j, i] is not
+        half = sys.float_info.max / 2
+        assert check_connectome(make_weights({(3, 9): half}))[edge_column(3, 9)] == half
+        for big in (np.nextafter(half, np.inf), 1e308):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"weights at (3, 9) and (9, 3) overflow when averaged: {big} + {big}")):
+                check_connectome(make_weights({(3, 9): big}))
+
+
+# strengths a loaded cohort can hold: check_connectome accepts -0.0, which
+# savetxt writes as 0 since it formats -0.0 + 0.0
+EDGE_STRENGTHS = (0.0, -0.0, 5e-324, 1.5e-310, sys.float_info.min, 1e-300, 1e300,
+                  1.0, 2.0, 1800.0, 2.0 ** 53)
+strength_values = st.one_of(st.sampled_from(EDGE_STRENGTHS),
+                            st.floats(min_value=0.0, max_value=1e300),
+                            st.integers(0, 2 ** 53).map(float))
+
+
+@st.composite
+def edge_case_cohorts(draw):
+    """1-3 subjects, each filled with one drawn strength and up to 40 other
+    cells drawn on top."""
+    subjects = []
+    for k in range(draw(st.integers(1, 3))):
+        strengths = np.full(N_EDGES, draw(strength_values))
+        cells = draw(st.dictionaries(st.integers(0, N_EDGES - 1), strength_values,
+                                     max_size=40))
+        strengths[list(cells)] = list(cells.values())
+        subjects.append(Subject(f"s{k}", strengths, AD, "F", "MfrA"))
+    return Cohort(tuple(subjects), default_atlas())
+
+
+class TestSavedBytes:
+    @settings(max_examples=60, deadline=None)
+    @given(edge_case_cohorts())
+    def test_csv_matches_savetxt(self, cohort):
+        with tempfile.TemporaryDirectory() as out:
+            save_cohort(cohort, out)
+            for s in cohort.subjects:
+                w = np.zeros((N_REGIONS, N_REGIONS))
+                w[np.triu_indices(N_REGIONS, k=1)] = s.strengths
+                want = io.BytesIO()
+                np.savetxt(want, w + w.T, delimiter=",", fmt="%.17g")
+                assert (Path(out) / "matrices" / f"{s.id}.csv").read_bytes() == want.getvalue()
+
+    @settings(max_examples=60, deadline=None)
+    @given(edge_case_cohorts())
+    def test_load_returns_saved_strengths(self, cohort):
+        with tempfile.TemporaryDirectory() as out:
+            loaded = load_cohort(save_cohort(cohort, out))
+        for a, b in zip(cohort.subjects, loaded.subjects, strict=True):
+            np.testing.assert_array_equal(a.strengths, b.strengths)
 
 
 class TestManifestIO:
@@ -331,6 +391,15 @@ class TestGenerateSynthetic:
         _, thr, gain = split
         assert gain == pytest.approx(0.5)
         assert np.all((col <= thr) == is_ad)  # AD strictly below for "low"
+
+    def test_largest_threshold_cohort_loads(self, tmp_path):
+        threshold = 4.7e307
+        cohort = generate_synthetic(0, 2, [PlantedEdge(edge(2, 5), threshold, "high")])
+        loaded = load_cohort(save_cohort(cohort, tmp_path))
+        col = [s.strengths[edge_column(2, 5)] for s in loaded.subjects]
+        assert max(col) > threshold
+        for a, b in zip(cohort.subjects, loaded.subjects):
+            np.testing.assert_array_equal(a.strengths, b.strengths)
 
     def test_duplicate_planted_edge_rejected(self):
         p = PlantedEdge(edge(2, 5), 2.0, "low")
