@@ -356,11 +356,15 @@ class PlantedEdge:
     direction: str = "low"
 
     def __post_init__(self):
+        # the gap needs 0.9t < t < 1.1t, which fails at t <= 0, nan, inf and
+        # the smallest subnormals, where the ranges round into each other;
         # strengths reach 1.9 x threshold, and a load sums each one with its
         # mirror cell: that sum must be finite for the saved cohort to load
-        if not (self.threshold > 0 and math.isfinite(2 * (1.9 * self.threshold))):
+        t = self.threshold
+        if not (0.9 * t < t < 1.1 * t and math.isfinite(2 * (1.9 * t))):
             raise ValueError("planted threshold must be > 0 and at most "
-                             f"{np.finfo(float).max / 3.8:.3g}, got {self.threshold}")
+                             f"{np.finfo(float).max / 3.8:.3g}, with 0.9 x threshold < "
+                             f"threshold < 1.1 x threshold, got {t}")
         if self.direction not in ("low", "high"):
             raise ValueError(f"direction must be 'low' or 'high', got {self.direction!r}")
 

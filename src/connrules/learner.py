@@ -25,19 +25,23 @@ space, then runs a branch-and-bound search over rule subsets:
    in a hypothesis of total T has atoms + the CN penalty of its own
    fire-set at most T, so against a first incumbent of total I (the empty
    hypothesis or the best single fire-set, by popcounts over the rows) a
-   fire-set whose floor is above I is in no optimum and no tie. The few
-   survivors are deduplicated by first occurrence and then pruned by
-   dominance: candidate A dominates B when A fires on every AD example B
-   fires on, on no CN example B does not, and comes strictly earlier in
-   (atom count, canonical order). Swapping B for A in a hypothesis (or
-   dropping B when A is already in it) never raises the score, and it gives
-   fewer atoms or a lexicographically smaller sorted rule list, so the
-   tie-break winner holds no dominated candidate. The order is strict and
-   transitive, and a dominator's floor is never above the floor of what it
-   dominates, so every dominated survivor is dropped at once. The prune
-   sweeps the packed rows by the number of examples each gets wrong (a
-   dominator always gets fewer), testing the order explicitly; ints and
-   rules are built only for what it keeps.
+   fire-set whose floor is above I is in no optimum and no tie. The walk
+   takes each size's floors and single-rule totals as it makes the size,
+   and stops before a size s whose least floor, 1 + 2s, is already above
+   the incumbent so far: no larger body can pass the cut or lower I. When
+   one literal fires on exactly the AD examples (a total of 3), it makes
+   size 1 only. The few survivors are deduplicated by first occurrence and
+   then pruned by dominance: candidate A dominates B when A fires on every
+   AD example B fires on, on no CN example B does not, and comes strictly
+   earlier in (atom count, canonical order). Swapping B for A in a
+   hypothesis (or dropping B when A is already in it) never raises the
+   score, and it gives fewer atoms or a lexicographically smaller sorted
+   rule list, so the tie-break winner holds no dominated candidate. The
+   order is strict and transitive, and a dominator's floor is never above
+   the floor of what it dominates, so every dominated survivor is dropped
+   at once. The prune sweeps the packed rows by the number of examples each
+   gets wrong (a dominator always gets fewer), testing the order
+   explicitly; ints and rules are built only for what it keeps.
 4. The search branches on the AD examples in order: either some specific
    candidate covers the first undecided one, or none does (its penalty is
    committed). A node at AD ordinal k has decided every AD example before
@@ -168,7 +172,7 @@ class LearnResult:
     score: Score
     optimal: bool
     nodes_expanded: int = 0
-    bodies: int = 0  # walked bodies that fire on an AD example
+    bodies: int = 0  # bodies the walk reached that fire on an AD example
     filtered: int = 0  # distinct fire-sets among them within the floor cut
     undominated: int = 0  # of those, the ones the search branches over
 
@@ -287,12 +291,20 @@ def _unpack(rows: np.ndarray) -> list[int]:
 
 
 def _popcount(rows: np.ndarray) -> np.ndarray:
-    """The set bits of each row of uint64 words: a SWAR bit count of each
-    word, summed over the row."""
-    x = rows - ((rows >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return ((x * np.uint64(0x0101010101010101)) >> np.uint64(56)).sum(axis=1, dtype=np.int64)
+    """The set bits of each row of uint64 words, counted one word column at
+    a time: over a few words, faster than a sum along the rows."""
+    count = np.bitwise_count(rows[:, 0]).astype(np.int64)
+    for w in range(1, rows.shape[1]):
+        count += np.bitwise_count(rows[:, w])
+    return count
+
+
+def _penalties(fires: np.ndarray, groups: Sequence[tuple[int, int]]) -> np.ndarray:
+    """Each packed fire-set's penalty sum over (penalty, example mask) groups."""
+    total = np.zeros(len(fires), dtype=np.int64)
+    for p, m in groups:
+        total += p * _popcount(fires & _pack([m], fires.shape[1]))
+    return total
 
 
 def _first_occurrences(rows: np.ndarray) -> np.ndarray:
@@ -306,8 +318,8 @@ def _first_occurrences(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _Walk:
-    """Every body that fires on an AD example, in walk order, with its
-    fire-set packed as uint64 words; see _walk."""
+    """The bodies that fire on an AD example, in walk order, with their
+    fire-sets packed as uint64 words and their floors; see _walk."""
 
     literals: tuple[BodyLiteral, ...]  # of the usable edges, in canonical order
     reach: int  # the examples some literal holds on
@@ -315,6 +327,8 @@ class _Walk:
     size: np.ndarray  # literals in each body
     last: np.ndarray  # index in literals of each body's last literal
     parent: np.ndarray  # the body each one extends by its last literal; -1 at size 1
+    floors: np.ndarray  # atoms + the CN penalty of each body's own fire-set
+    incumbent: int  # the least total of the empty hypothesis and each single body
 
     def body(self, row: int) -> tuple[BodyLiteral, ...]:
         """The body of a row, rebuilt along its parents."""
@@ -325,7 +339,7 @@ class _Walk:
         return tuple(reversed(lits))
 
 
-def _walk(task: LearningTask) -> _Walk:
+def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Walk:
     """The rule bodies of the task that fire on an AD example, size by size:
     size s extends each body of size s - 1, in order, by one literal of a
     later usable edge. Each edge's literals come in sort-key order and
@@ -335,9 +349,16 @@ def _walk(task: LearningTask) -> _Walk:
     example is dropped, and so are its extensions, which cannot regain one.
     One step is a few array operations: the bodies of size s - 1 are
     repeated once per literal they may take, and their fire-set rows ANDed
-    with those literals' rows."""
+    with those literals' rows.
+
+    Each size's floors and single-body totals are taken as it is made, and
+    the incumbent is the least total so far, starting from the empty
+    hypothesis. A body of size s has at least 1 + 2s atoms, so with stop
+    the walk ends before the first size s whose 1 + 2s is above the
+    incumbent: no body of that size or larger can lower the incumbent or
+    pass the floor cut. Without stop it walks every size."""
     examples = task.examples
-    ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
+    ad_mask = table.ad_mask
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
     lits = [_edge_literals(e, examples, space.threshold_domain[e], cn_mask, ad_mask)
@@ -363,7 +384,8 @@ def _walk(task: LearningTask) -> _Walk:
     ad_row = _pack([ad_mask], n_words)[0]
 
     no_rows = np.empty(0, dtype=np.intp)
-    parts = [(np.empty((0, n_words), dtype=np.uint64), no_rows, no_rows, no_rows)]
+    parts = [(np.empty((0, n_words), dtype=np.uint64), no_rows, no_rows, no_rows, no_rows)]
+    incumbent = table.ad_total
     # the bodies of the last size: their rows, fire-sets and first literal
     # they may take; at first the empty body, which fires everywhere
     rows = np.array([-1])
@@ -371,6 +393,8 @@ def _walk(task: LearningTask) -> _Walk:
     nexts = np.zeros(1, dtype=np.intp)
     done = 0
     for size in range(1, max_size + 1):
+        if stop and 1 + 2 * size > incumbent:
+            break
         counts = n_lits - nexts
         prefix = np.repeat(np.arange(len(rows)), counts)
         lit = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - nexts, counts)
@@ -379,7 +403,12 @@ def _walk(task: LearningTask) -> _Walk:
         for w in range(n_words):  # faster than any(axis=1) over a few words
             keep |= (hit[:, w] & ad_row[w]) != 0
         fires, prefix, lit = hit[keep], prefix[keep], lit[keep]
-        parts.append((fires, np.full(len(fires), size), lit, rows[prefix]))
+        floors = 1 + 2 * size + _penalties(fires, table.cn_groups)
+        # a single body's total: the empty hypothesis's, plus its floor, less
+        # the AD penalty it covers
+        change = floors - _penalties(fires, table.ad_groups)
+        incumbent = min(incumbent, table.ad_total + int(change.min(initial=0)))
+        parts.append((fires, np.full(len(fires), size), lit, rows[prefix], floors))
         rows = done + np.arange(len(fires))
         nexts = later[lit]
         done += len(fires)
@@ -388,7 +417,7 @@ def _walk(task: LearningTask) -> _Walk:
     for mask in masks:
         reach |= mask
     return _Walk(tuple(lit for edge_lits in usable for lit, _ in edge_lits), reach,
-                 *(np.concatenate(column) for column in zip(*parts)))
+                 *(np.concatenate(column) for column in zip(*parts)), incumbent)
 
 
 def _candidates(walk: _Walk, rows: np.ndarray) -> tuple[list[Candidate], np.ndarray]:
@@ -404,9 +433,10 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     """Coverage-distinct candidate rules in canonical order. Every rule in
     the space whose fire-set contains at least one AD example is represented
     by exactly one candidate with identical coverage and minimal atoms.
-    Uncut and unpruned: learn builds rules only for the fire-sets that pass
-    its floor cut and dominance prune."""
-    walk = _walk(task)
+    Uncut and unpruned, from a walk of every size: learn's walk stops at
+    the first size its floor cut rules out, and learn builds rules only for
+    the fire-sets that pass that cut and its dominance prune."""
+    walk = _walk(task, _PenaltyTable(task.examples), stop=False)
     return _candidates(walk, _first_occurrences(walk.fires))[0]
 
 
@@ -530,21 +560,13 @@ def _search_inputs(task: LearningTask, table: _PenaltyTable
     undominated candidates in canonical order with their floors (atoms +
     the CN penalty of their own fire-set). A fire-set's first body has the
     fewest atoms, so the dedupe keeps it whenever the cut keeps a copy."""
-    walk = _walk(task)
-    n_words = walk.fires.shape[1]
-
-    def over(groups) -> np.ndarray:  # each body's penalty sum over groups
-        return sum((p * _popcount(walk.fires & _pack([m], n_words)) for p, m in groups),
-                   np.zeros(len(walk.fires), dtype=np.int64))
-
-    floors = 1 + 2 * walk.size + over(table.cn_groups)
-    incumbent = table.ad_total + int((floors - over(table.ad_groups)).min(initial=0))
-    rows = np.flatnonzero(floors <= incumbent)
+    walk = _walk(task, table)
+    rows = np.flatnonzero(walk.floors <= walk.incumbent)
     rows = rows[_first_occurrences(walk.fires[rows])]
     n_filtered = len(rows)
-    rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], n_words))]
+    rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], walk.fires.shape[1]))]
     cands, rows = _candidates(walk, rows)
-    return walk, n_filtered, cands, floors[rows].tolist()
+    return walk, n_filtered, cands, walk.floors[rows].tolist()
 
 
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:

@@ -282,24 +282,44 @@ def oracle_first_bodies(task) -> dict[int, tuple[BodyLiteral, ...]]:
     return best
 
 
+def oracle_penalty(task, fires: int, is_ad: bool) -> int:
+    """The penalty sum of the task's examples of one class in fires, per example."""
+    return sum(ex.penalty for k, ex in enumerate(task.examples)
+               if ex.is_ad == is_ad and fires >> k & 1)
+
+
 def oracle_floor_cut(task) -> tuple[int, list[Candidate]]:
     """The first incumbent total I, the smaller of the empty hypothesis's
     total and the best single candidate's, and the candidates of
     oracle_candidates whose floor (atoms plus the CN penalty of their
     fire-set) is at most I, in the same order. Penalties are summed per
     example."""
-    examples = task.examples
-
-    def penalty(fires: int, is_ad: bool) -> int:
-        return sum(ex.penalty for k, ex in enumerate(examples)
-                   if ex.is_ad == is_ad and fires >> k & 1)
-
-    ad_total = penalty(-1, True)
+    ad_total = oracle_penalty(task, -1, True)
     cands = oracle_candidates(task)
-    floors = [c.rule.atom_count + penalty(c.fires, False) for c in cands]
-    incumbent = min([ad_total] + [floor + ad_total - penalty(c.fires, True)
+    floors = [c.rule.atom_count + oracle_penalty(task, c.fires, False) for c in cands]
+    incumbent = min([ad_total] + [floor + ad_total - oracle_penalty(task, c.fires, True)
                                   for c, floor in zip(cands, floors)])
     return incumbent, [c for c, floor in zip(cands, floors) if floor <= incumbent]
+
+
+def oracle_stop_size(task) -> int | None:
+    """The first body size s of oracle_walk whose least atom count, 1 + 2s,
+    is above the incumbent of the smaller sizes: the least total of the
+    empty hypothesis and of each single body of a size below s, with
+    penalties summed per example. None when no size of the walk is;
+    learn's walk makes only the sizes below it."""
+    ad_total = oracle_penalty(task, -1, True)
+    _, lits = _literals(task)
+    walked = oracle_walk(task)
+    incumbent = ad_total
+    for s in range(1, min(task.space.max_body_edges, sum(map(bool, lits.values()))) + 1):
+        if 1 + 2 * s > incumbent:
+            return s
+        for body, fires in walked:
+            if len(body) == s:
+                incumbent = min(incumbent, 1 + 2 * s + oracle_penalty(task, fires, False)
+                                + ad_total - oracle_penalty(task, fires, True))
+    return None
 
 
 def oracle_undominated(task, cands) -> list[Candidate]:

@@ -216,6 +216,9 @@ def test_c5_planted_rule_recovery(noise_free_report, noisy_report):
     hits = sum(PLANTED.edge in edges
                for edges in noisy_report.per_repeat_selected().values())
     assert hits >= 8
+    # every fold's learner tasks were proven optimal, on both fixtures
+    for report in (noise_free_report, noisy_report):
+        assert [(fr.repeat, fr.fold) for fr in report.folds if not fr.optimal] == []
     report_line(5, "planted edge recovered through the dt pipeline", t0)
 
 

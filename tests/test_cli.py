@@ -287,7 +287,7 @@ class TestExitCodes:
     def test_bad_planted_spec_is_2(self, tmp_path):
         assert main(["synth", "--planted", "1,2,3", "--out", str(tmp_path)]) == 2
 
-    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf", "1e308", "5e307"])
+    @pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf", "1e308", "5e307", "5e-324"])
     def test_planted_threshold_out_of_range_is_2(self, tmp_path, capsys, threshold):
         assert main(["synth", "--planted", f"2,5,{threshold},low", "--out", str(tmp_path)]) == 2
         assert "planted threshold must be > 0 and at most" in capsys.readouterr().err

@@ -401,6 +401,21 @@ class TestGenerateSynthetic:
         for a, b in zip(cohort.subjects, loaded.subjects):
             np.testing.assert_array_equal(a.strengths, b.strengths)
 
+    def test_subnormal_threshold_without_a_gap_rejected(self):
+        # 5 steps above 0 or fewer, 0.9t or 1.1t rounds to t, and at 5e-324
+        # the AD maximum was the CN minimum
+        step = np.nextafter(0.0, 1.0)
+        for threshold in (step, 5 * step):
+            with pytest.raises(ValueError, match=r"0\.9 x threshold < threshold < 1\.1 x"):
+                PlantedEdge(edge(2, 5), float(threshold), "low")
+        # the smallest accepted threshold still separates the classes
+        threshold = float(6 * step)
+        for direction in ("low", "high"):
+            cohort = generate_synthetic(0, 50, [PlantedEdge(edge(2, 5), threshold, direction)])
+            col = np.array([s.strengths[edge_column(2, 5)] for s in cohort.subjects])
+            low = np.array([(s.diagnosis == AD) == (direction == "low") for s in cohort.subjects])
+            assert col[low].max() < threshold < col[~low].min()
+
     def test_duplicate_planted_edge_rejected(self):
         p = PlantedEdge(edge(2, 5), 2.0, "low")
         with pytest.raises(ValueError, match="duplicate planted edge"):

@@ -1,12 +1,16 @@
 import gc
 import sys
 import tracemalloc
+from dataclasses import replace
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from connrules import learner
 from connrules.cli import main
 from connrules.cohort import AD, CN, canonical_edges, edge
 from connrules.learner import (
@@ -14,6 +18,7 @@ from connrules.learner import (
     BodyLiteral,
     Candidate,
     _PRUNE_BLOCK_CELLS,
+    _PenaltyTable,
     _edge_literals,
     _first_occurrences,
     _pack,
@@ -46,6 +51,8 @@ from oracles import (
     oracle_first_bodies,
     oracle_floor_cut,
     oracle_learn,
+    oracle_penalty,
+    oracle_stop_size,
     oracle_undominated,
     oracle_walk,
     snap_rule_to_domain,
@@ -364,10 +371,13 @@ class TestPackedWalk:
         # every body, its fire-set and its place in the walk, and so the same
         # first bodies in the same order
         task = drawn_task(data, max_ad=129, top=5)
-        walk = _walk(task)
+        walk = _walk(task, _PenaltyTable(task.examples), stop=False)
         walked = oracle_walk(task)
         assert [(walk.body(r), fires) for r, fires in enumerate(_unpack(walk.fires))] == walked
         assert walk.size.tolist() == [len(body) for body, _ in walked]
+        assert walk.floors.tolist() == [1 + 2 * len(body) + oracle_penalty(task, fires, False)
+                                        for body, fires in walked]
+        assert walk.incumbent == oracle_floor_cut(task)[0]
         first = _first_occurrences(walk.fires)
         assert ([(fires, walk.body(r)) for r, fires in zip(first, _unpack(walk.fires[first]))]
                 == list(oracle_first_bodies(task).items()))
@@ -394,6 +404,58 @@ class TestPackedWalk:
         # every rule of the optimum has floor <= the first incumbent's total
         assert set(want.hypothesis.rules) <= {c.rule for c in cut}
         assert got.score.total <= incumbent
+
+
+class TestWalkStop:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_stops_where_the_oracle_does(self, data):
+        # each kind builds a task whose walk stops there: at size 1 (AD
+        # penalties summing to at most 2, below any rule's 3 atoms), at size
+        # 2 (a first edge below 3 on exactly the AD examples: one literal
+        # scores 3, below the 5 atoms of any larger body), or at none (each
+        # AD example has a CN twin of the same context and penalty, so no
+        # body beats the empty hypothesis, whose total of 7 or more no size
+        # up to 3 rules out)
+        kind = data.draw(st.sampled_from([1, 2, None]))
+        edges = sorted(data.draw(st.lists(st.sampled_from(EDGE_POOL), min_size=1 + (kind == 2),
+                                          max_size=3, unique=True)))
+        max_body = data.draw(st.integers(1 + (kind == 2), 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+
+        def draw(count, penalties, first=(0, 6)):
+            return [({e: int(rng.integers(*first)) if e == edges[0] else int(rng.integers(0, 6))
+                      for e in edges}, int(rng.integers(*penalties)))
+                    for _ in range(int(rng.integers(*count)))]
+
+        cn = draw((1, 9), (1, 4))
+        if kind == 1:
+            ad = draw((1, 3), (1, 2))
+        elif kind == 2:
+            ad, cn = draw((1, 9), (3, 61), (0, 3)), draw((1, 9), (1, 4), (3, 6))
+        else:
+            ad = draw((1, 9), (7, 61))
+            cn += ad
+        examples = [make_example(f"{label.lower()}_{k:03d}", label, context, penalty)
+                    for label, group in ((AD, ad), (CN, cn))
+                    for k, (context, penalty) in enumerate(group)]
+        task = make_task(examples, edges, max_body)
+        assert oracle_stop_size(task) == kind
+
+        # the stopped walk is the start of the full one, with the same incumbent
+        table = _PenaltyTable(task.examples)
+        walk, full = _walk(task, table), _walk(task, table, stop=False)
+        n = len(walk.fires)
+        assert n == sum(kind is None or len(body) < kind for body, _ in oracle_walk(task))
+        assert _unpack(walk.fires) == _unpack(full.fires[:n])
+        assert walk.floors.tolist() == full.floors[:n].tolist()
+        assert walk.incumbent == full.incumbent
+        # and learn differs from a learn over the full walk only in its bodies
+        res = learn(task)
+        with mock.patch.object(learner, "_walk", partial(_walk, stop=False)):
+            uncut = learn(task)
+        assert (res.bodies, uncut.bodies) == (n, len(full.fires))
+        assert res == replace(uncut, bodies=n)
 
 
 class TestCoverRecordSearch:
@@ -499,14 +561,17 @@ class TestLearn:
             assert got.hypothesis == want.hypothesis
 
     def test_reports_candidate_counts(self):
-        # each stage recomputed by the oracles: every body the walk reaches,
-        # the distinct fire-sets within the floor cut, the undominated ones
+        # each stage recomputed by the oracles: every body the walk reaches
+        # (those below its stop size), the distinct fire-sets within the
+        # floor cut, the undominated ones
         rng = np.random.default_rng(11)
         for _ in range(10):
             task = random_task(rng)
             _, cut = oracle_floor_cut(task)
+            stop = oracle_stop_size(task)
             res = learn(task)
-            assert res.bodies == len(oracle_walk(task))
+            assert res.bodies == sum(stop is None or len(body) < stop
+                                     for body, _ in oracle_walk(task))
             assert res.filtered == len(cut)
             assert res.undominated == len(oracle_undominated(task, cut))
 
