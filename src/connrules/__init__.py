@@ -50,12 +50,11 @@ from .learner import (
     LearnResult,
     Rule,
     Score,
-    covers,
     enumerate_candidates,
+    fire_vector,
     hypothesis_to_text,
     learn,
     parse_hypothesis_text,
-    rule_fires,
     score,
     union_hypotheses,
 )
@@ -68,7 +67,7 @@ from .selection import (
     select_global,
 )
 from .taskgen import (
-    Example,
+    Examples,
     HypothesisSpace,
     LearningTask,
     TaskPartition,

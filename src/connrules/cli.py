@@ -12,12 +12,14 @@ from pathlib import Path
 
 from . import crossval
 from .cohort import (
+    AD,
     PlantedEdge,
     _checked,
     _field,
     apply_mask,
     compute_mask,
     edge,
+    edge_column,
     edges_from_pairs,
     generate_synthetic,
     load_cohort,
@@ -39,11 +41,12 @@ from .learner import (
 )
 from .selection import SelectedEdges, aggregate_frequency, load_explanations, select_global
 from .taskgen import (
+    Examples,
     build_examples,
     build_space,
-    context_from_weights,
     load_task,
     partition_tasks,
+    scale_strengths,
     serialize_task,
 )
 from .tree import TreeParams, fit_tree, tree_from_obj, tree_importance, tree_to_json
@@ -161,10 +164,14 @@ def cmd_infer(args) -> int:
     cohort = load_cohort(args.cohort)
     hypothesis = read_input(args.hypothesis, hypothesis_from_json
                             if Path(args.hypothesis).suffix == ".json" else parse_hypothesis_text)
-    edges = sorted({l.edge for r in hypothesis.rules for l in r.body})
-    labels = [s.diagnosis for s in cohort.subjects]
-    predictions = [predict(hypothesis, context_from_weights(s.strengths, edges), s.id)
-                   for s in cohort.subjects]
+    edges = tuple(sorted({l.edge for r in hypothesis.rules for l in r.body}))
+    cols = [edge_column(*e) for e in edges]
+    subjects = cohort.subjects
+    labels = [s.diagnosis for s in subjects]
+    facts = scale_strengths([s.strengths[cols] for s in subjects])
+    predictions = predict(hypothesis, Examples(tuple(s.id for s in subjects),
+                                               [label == AD for label in labels],
+                                               [1] * len(subjects), facts, edges))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     predictions_to_csv(predictions, labels, out_dir / "predictions.csv")

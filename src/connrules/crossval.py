@@ -33,7 +33,7 @@ from .selection import (
     load_explanations,
     select_global,
 )
-from .taskgen import Example, build_examples, build_space, partition_tasks
+from .taskgen import Examples, build_examples, build_space, partition_tasks
 from .tree import (
     DecisionTree,
     TreeParams,
@@ -151,7 +151,7 @@ def stratified_folds(cohort: Cohort, n_folds: int, seed: int) -> dict[str, int]:
 class FoldArtifacts:
     mask: EdgeMask
     selected: SelectedEdges
-    examples: list[Example]  # one per training subject, in subject order
+    examples: Examples  # one row per training subject, in subject order
     hypothesis: Hypothesis
     optimal: bool
     dt: DecisionTree | None
@@ -330,9 +330,9 @@ def run_pipeline(config: CVConfig, cohort: Cohort) -> RunReport:
             train_labels = [s.diagnosis for s in train.subjects]
             val_labels = [s.diagnosis for s in val.subjects]
             val_features = apply_mask(val, arts.mask)
-            train_pred = [predict(arts.hypothesis, ex.context).label for ex in arts.examples]
-            val_pred = [predict(arts.hypothesis, ex.context).label
-                        for ex in build_examples(val_features, arts.selected)]
+            train_pred = [p.label for p in predict(arts.hypothesis, arts.examples)]
+            val_pred = [p.label for p in predict(arts.hypothesis,
+                                                 build_examples(val_features, arts.selected))]
 
             dt_val_acc = rf_val_acc = None
             dt_atoms = rf_atoms = None

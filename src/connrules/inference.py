@@ -6,10 +6,13 @@ import csv
 from collections import Counter
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .cohort import AD, CN, EdgeId
-from .learner import Hypothesis, rule_fires
+import numpy as np
+
+from .cohort import AD, CN
+from .learner import Hypothesis, fire_vector
+from .taskgen import Examples
 
 
 @dataclass(frozen=True)
@@ -39,15 +42,13 @@ class Metrics:
     confusion: ConfusionCounts
 
 
-def predict(
-    hypothesis: Hypothesis,
-    context: Mapping[EdgeId, int],
-    subject_id: str = "",
-) -> Prediction:
-    """AD iff any rule fires on the context; fired rule indices are kept for
-    explanation output."""
-    fired = tuple(k for k, r in enumerate(hypothesis.rules) if rule_fires(r, context))
-    return Prediction(subject_id, AD if fired else CN, fired)
+def predict(hypothesis: Hypothesis, examples: Examples) -> list[Prediction]:
+    """One prediction per row of examples, under its id: AD iff any rule
+    fires on the row. The fired rule indices are kept for explanation output."""
+    fired = np.array([fire_vector(rule, examples) for rule in hypothesis.rules],
+                     dtype=bool).reshape(len(hypothesis.rules), len(examples)).T
+    return [Prediction(eid, AD if row.any() else CN, tuple(np.flatnonzero(row).tolist()))
+            for eid, row in zip(examples.ids, fired)]
 
 
 def evaluate(true_labels: Sequence[str], predicted: Sequence[str]) -> Metrics:

@@ -3,7 +3,7 @@
 A hypothesis is a set of AD-headed rules; its score is its atom count (1 per
 head, 2 per body edge: a connection atom plus a comparator literal) plus the
 penalties of uncovered examples. An AD example is covered when some rule
-fires on its context, a CN example when none does.
+fires on its row of facts, a CN example when none does.
 
 The solver enumerates candidate rules whose coverage signatures exhaust the
 space, then runs a branch-and-bound search over rule subsets:
@@ -65,18 +65,20 @@ threshold) order.
 from __future__ import annotations
 
 import json
+import operator
 import re
 from math import prod
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .cohort import EdgeId, _field, edge, edges_from_pairs
-from .taskgen import COMPARATORS, Example, LearningTask
+from .taskgen import COMPARATORS, Examples, LearningTask
 
 _COMP_INDEX = {c: k for k, c in enumerate(COMPARATORS)}
+_COMPARE = dict(zip(COMPARATORS, (operator.ge, operator.gt, operator.lt, operator.le)))
 
 DEFAULT_NODE_BUDGET = 500_000
 
@@ -90,15 +92,6 @@ class BodyLiteral:
     def __post_init__(self):
         if self.comparator not in COMPARATORS:
             raise ValueError(f"unknown comparator {self.comparator!r}")
-
-    def holds(self, strength: int) -> bool:
-        if self.comparator == ">=":
-            return strength >= self.threshold
-        if self.comparator == ">":
-            return strength > self.threshold
-        if self.comparator == "<":
-            return strength < self.threshold
-        return strength <= self.threshold
 
     @property
     def sort_key(self) -> tuple:
@@ -181,21 +174,15 @@ class LearnResult:
 # Coverage semantics
 # ---------------------------------------------------------------------------
 
-def rule_fires(rule: Rule, context: Mapping[EdgeId, int]) -> bool:
-    """True iff every body literal's edge is present and its comparison
-    holds; a missing edge leaves the body unsatisfied."""
+def fire_vector(rule: Rule, examples: Examples) -> np.ndarray:
+    """Where the rule fires, one bool per row of examples: each body literal's
+    fact is present and its comparison holds. A left-out fact (-1) satisfies
+    no literal, not even `V <= -1`, which a domain holds when 0 is observed."""
+    fires = np.ones(len(examples), dtype=bool)
     for lit in rule.body:
-        strength = context.get(lit.edge)
-        if strength is None or not lit.holds(strength):
-            return False
-    return True
-
-
-def covers(hypothesis: Hypothesis, example: Example) -> bool:
-    """AD examples are covered when some rule fires; CN examples when none
-    does (the background is empty, so AD is derivable only via rules)."""
-    fired = any(rule_fires(r, example.context) for r in hypothesis.rules)
-    return fired if example.is_ad else not fired
+        column = examples.column(lit.edge)
+        fires &= (column >= 0) & _COMPARE[lit.comparator](column, lit.threshold)
+    return fires
 
 
 def score(hypothesis: Hypothesis, task: LearningTask) -> Score:
@@ -213,8 +200,12 @@ def score(hypothesis: Hypothesis, task: LearningTask) -> Score:
                 raise ValueError(
                     f"rule outside the space: threshold {lit.threshold} not in the "
                     f"domain of ({lit.edge.i}, {lit.edge.j})")
-    penalty = sum(ex.penalty for ex in task.examples if not covers(hypothesis, ex))
-    return Score(hypothesis.atom_count, penalty)
+    examples = task.examples
+    fired = np.zeros(len(examples), dtype=bool)
+    for rule in hypothesis.rules:
+        fired |= fire_vector(rule, examples)
+    # an AD example is uncovered where no rule fires, a CN example where one does
+    return Score(hypothesis.atom_count, int(examples.penalty[fired != examples.is_ad].sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +220,13 @@ class Candidate:
 
 def _edge_literals(
     e: EdgeId,
-    examples: Sequence[Example],
+    column: np.ndarray,
     domain: Sequence[int],
     cn_mask: int,
     ad_mask: int,
 ) -> list[tuple[BodyLiteral, int]]:
-    """Distinct useful satisfied-sets for one edge with a representative
-    literal each, after the class-boundary reduction.
+    """Distinct useful satisfied-sets for one edge, whose facts are column,
+    with a representative literal each, after the class-boundary reduction.
 
     At the i-th lowest observed value, >= holds on the values from i up,
     > from i + 1 up, < below i and <= up to i. Each literal is kept only
@@ -243,9 +234,8 @@ def _edge_literals(
     example or lies past either end. Domain thresholds that are not
     observed give sets an observed one already gives."""
     groups: dict[int, int] = {}  # value -> the examples holding it
-    for k, ex in enumerate(examples):
-        v = ex.context.get(e)
-        if v is not None:
+    for k, v in enumerate(column.tolist()):
+        if v >= 0:  # -1: left out
             groups[v] = groups.get(v, 0) | 1 << k
     values = sorted(groups)
     steps = [groups[v] for v in values]
@@ -288,6 +278,11 @@ def _unpack(rows: np.ndarray) -> list[int]:
     width = 8 * rows.shape[1]
     data = np.ascontiguousarray(rows, dtype="<u8").tobytes()
     return [int.from_bytes(data[k:k + width], "little") for k in range(0, len(data), width)]
+
+
+def _mask(flags: np.ndarray) -> int:
+    """The rows where flags is set, as a bitmask."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
 
 
 def _popcount(rows: np.ndarray) -> np.ndarray:
@@ -361,7 +356,7 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     ad_mask = table.ad_mask
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
-    lits = [_edge_literals(e, examples, space.threshold_domain[e], cn_mask, ad_mask)
+    lits = [_edge_literals(e, examples.column(e), space.threshold_domain[e], cn_mask, ad_mask)
             for e in sorted(space.edges.edges)]
     usable = [edge_lits for edge_lits in lits if edge_lits]
 
@@ -496,19 +491,14 @@ def _undominated(h: np.ndarray) -> np.ndarray:
 class _PenaltyTable:
     """Groups examples by (class, penalty) so penalty sums are popcounts."""
 
-    def __init__(self, examples: Sequence[Example]):
-        ad_groups: dict[int, int] = {}
-        cn_groups: dict[int, int] = {}
-        self.ad_mask = 0
-        self.ad_total = 0
-        for k, ex in enumerate(examples):
-            bucket = ad_groups if ex.is_ad else cn_groups
-            bucket[ex.penalty] = bucket.get(ex.penalty, 0) | (1 << k)
-            if ex.is_ad:
-                self.ad_mask |= 1 << k
-                self.ad_total += ex.penalty
-        self.ad_groups = sorted(ad_groups.items())
-        self.cn_groups = sorted(cn_groups.items())
+    def __init__(self, examples: Examples):
+        is_ad, penalty = examples.is_ad, examples.penalty
+        self.ad_mask = _mask(is_ad)
+        self.ad_total = int(penalty[is_ad].sum())
+        # per class, ascending: (penalty, the examples of the class with it)
+        self.ad_groups, self.cn_groups = (
+            [(p, _mask(in_class & (penalty == p)))
+             for p in sorted(set(penalty[in_class].tolist()))] for in_class in (is_ad, ~is_ad))
 
     # plain loops: the greedy pass calls these once per candidate per round,
     # and a generator or a temporary list costs more than the sum
@@ -600,7 +590,8 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     # per AD ordinal: its bit and penalty, and its cover list of the records
     # (floor, atoms, fire-set, index) of the candidates firing on it, in
     # (floor, index) order
-    ad = [(1 << e, ex.penalty) for e, ex in enumerate(task.examples) if ex.is_ad]
+    is_ad, penalty = task.examples.is_ad, task.examples.penalty
+    ad = [(1 << k, p) for k, p in zip(np.flatnonzero(is_ad).tolist(), penalty[is_ad].tolist())]
     records = sorted(zip(floors, atoms_of, [c.fires for c in cands], range(len(cands))),
                      key=lambda r: (r[0], r[3]))
     cover_list = [[r for r in records if r[2] & bit] for bit, _ in ad]

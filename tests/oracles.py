@@ -4,12 +4,15 @@ These deliberately use plain scalar Python (exact rational arithmetic where
 it matters, exhaustive search for the learner) rather than the library's
 vectorized or pruned paths. The CART oracle grows one node at a time by
 recursion on copied rows with float sorts, where the library grows batches
-of nodes from dense ranks and row weights.
+of nodes from dense ranks and row weights. The learner's oracles read a
+task's examples one at a time, as Example records with a context dict,
+where the library compares whole columns of its facts matrix.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,13 +27,82 @@ from connrules.learner import (
     Hypothesis,
     LearnResult,
     Rule,
+    Score,
     _greedy,
     _search_inputs,
     enumerate_candidates,
     score,
 )
-from connrules.taskgen import COMPARATORS
+from connrules.taskgen import COMPARATORS, Examples
 from connrules.tree import ClassCounts, Internal, Leaf, TreeNode, TreeParams
+
+
+@dataclass(frozen=True)
+class Example:
+    """One example as a scalar record, the reference form of a row of
+    taskgen.Examples: context maps each edge the example has a fact for to
+    its scaled strength, and holds no entry for a fact left out."""
+
+    id: str
+    penalty: int
+    is_ad: bool
+    context: dict
+
+
+def to_examples(examples, edges) -> Examples:
+    """The Example records as one record over the given edges, with -1
+    where a context leaves an edge out. A context edge outside edges raises
+    ValueError."""
+    edges = tuple(edges)
+    for ex in examples:
+        if set(ex.context) - set(edges):
+            raise ValueError(f"example {ex.id!r} has context edges outside {edges}")
+    facts = [[ex.context.get(e, -1) for e in edges] for ex in examples]
+    return Examples(tuple(ex.id for ex in examples), [ex.is_ad for ex in examples],
+                    [ex.penalty for ex in examples],
+                    np.array(facts, dtype=np.int64).reshape(len(examples), len(edges)), edges)
+
+
+def example_rows(examples: Examples) -> list[Example]:
+    """Inverse of to_examples: one Example per row."""
+    return [Example(eid, penalty, is_ad, {e: v for e, v in zip(examples.edges, row) if v != -1})
+            for eid, is_ad, penalty, row in zip(examples.ids, examples.is_ad.tolist(),
+                                                examples.penalty.tolist(),
+                                                examples.facts.tolist())]
+
+
+def holds(lit: BodyLiteral, strength: int) -> bool:
+    """Whether the literal's comparison holds on one strength."""
+    if lit.comparator == ">=":
+        return strength >= lit.threshold
+    if lit.comparator == ">":
+        return strength > lit.threshold
+    if lit.comparator == "<":
+        return strength < lit.threshold
+    return strength <= lit.threshold
+
+
+def rule_fires(rule: Rule, context: dict) -> bool:
+    """True iff every body literal's edge is present and its comparison
+    holds; a missing edge leaves the body unsatisfied."""
+    for lit in rule.body:
+        strength = context.get(lit.edge)
+        if strength is None or not holds(lit, strength):
+            return False
+    return True
+
+
+def covers(hypothesis: Hypothesis, example: Example) -> bool:
+    """AD examples are covered when some rule fires; CN examples when none
+    does (the background is empty, so AD is derivable only via rules)."""
+    fired = any(rule_fires(r, example.context) for r in hypothesis.rules)
+    return fired if example.is_ad else not fired
+
+
+def oracle_score(hypothesis: Hypothesis, examples: Examples) -> Score:
+    """learner.score without its space checks, one example at a time."""
+    return Score(hypothesis.atom_count, sum(ex.penalty for ex in example_rows(examples)
+                                            if not covers(hypothesis, ex)))
 
 
 def oracle_gini_exact(n_ad: int, n_cn: int) -> float:
@@ -202,8 +274,8 @@ def oracle_edge_literals(e, examples, domain, cn_mask: int, ad_mask: int) -> lis
             if t not in observed:
                 continue
             lit = BodyLiteral(e, comp, t)
-            mask = sum(1 << k for k, v in held.items() if lit.holds(v))
-            missed = [v for v in observed if not lit.holds(v)]
+            mask = sum(1 << k for k, v in held.items() if holds(lit, v))
+            missed = [v for v in observed if not holds(lit, v)]
             if missed:
                 nearest = max(missed) if comp in (">=", ">") else min(missed)
                 if not any(held[k] == nearest and (cn_mask >> k) & 1 for k in held):
@@ -217,10 +289,11 @@ def oracle_edge_literals(e, examples, domain, cn_mask: int, ad_mask: int) -> lis
 def _literals(task) -> tuple[int, dict]:
     """The task's AD mask and each edge's useful literals, as learn has them."""
     examples = task.examples
-    ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
+    ad_mask = sum(1 << k for k, ex in enumerate(example_rows(examples)) if ex.is_ad)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
-    return ad_mask, {e: learner._edge_literals(e, examples, space.threshold_domain.get(e, ()),
+    return ad_mask, {e: learner._edge_literals(e, examples.column(e),
+                                               space.threshold_domain.get(e, ()),
                                                cn_mask, ad_mask)
                      for e in sorted(space.edges.edges)}
 
@@ -284,7 +357,7 @@ def oracle_first_bodies(task) -> dict[int, tuple[BodyLiteral, ...]]:
 
 def oracle_penalty(task, fires: int, is_ad: bool) -> int:
     """The penalty sum of the task's examples of one class in fires, per example."""
-    return sum(ex.penalty for k, ex in enumerate(task.examples)
+    return sum(ex.penalty for k, ex in enumerate(example_rows(task.examples))
                if ex.is_ad == is_ad and fires >> k & 1)
 
 
@@ -327,7 +400,7 @@ def oracle_undominated(task, cands) -> list[Candidate]:
     A dominates B when A fires on every AD example B fires on, on no CN
     example B does not, and A's rule has the smaller (atom_count, sort_key).
     Kept in the order given."""
-    ad = {k for k, ex in enumerate(task.examples) if ex.is_ad}
+    ad = {k for k, ex in enumerate(example_rows(task.examples)) if ex.is_ad}
 
     def profile(c):
         fired = {k for k in range(len(task.examples)) if c.fires >> k & 1}
@@ -349,7 +422,7 @@ def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> Le
         raise ValueError(
             f"instance too large: {len(cands)} candidates exceeds {max_candidates}")
     groups: dict[tuple[bool, int], int] = {}  # (is_ad, penalty) -> example bitmask
-    for k, ex in enumerate(task.examples):
+    for k, ex in enumerate(example_rows(task.examples)):
         groups[ex.is_ad, ex.penalty] = groups.get((ex.is_ad, ex.penalty), 0) | (1 << k)
 
     def total(atoms: int, union: int) -> int:
@@ -395,8 +468,8 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     learn's pre-search (walk, cut, dedupe, prune and candidate list), its
     greedy and its root commit of the AD examples no body fires on, so the
     two must agree on every LearnResult field, node count included."""
-    examples = task.examples
-    table = OraclePenaltyTable(examples)
+    examples = example_rows(task.examples)
+    table = OraclePenaltyTable(task.examples)
     walk, n_filtered, cands, _ = _search_inputs(task, table)
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
@@ -500,16 +573,16 @@ def snap_rule_to_domain(rule: Rule, task) -> Rule:
         domain = space.threshold_domain.get(lit.edge, ())
         if not domain:
             raise ValueError(f"edge ({lit.edge.i}, {lit.edge.j}) has an empty domain")
-        observed = [v for ex in task.examples
+        observed = [v for ex in example_rows(task.examples)
                     if (v := ex.context.get(lit.edge)) is not None]
         lo, hi = domain[0], domain[-1]
         t = lit.threshold
         if lit.comparator in (">=", ">"):
-            sat = sorted(v for v in observed if lit.holds(v))
+            sat = sorted(v for v in observed if holds(lit, v))
             t = min(sat) if sat else hi  # >= hi and > hi are both empty
             comp = ">=" if sat else lit.comparator
         else:
-            sat = sorted(v for v in observed if lit.holds(v))
+            sat = sorted(v for v in observed if holds(lit, v))
             t = max(sat) if sat else lo  # < lo and <= lo are both empty
             comp = "<=" if sat else lit.comparator
         new_body.append(BodyLiteral(lit.edge, comp, t))

@@ -5,6 +5,7 @@ per-criterion timings. The quantitative checks run on synthetic cohorts with
 planted discriminative edges; tolerances are asserted exactly as stated.
 """
 
+import hashlib
 import json
 import time
 from pathlib import Path
@@ -28,7 +29,7 @@ from connrules.cohort import (
     generate_synthetic,
     save_cohort,
 )
-from connrules.crossval import CVConfig, run_pipeline
+from connrules.crossval import CVConfig, report_to_json, run_pipeline
 from connrules.inference import evaluate
 from connrules.learner import (
     BodyLiteral,
@@ -37,12 +38,20 @@ from connrules.learner import (
     hypothesis_to_text,
     learn,
     parse_hypothesis_text,
-    rule_fires,
 )
 from connrules.selection import SelectedEdges, SelectorConfig
-from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, partition_tasks
+from connrules.taskgen import COMPARATORS, LearningTask, build_space, partition_tasks
 from connrules.tree import ClassCounts, Internal, Leaf, TreeParams, fit_tree, gini, predict_tree
-from oracles import brute_force_learn, oracle_best_split, oracle_gini_exact, snap_rule_to_domain
+from oracles import (
+    Example,
+    brute_force_learn,
+    example_rows,
+    oracle_best_split,
+    oracle_gini_exact,
+    rule_fires,
+    snap_rule_to_domain,
+    to_examples,
+)
 
 PLANTED = PlantedEdge(edge(2, 5), 2.0, "low")
 
@@ -75,6 +84,22 @@ def noisy_report():
     return run_pipeline(pipeline_config(fit_reference_models=True), cohort)
 
 
+class TestPinnedReports:
+    """W2 (noise-free) and W1 (noisy) report.json bytes, as recorded before
+    a task's examples became one facts matrix: a refactor of any stage must
+    leave them unchanged."""
+
+    def test_noise_free(self, noise_free_report):
+        text = report_to_json(noise_free_report)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "c595f875ada82cabb41a004b0969b6130c16b4753cc9d2ccc5223edec65e9575"
+
+    def test_noisy(self, noisy_report):
+        text = report_to_json(noisy_report)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "943315730cbadb62ae4f85522d8d99519365c770d3c9950a12a19cd7e3a95baa"
+
+
 def make_example(eid, label, context, penalty=1):
     return Example(eid, penalty, label == AD, context)
 
@@ -99,8 +124,8 @@ def random_oracle_task(rng):
                 context[e] = int(rng.integers(0, 6))
         pen = int(rng.integers(1, 3)) if label == AD else int(rng.integers(1, 4))
         examples.append(make_example(f"{label.lower()}_{k:03d}", label, context, pen))
-    space = build_space(SelectedEdges(tuple(edges), "dt"), examples, 2)
-    return LearningTask(space, tuple(examples))
+    record = to_examples(examples, edges)
+    return LearningTask(build_space(SelectedEdges(tuple(edges), "dt"), record, 2), record)
 
 
 def test_c1_gini_oracle():
@@ -192,7 +217,7 @@ def test_c4_threshold_reduction_soundness():
         snapped = snap_rule_to_domain(rule, task)
         for lit in snapped.body:
             assert lit.threshold in task.space.threshold_domain[lit.edge]
-        for ex in task.examples:
+        for ex in example_rows(task.examples):
             assert rule_fires(rule, ex.context) == rule_fires(snapped, ex.context)
         checked += 1
     assert time.time() - t0 < 30.0
@@ -247,13 +272,14 @@ def test_c7_penalty_partition_arithmetic():
         base_pen = int(rng.integers(1, 4))
         examples = [make_example(f"ad_{k:03d}", AD, {e: 100 + k}) for k in range(n_ad)]
         examples += [make_example(f"cn_{k:03d}", CN, {e: 500 + k}) for k in range(n_cn)]
+        examples = to_examples(examples, (e,))
         space = build_space(SelectedEdges((e,), "dt"), examples)
         partition = partition_tasks(examples, space, n_subsets, base_pen,
                                     seed=int(rng.integers(0, 1000)))
         seen_ad = []
         for task in partition.tasks:
-            ads = [ex for ex in task.examples if ex.is_ad]
-            cns = [ex for ex in task.examples if not ex.is_ad]
+            ads = [ex for ex in example_rows(task.examples) if ex.is_ad]
+            cns = [ex for ex in example_rows(task.examples) if not ex.is_ad]
             assert sorted(ex.id for ex in cns) == [f"cn_{k:03d}" for k in range(n_cn)]
             assert {ex.penalty for ex in cns} == {base_pen}
             expected = max(1, round(base_pen * n_cn / len(ads)))

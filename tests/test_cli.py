@@ -1,11 +1,15 @@
+import csv
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from connrules.cli import main
 from connrules.cohort import N_REGIONS, default_atlas, load_cohort
+
+GOLDEN = Path(__file__).parent / "golden" / "toy_task.las"
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +70,19 @@ class TestWalkthrough:
         a = json.loads((out / "metrics.json").read_text())
         b = json.loads((workspace / "inferred" / "metrics.json").read_text())
         assert a == b
+
+    def test_infer_empty_hypothesis(self, workspace):
+        # no rule reads an edge, so the facts matrix has 0 columns
+        hyp = workspace / "empty.json"
+        hyp.write_text(json.dumps({"rules": [], "atom_count": 0}))
+        out = workspace / "inferred_empty"
+        assert main(["infer", "--hypothesis", str(hyp),
+                     "--cohort", str(workspace / "cohort.json"), "--out-dir", str(out)]) == 0
+        with open(out / "predictions.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [r[0] for r in rows] == [s.id for s in
+                                        load_cohort(workspace / "cohort.json").subjects]
+        assert {tuple(r[2:]) for r in rows} == {("CN", "")}
 
     def test_learn_prints_counts_per_task(self, workspace, tmp_path, capsys):
         tasks = sorted(str(p) for p in (workspace / "tasks").glob("task_*.las"))
@@ -366,6 +383,67 @@ class TestExitCodes:
                      "--cohort", str(workspace / "cohort.json"),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert f"{hyp}: threshold must be int, not str" in capsys.readouterr().err
+
+    def test_strength_too_large_for_int64_is_2(self, tmp_path, capsys):
+        # strengths near 1e300 on the planted edge scale far above 2**63 - 1
+        w = tmp_path / "w"
+        cohort, mask, model, selected = (str(w / name) for name in (
+            "cohort.json", "mask.json", "dt.json", "selected.json"))
+        assert main(["synth", "--seed", "7", "--n-per-class", "20",
+                     "--planted", "2,5,1e300,high", "--out", str(w)]) == 0
+        assert main(["mask", "--cohort", cohort, "--out", mask]) == 0
+        assert main(["train", "--cohort", cohort, "--mask", mask, "--out", model]) == 0
+        assert main(["select", "--model", model, "--k", "3", "--out", selected]) == 0
+        assert [2, 5] in json.loads(Path(selected).read_text())["edges"]
+        capsys.readouterr()
+        assert main(["build-task", "--cohort", cohort, "--mask", mask, "--selected", selected,
+                     "--out-dir", str(w / "tasks")]) == 2
+        message = r"error: strength [0-9.]+e\+300 scales to an integer above 2\*\*63 - 1"
+        assert re.search(message, capsys.readouterr().err)
+        assert not (w / "tasks").exists()
+        cfg_path = tmp_path / "cv.json"
+        cfg_path.write_text(json.dumps({"n_repeats": 1, "n_folds": 2,
+                                        "fit_reference_models": False}))
+        assert main(["cv", "--config", str(cfg_path), "--cohort", cohort,
+                     "--out-dir", str(tmp_path / "run")]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_fact_too_large_for_int64_is_2(self, tmp_path, capsys):
+        task = tmp_path / "t.las"
+        task.write_text(GOLDEN.read_text().replace("region(5), 1700).", f"region(5), {2**63})."))
+        out = tmp_path / "h.json"
+        assert main(["learn", "--task", str(task), "--out", str(out)]) == 2
+        assert (f"error: {task}: line 28: example 'cn_001' has fact {2**63}, above 2**63 - 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cn_penalty, message", [
+        (2**63, f"line 27: example 'cn_000' has penalty {2**63}, not in 1 .. 2**63 - 1"),
+        (2**62, f"penalties too large: with the atoms of one rule they sum to {2**63 + 25}"),
+    ], ids=["above-int64", "sum-above-int64"])
+    def test_penalties_too_large_for_int64_are_2(self, tmp_path, capsys, cn_penalty, message):
+        # AD penalties 10, CN penalties cn_penalty: one does not fit an int64,
+        # or two of them overflow learn's int64 sums
+        text = GOLDEN.read_text()
+        for eid, penalty in (("ad_000", 10), ("ad_001", 10),
+                             ("cn_000", cn_penalty), ("cn_001", cn_penalty)):
+            text = text.replace(f"#pos({eid}@1,", f"#pos({eid}@{penalty},")
+        task = tmp_path / "t.las"
+        task.write_text(text)
+        out = tmp_path / "h.json"
+        assert main(["learn", "--task", str(task), "--out", str(out)]) == 2
+        assert f"error: {task}: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_base_pen_too_large_for_int64_is_2(self, workspace, tmp_path, capsys):
+        for base_pen in (2**62, 2**63):
+            assert main(["build-task", "--cohort", str(workspace / "cohort.json"),
+                         "--mask", str(workspace / "mask.json"),
+                         "--selected", str(workspace / "selected.json"),
+                         "--base-pen", str(base_pen), "--out-dir", str(tmp_path / "tasks")]) == 2
+            assert "error: penalties too large" in capsys.readouterr().err
+        assert not (tmp_path / "tasks").exists()
 
     def test_garbage_task_is_2(self, tmp_path, capsys):
         task = tmp_path / "garbage.las"

@@ -28,8 +28,8 @@ from connrules.learner import (
     Hypothesis,
     Rule,
     Score,
-    covers,
     enumerate_candidates,
+    fire_vector,
     hypothesis_from_json,
     hypothesis_from_obj,
     hypothesis_to_json,
@@ -37,15 +37,17 @@ from connrules.learner import (
     learn,
     parse_hypothesis_text,
     parse_rule_text,
-    rule_fires,
     score,
     union_hypotheses,
 )
 from connrules.selection import SelectedEdges
-from connrules.taskgen import COMPARATORS, Example, LearningTask, build_space, serialize_task
+from connrules.taskgen import COMPARATORS, LearningTask, build_space, serialize_task
 from oracles import (
+    Example,
     OraclePenaltyTable,
     brute_force_learn,
+    covers,
+    example_rows,
     oracle_candidates,
     oracle_edge_literals,
     oracle_first_bodies,
@@ -55,7 +57,9 @@ from oracles import (
     oracle_stop_size,
     oracle_undominated,
     oracle_walk,
+    rule_fires,
     snap_rule_to_domain,
+    to_examples,
 )
 
 E1, E2, E3 = edge(1, 2), edge(3, 4), edge(5, 9)
@@ -67,8 +71,13 @@ def make_example(eid, label, context, penalty=1):
 
 
 def make_task(examples, edges, max_body=2):
-    space = build_space(SelectedEdges(tuple(edges), "dt"), examples, max_body)
-    return LearningTask(space, tuple(examples))
+    record = to_examples(examples, edges)
+    space = build_space(SelectedEdges(tuple(edges), "dt"), record, max_body)
+    return LearningTask(space, record)
+
+
+def ad_mask_of(task) -> int:
+    return sum(1 << k for k, ex in enumerate(example_rows(task.examples)) if ex.is_ad)
 
 
 def undominated(fire_sets, ad_mask, n_examples):
@@ -110,16 +119,20 @@ def medium_task(rng):
     return make_task(examples, EDGE_POOL)
 
 
-class TestRuleFires:
+def fires_on(rule, edges, *contexts):
+    """fire_vector of the rule over one row per context, as a list."""
+    rows = [make_example(f"x{k}", AD, c) for k, c in enumerate(contexts)]
+    return fire_vector(rule, to_examples(rows, edges)).tolist()
+
+
+class TestRuleFires:  # fire_vector, one rule over every row
     def test_strict_less(self):
         rule = Rule((BodyLiteral(E1, "<", 100),))
-        assert rule_fires(rule, {E1: 85})
-        assert not rule_fires(rule, {E1: 100})
+        assert fires_on(rule, [E1], {E1: 85}, {E1: 100}) == [True, False]
 
     def test_missing_edge_blocks_body(self):
         rule = Rule((BodyLiteral(E1, "<", 100), BodyLiteral(E2, ">=", 50)))
-        assert not rule_fires(rule, {E1: 85})
-        assert rule_fires(rule, {E1: 85, E2: 50})
+        assert fires_on(rule, [E1, E2], {E1: 85}, {E1: 85, E2: 50}) == [False, True]
 
     def test_all_comparators(self):
         for comp, strength, expected in [
@@ -128,22 +141,32 @@ class TestRuleFires:
             ("<", 10, False), ("<", 9, True),
             ("<=", 10, True), ("<=", 11, False),
         ]:
-            assert rule_fires(Rule((BodyLiteral(E1, comp, 10),)), {E1: strength}) == expected
+            assert fires_on(Rule((BodyLiteral(E1, comp, 10),)), [E1], {E1: strength}) == [expected]
+
+    def test_left_out_fact_satisfies_no_sentinel_threshold(self):
+        # 0 is observed, so the domain holds the sentinel -1, the value the
+        # facts matrix has for a left-out fact: no literal may hold on it
+        examples = [make_example("ad_000", AD, {E1: 0}), make_example("cn_000", CN, {})]
+        assert make_task(examples, [E1]).space.threshold_domain[E1] == (-1, 0, 1)
+        for comp, expected in [(">=", [True, False]), (">", [True, False]),
+                               ("<", [False, False]), ("<=", [False, False])]:
+            rule = Rule((BodyLiteral(E1, comp, -1),))
+            assert fires_on(rule, [E1], {E1: 0}, {}) == expected
 
 
-class TestCovers:
+class TestCovers:  # through score
     def test_empty_hypothesis(self):
-        ad = make_example("ad_000", AD, {E1: 5})
-        cn = make_example("cn_000", CN, {E1: 5})
-        empty = Hypothesis(())
-        assert not covers(empty, ad)
-        assert covers(empty, cn)
+        # the AD example is uncovered, the CN example covered
+        task = make_task([make_example("ad_000", AD, {E1: 5}, penalty=2),
+                          make_example("cn_000", CN, {E1: 5}, penalty=3)], [E1])
+        assert score(Hypothesis(()), task) == Score(0, 2)
 
     def test_firing_rule(self):
-        hyp = Hypothesis((Rule((BodyLiteral(E1, "<", 100),)),))
-        assert covers(hyp, make_example("ad_000", AD, {E1: 85}))
-        assert not covers(hyp, make_example("cn_000", CN, {E1: 85}))
-        assert covers(hyp, make_example("cn_001", CN, {E1: 150}))
+        # fires on ad_000 (covered) and cn_000 (uncovered), not on cn_001 (covered)
+        task = make_task([make_example("ad_000", AD, {E1: 85}, penalty=2),
+                          make_example("cn_000", CN, {E1: 85}, penalty=3),
+                          make_example("cn_001", CN, {E1: 150}, penalty=5)], [E1])
+        assert score(Hypothesis((Rule((BodyLiteral(E1, "<=", 85),)),)), task) == Score(3, 3)
 
 
 class TestScore:
@@ -185,7 +208,7 @@ class TestCandidates:
             task = random_task(rng)
             for cand in enumerate_candidates(task):
                 expected = 0
-                for k, ex in enumerate(task.examples):
+                for k, ex in enumerate(example_rows(task.examples)):
                     if rule_fires(cand.rule, ex.context):
                         expected |= 1 << k
                 assert cand.fires == expected
@@ -194,7 +217,7 @@ class TestCandidates:
         rng = np.random.default_rng(1)
         for _ in range(25):
             task = random_task(rng)
-            ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
+            ad_mask = ad_mask_of(task)
             seen = set()
             for cand in enumerate_candidates(task):
                 assert cand.fires & ad_mask
@@ -226,12 +249,12 @@ class TestCandidates:
         for _ in range(10):
             task = random_task(rng, max_body=1)
             cands = enumerate_candidates(task)
-            ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
+            ad_mask = ad_mask_of(task)
             for e in task.space.edges.edges:
                 for comp in COMPARATORS:
                     for t in task.space.threshold_domain[e]:
                         rule = Rule((BodyLiteral(e, comp, t),))
-                        fires = sum(1 << k for k, ex in enumerate(task.examples)
+                        fires = sum(1 << k for k, ex in enumerate(example_rows(task.examples))
                                     if rule_fires(rule, ex.context))
                         if fires & ad_mask == 0:
                             continue  # useless rule, rightly dropped
@@ -255,7 +278,7 @@ class TestDominance:
             tasks.append(make_task(examples, EDGE_POOL))
         for task in tasks:
             bodies = oracle_first_bodies(task)
-            ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
+            ad_mask = ad_mask_of(task)
             kept = [Candidate(Rule(bodies[fires]), fires)
                     for fires in undominated(list(bodies), ad_mask, len(task.examples))]
             assert (sorted(kept, key=lambda c: c.rule.sort_key)
@@ -354,14 +377,15 @@ class TestEdgeLiterals:
         # the task's own domain, and a drawn part of it
         task = drawn_task(data, max_ad=129, top=data.draw(st.sampled_from([3, 40])))
         examples = task.examples
-        ad_mask = sum(1 << k for k, ex in enumerate(examples) if ex.is_ad)
+        ad_mask = ad_mask_of(task)
         cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
         for e in task.space.edges.edges:
             full = task.space.threshold_domain[e]
             keep = data.draw(st.lists(st.booleans(), min_size=len(full), max_size=len(full)))
             for domain in (full, tuple(t for t, k in zip(full, keep) if k)):
-                assert (_edge_literals(e, examples, domain, cn_mask, ad_mask)
-                        == oracle_edge_literals(e, examples, domain, cn_mask, ad_mask))
+                assert (_edge_literals(e, examples.column(e), domain, cn_mask, ad_mask)
+                        == oracle_edge_literals(e, example_rows(examples), domain,
+                                                cn_mask, ad_mask))
 
 
 class TestPackedWalk:
@@ -381,7 +405,7 @@ class TestPackedWalk:
         first = _first_occurrences(walk.fires)
         assert ([(fires, walk.body(r)) for r, fires in zip(first, _unpack(walk.fires[first]))]
                 == list(oracle_first_bodies(task).items()))
-        ad_mask = sum(1 << k for k, ex in enumerate(task.examples) if ex.is_ad)
+        ad_mask = ad_mask_of(task)
         reached = 0
         for _, fires in walked:
             reached |= fires
@@ -396,7 +420,7 @@ class TestPackedWalk:
         task = drawn_task(data, max_ad=2, top=2)
         incumbent, cut = oracle_floor_cut(task)
         got = learn(task)
-        want = brute_force_learn(task, max_rules=sum(ex.is_ad for ex in task.examples))
+        want = brute_force_learn(task, max_rules=int(task.examples.is_ad.sum()))
         assert got.optimal
         assert got.score == want.score
         assert got.hypothesis == want.hypothesis
@@ -485,9 +509,11 @@ class TestPenaltyTable:
             levels = data.draw(st.lists(st.integers(1, 20), min_size=3, max_size=5,
                                         unique=True))
             extra = data.draw(st.lists(st.sampled_from(levels), max_size=8))
-            examples += [make_example("", label, {}, p) for p in levels + extra]
-        examples = data.draw(st.permutations(examples))
-        table = OraclePenaltyTable(examples)  # learn's table, plus min_ad_over
+            examples += [(label == AD, p) for p in levels + extra]
+        examples = [make_example(f"x{k}", AD if is_ad else CN, {}, p)
+                    for k, (is_ad, p) in enumerate(data.draw(st.permutations(examples)))]
+        # learn's table, plus min_ad_over
+        table = OraclePenaltyTable(to_examples(examples, []))
         mask = data.draw(st.integers(0, (1 << len(examples)) - 1))
         atoms = data.draw(st.integers(0, 30))
         inside = [ex for k, ex in enumerate(examples) if mask >> k & 1]
@@ -519,7 +545,7 @@ class TestSnapToDomain:
                 snapped = snap_rule_to_domain(rule, task)
                 for lit in snapped.body:
                     assert lit.threshold in task.space.threshold_domain[lit.edge]
-                for ex in task.examples:
+                for ex in example_rows(task.examples):
                     assert rule_fires(rule, ex.context) == rule_fires(snapped, ex.context)
 
 
@@ -682,7 +708,7 @@ class TestDeepTask:
         assert res.nodes_expanded <= 3
         # the bare AD examples stay uncovered; one rule covers the rest
         assert res.score == Score(3, n_bare)
-        assert all(covers(res.hypothesis, ex) for ex in task.examples[n_bare:])
+        assert all(covers(res.hypothesis, ex) for ex in example_rows(task.examples)[n_bare:])
 
     def test_cli_learn_exits_0(self, tmp_path, capsys):
         task, _ = self.deep_task()
@@ -730,7 +756,7 @@ class TestMonotonicity:
             picks = rng.choice(len(cands), size=2, replace=False)
             h_small = Hypothesis((cands[picks[0]].rule,))
             h_big = Hypothesis((cands[picks[0]].rule, cands[picks[1]].rule))
-            for ex in task.examples:
+            for ex in example_rows(task.examples):
                 if ex.is_ad:
                     if covers(h_small, ex):
                         assert covers(h_big, ex)

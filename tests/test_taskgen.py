@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from connrules.cohort import AD, CN, Features, edge
 from connrules.selection import SelectedEdges
 from connrules.taskgen import (
-    Example,
     HypothesisSpace,
     LearningTask,
     build_examples,
@@ -18,6 +17,7 @@ from connrules.taskgen import (
     scale_strength,
     task_to_text,
 )
+from oracles import Example, example_rows, to_examples
 
 GOLDEN = Path(__file__).parent / "golden" / "toy_task.las"
 
@@ -26,6 +26,11 @@ E1, E2, E3 = edge(2, 5), edge(3, 17), edge(10, 40)
 
 def make_example(eid, label, context, penalty=1):
     return Example(eid, penalty, label == AD, context)
+
+
+def make_task(examples, edges):
+    record = to_examples(examples, edges)
+    return LearningTask(build_space(SelectedEdges(tuple(edges), "dt"), record), record)
 
 
 def toy_vectors():
@@ -59,6 +64,16 @@ class TestScaleStrength:
         scaled = [scale_strength(x) for x in xs]
         assert all(a <= b for a, b in zip(scaled, scaled[1:]))
 
+    def test_int64_boundary(self):
+        # neighbouring floats, 2 apart: the first scales to at most 2**63 - 1,
+        # the second above it; 1e300 is also beyond Decimal's 28 digits
+        assert scale_strength(9223372036854774.0) == 9223372036854774000
+        with pytest.raises(ValueError, match=r"^strength 9223372036854776.0 scales to an "
+                                             r"integer above 2\*\*63 - 1$"):
+            scale_strength(9223372036854776.0)
+        with pytest.raises(ValueError, match=r"^strength 1e\+300 scales"):
+            scale_strength(1e300)
+
     def test_rejects_negative_and_nan(self):
         with pytest.raises(ValueError):
             scale_strength(-0.1)
@@ -70,18 +85,22 @@ class TestBuildExamples:
     def test_shapes_and_labels(self):
         selected = SelectedEdges((E1, E2), "dt")
         examples = build_examples(toy_vectors(), selected)
-        assert len(examples) == 4
-        ad = examples[0]
-        assert ad.id == "ad_000" and ad.is_ad
-        assert len(ad.context) == 2
-        assert ad.context[E1] == 123
-        cn = examples[2]
-        assert cn.id == "cn_000" and not cn.is_ad
+        assert examples.ids == ("ad_000", "ad_001", "cn_000", "cn_001")
+        assert examples.is_ad.tolist() == [True, True, False, False]
+        assert examples.edges == (E1, E2)
+        assert examples.facts.dtype == np.int64
+        assert examples.facts.tolist() == [[123, 2000], [500, 1500], [2000, 400], [1700, 900]]
 
     def test_base_penalty_applied(self):
         selected = SelectedEdges((E1,), "dt")
         examples = build_examples(toy_vectors(), selected, base_pen=1)
-        assert {ex.penalty for ex in examples} == {1}
+        assert examples.penalty.tolist() == [1] * 4
+
+    def test_arrays_read_only(self):
+        examples = build_examples(toy_vectors(), SelectedEdges((E1, E2), "dt"))
+        for array in (examples.is_ad, examples.penalty, examples.facts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
 
     def test_missing_selected_edge(self):
         selected = SelectedEdges((E3,), "dt")
@@ -92,25 +111,34 @@ class TestBuildExamples:
         with pytest.raises(ValueError, match="no selected edges"):
             build_examples(toy_vectors(), SelectedEdges((), "dt"))
 
+    def test_strength_above_int64_rejected(self):
+        X = np.array([[0.5], [9223372036854776.0]])
+        features = Features(X, np.array([True, False]), (E1,))
+        with pytest.raises(ValueError, match="scales to an integer above 2\\*\\*63 - 1"):
+            build_examples(features, SelectedEdges((E1,), "dt"))
+
 
 class TestBuildSpace:
+    @staticmethod
+    def space(*contexts, edges=(E1,), max_body=2):
+        examples = [make_example(f"x{k}", AD, c) for k, c in enumerate(contexts)]
+        return build_space(SelectedEdges(edges, "dt"), to_examples(examples, edges), max_body)
+
     def test_threshold_domain_with_sentinels(self):
-        examples = [
-            make_example("ad_000", AD, {E1: 100}),
-            make_example("cn_000", CN, {E1: 300}),
-            make_example("cn_001", CN, {E1: 100}),
-        ]
-        space = build_space(SelectedEdges((E1,), "dt"), examples)
+        space = self.space({E1: 100}, {E1: 300}, {E1: 100})
         assert space.threshold_domain[E1] == (99, 100, 300, 301)
 
     def test_single_observed_value(self):
-        examples = [make_example("ad_000", AD, {E1: 7})]
-        space = build_space(SelectedEdges((E1,), "dt"), examples)
-        assert space.threshold_domain[E1] == (6, 7, 8)
+        assert self.space({E1: 7}).threshold_domain[E1] == (6, 7, 8)
+
+    def test_left_out_facts_are_not_observed(self):
+        space = self.space({E1: 0}, {}, {E2: 4}, edges=(E1, E2))
+        assert space.threshold_domain == {E1: (-1, 0, 1), E2: (3, 4, 5)}
+        assert self.space({}).threshold_domain[E1] == ()
 
     def test_max_body_edges_validated(self):
         with pytest.raises(ValueError, match="max_body_edges"):
-            build_space(SelectedEdges((E1,), "dt"), [], 0)
+            self.space(max_body=0)
 
     @pytest.mark.parametrize("domain, message", [
         ({E1: (1, 2)}, r"no thresholds for selected edge \(3, 17\)"),
@@ -126,16 +154,16 @@ class TestPartitionTasks:
     def make_pool(n_ad, n_cn, edge_=E1):
         examples = [make_example(f"ad_{k:03d}", AD, {edge_: 100 + k}) for k in range(n_ad)]
         examples += [make_example(f"cn_{k:03d}", CN, {edge_: 500 + k}) for k in range(n_cn)]
-        space = build_space(SelectedEdges((edge_,), "dt"), examples)
-        return examples, space
+        record = to_examples(examples, [edge_])
+        return record, build_space(SelectedEdges((edge_,), "dt"), record)
 
     def test_nine_ad_twelve_cn_three_subsets(self):
         examples, space = self.make_pool(9, 12)
         partition = partition_tasks(examples, space, 3, base_pen=1, seed=0)
         assert len(partition.tasks) == 3
         for task in partition.tasks:
-            ads = [ex for ex in task.examples if ex.is_ad]
-            cns = [ex for ex in task.examples if not ex.is_ad]
+            ads = [ex for ex in example_rows(task.examples) if ex.is_ad]
+            cns = [ex for ex in example_rows(task.examples) if not ex.is_ad]
             assert len(ads) == 3 and len(cns) == 12
             assert {ex.penalty for ex in ads} == {4}  # round(1 * 12 / 3)
             assert {ex.penalty for ex in cns} == {1}
@@ -143,21 +171,21 @@ class TestPartitionTasks:
     def test_single_subset(self):
         examples, space = self.make_pool(9, 12)
         partition = partition_tasks(examples, space, 1, base_pen=1, seed=0)
-        ads = [ex for ex in partition.tasks[0].examples if ex.is_ad]
+        ads = [ex for ex in example_rows(partition.tasks[0].examples) if ex.is_ad]
         assert {ex.penalty for ex in ads} == {1}  # round(12 / 9)
 
     def test_one_ad_per_task(self):
         examples, space = self.make_pool(4, 6)
         partition = partition_tasks(examples, space, 4, base_pen=1, seed=3)
         for task in partition.tasks:
-            assert sum(ex.is_ad for ex in task.examples) == 1
+            assert task.examples.is_ad.sum() == 1
 
     def test_disjoint_and_complete(self):
         examples, space = self.make_pool(10, 7)
         partition = partition_tasks(examples, space, 3, base_pen=1, seed=5)
         seen = []
         for task in partition.tasks:
-            seen += [ex.id for ex in task.examples if ex.is_ad]
+            seen += [ex.id for ex in example_rows(task.examples) if ex.is_ad]
         assert sorted(seen) == [f"ad_{k:03d}" for k in range(10)]
         assert len(set(seen)) == 10
 
@@ -165,7 +193,7 @@ class TestPartitionTasks:
         examples, space = self.make_pool(6, 5)
         partition = partition_tasks(examples, space, 2, base_pen=1, seed=1)
         for task in partition.tasks:
-            cn_ids = sorted(ex.id for ex in task.examples if not ex.is_ad)
+            cn_ids = sorted(ex.id for ex in example_rows(task.examples) if not ex.is_ad)
             assert cn_ids == [f"cn_{k:03d}" for k in range(5)]
 
     def test_balanced_penalty_sums(self):
@@ -177,16 +205,25 @@ class TestPartitionTasks:
             examples, space = self.make_pool(n, n)
             partition = partition_tasks(examples, space, k, base_pen=1, seed=7)
             for task in partition.tasks:
-                ad_sum = sum(ex.penalty for ex in task.examples if ex.is_ad)
-                cn_sum = sum(ex.penalty for ex in task.examples if not ex.is_ad)
+                ad_sum = task.examples.penalty[task.examples.is_ad].sum()
+                cn_sum = task.examples.penalty[~task.examples.is_ad].sum()
                 assert abs(ad_sum - cn_sum) <= k
 
     def test_deterministic_in_seed(self):
         examples, space = self.make_pool(8, 8)
         a = partition_tasks(examples, space, 3, base_pen=1, seed=42)
         b = partition_tasks(examples, space, 3, base_pen=1, seed=42)
-        for ta, tb in zip(a.tasks, b.tasks):
-            assert [ex.id for ex in ta.examples] == [ex.id for ex in tb.examples]
+        assert a == b
+
+    def test_rows_keep_their_facts_in_pool_order(self):
+        # AD rows first, then CN rows, each in pool order, with the pool's facts
+        examples, space = self.make_pool(7, 4)
+        partition = partition_tasks(examples, space, 2, base_pen=1, seed=3)
+        for task in partition.tasks:
+            rows = [examples.ids.index(eid) for eid in task.examples.ids]
+            n_ad = int(task.examples.is_ad.sum())
+            assert rows[:n_ad] == sorted(rows[:n_ad]) and rows[n_ad:] == list(range(7, 11))
+            assert task.examples.facts.tolist() == examples.facts[rows].tolist()
 
     def test_too_many_subsets(self):
         examples, space = self.make_pool(2, 2)
@@ -196,12 +233,10 @@ class TestPartitionTasks:
 
 class TestSerialization:
     def make_task(self):
-        examples = [
+        return make_task([
             make_example("ad_000", AD, {E1: 123, E2: 770}, penalty=4),
             make_example("cn_000", CN, {E1: 2000, E2: 400}),
-        ]
-        space = build_space(SelectedEdges((E1, E2), "dt"), examples)
-        return LearningTask(space, tuple(examples))
+        ], (E1, E2))
 
     def test_pos_block_format(self):
         task = self.make_task()
@@ -214,10 +249,8 @@ class TestSerialization:
         assert "#maxv(2)." in text
 
     def test_single_fact_block(self):
-        examples = [make_example("ad_000", AD, {E2: 123}, penalty=4),
-                    make_example("cn_000", CN, {E2: 500})]
-        space = build_space(SelectedEdges((E2,), "dt"), examples)
-        text = task_to_text(LearningTask(space, tuple(examples)))
+        text = task_to_text(make_task([make_example("ad_000", AD, {E2: 123}, penalty=4),
+                                       make_example("cn_000", CN, {E2: 500})], (E2,)))
         assert "#pos(ad_000@4, {ad}, {cn}, " \
                "{ connection(region(3), region(17), 123). })." in text
 
@@ -225,12 +258,19 @@ class TestSerialization:
         task = self.make_task()
         assert task_to_text(task) == task_to_text(task)
 
+    def test_left_out_fact_not_written(self):
+        task = make_task([make_example("ad_000", AD, {E2: 123}, penalty=4),
+                          make_example("cn_000", CN, {E1: 5})], (E1, E2))
+        text = task_to_text(task)
+        assert "#pos(ad_000@4, {ad}, {cn}, { connection(region(3), region(17), 123). })." in text
+        assert "#pos(cn_000@1, {cn}, {ad}, { connection(region(2), region(5), 5). })." in text
+        assert parse_task_text(text).examples.facts.tolist() == [[-1, 123], [5, -1]]
+
     def test_empty_task_rejected(self):
-        space = build_space(SelectedEdges((E1,), "dt"),
-                            [make_example("ad_000", AD, {E1: 1})])
-        task = LearningTask(space, ())
+        task = make_task([make_example("ad_000", AD, {E1: 1})], (E1,))
+        empty = LearningTask(task.space, to_examples([], (E1,)))
         with pytest.raises(ValueError, match="task has no examples"):
-            task_to_text(task)
+            task_to_text(empty)
 
     def test_text_round_trip(self):
         task = self.make_task()
@@ -241,8 +281,8 @@ class TestSerialization:
         # its own examples; the threshold comments must carry it through
         examples = [make_example(f"ad_{k:03d}", AD, {E1: 100 + k}) for k in range(4)]
         examples += [make_example(f"cn_{k:03d}", CN, {E1: 500 + k}) for k in range(4)]
-        space = build_space(SelectedEdges((E1,), "dt"), examples)
-        partition = partition_tasks(examples, space, 2, base_pen=1, seed=0)
+        space = make_task(examples, (E1,)).space
+        partition = partition_tasks(to_examples(examples, (E1,)), space, 2, base_pen=1, seed=0)
         task = partition.tasks[0]
         back = parse_task_text(task_to_text(task))
         assert back == task
@@ -251,22 +291,44 @@ class TestSerialization:
 
 class TestExampleValidation:
     def test_penalty_must_be_positive(self):
-        with pytest.raises(ValueError, match="penalty"):
-            make_example("x", AD, {E1: 1}, penalty=0)
+        with pytest.raises(ValueError, match="penalty must be >= 1"):
+            to_examples([make_example("x", AD, {E1: 1}, penalty=0)], (E1,))
 
     def test_context_edges_must_be_in_space(self):
-        examples = [make_example("ad_000", AD, {E1: 1})]
-        space = build_space(SelectedEdges((E1,), "dt"), examples)
-        stray = make_example("ad_001", AD, {E2: 5})
-        with pytest.raises(ValueError, match="outside the space"):
-            LearningTask(space, (examples[0], stray))
+        task = make_task([make_example("ad_000", AD, {E1: 1})], (E1,))
+        for edges in ((E2,), (E1, E2)):
+            with pytest.raises(ValueError, match="fact columns are not the space's edges"):
+                LearningTask(task.space, to_examples([make_example("ad_001", AD, {})], edges))
 
     def test_repeated_id_rejected(self):
         # task_to_text would write such a task, and parse_task_text rejects it
-        examples = [make_example("a", AD, {E1: 1}), make_example("a", CN, {E1: 5})]
-        space = build_space(SelectedEdges((E1,), "dt"), examples)
         with pytest.raises(ValueError, match="repeated example id 'a'"):
-            LearningTask(space, tuple(examples))
+            to_examples([make_example("a", AD, {E1: 1}), make_example("a", CN, {E1: 5})], (E1,))
+
+    def test_penalty_total_bounded_for_int64_sums(self):
+        # one edge: the longest body has 3 atoms, so the penalties may sum to 2**63 - 4
+        def examples(total):
+            return to_examples([make_example("ad_000", AD, {E1: 1}, penalty=total - 5),
+                                make_example("cn_000", CN, {E1: 2}, penalty=5)], (E1,))
+        assert examples(2**63 - 4).penalty.tolist() == [2**63 - 9, 5]
+        with pytest.raises(ValueError, match=f"sum to {2**63}, above 2\\*\\*63 - 1"):
+            examples(2**63 - 3)
+        # and one penalty above 2**63 - 1 is a total too large, not a wrapped int64
+        with pytest.raises(ValueError, match="penalties too large"):
+            examples(2**64)
+
+    def test_equality_compares_every_field(self):
+        base = [make_example("a", AD, {E1: 1}, 2), make_example("b", CN, {})]
+        record = to_examples(base, (E1,))
+        assert record == to_examples(base, (E1,))
+        for changed in ([make_example("a", AD, {E1: 1}, 2), make_example("c", CN, {})],
+                        [make_example("a", CN, {E1: 1}, 2), make_example("b", CN, {})],
+                        [make_example("a", AD, {E1: 1}, 3), make_example("b", CN, {})],
+                        [make_example("a", AD, {E1: 0}, 2), make_example("b", CN, {})],
+                        [make_example("a", AD, {E1: 1}, 2), make_example("b", CN, {E1: 1})]):
+            assert record != to_examples(changed, (E1,))
+        assert record != to_examples([make_example("a", AD, {}, 2), make_example("b", CN, {})],
+                                     (E2,))
 
 
 class TestStrictParsing:
@@ -306,6 +368,36 @@ class TestStrictParsing:
         text = self.golden_with("connection(region(3), region(17), 770).",
                                 "connection(region(2), region(5), 770).")
         with pytest.raises(ValueError, match=r"^line 25: .*repeats an edge"):
+            parse_task_text(text)
+
+    def test_fact_for_undeclared_edge_rejected(self):
+        text = self.golden_with("connection(region(3), region(17), 500).",
+                                "connection(region(4), region(9), 500).")
+        with pytest.raises(ValueError, match=r"^line 26: example 'ad_001' has a fact for edge "
+                                             r"\(4, 9\), which no earlier #modeb declares"):
+            parse_task_text(text)
+
+    def test_fact_above_int64_rejected(self):
+        text = self.golden_with("region(5), 1700).", f"region(5), {2**63}).")
+        with pytest.raises(ValueError, match=rf"^line 28: example 'cn_001' has fact {2**63}, "
+                                             r"above 2\*\*63 - 1"):
+            parse_task_text(text)
+        # the largest fact an int64 holds is read exactly
+        text = self.golden_with("region(5), 1700).", f"region(5), {2**63 - 1}).")
+        assert parse_task_text(text).examples.facts[3, 0] == 2**63 - 1
+
+    @pytest.mark.parametrize("penalty", ["0", str(2**63)])
+    def test_penalty_out_of_range_rejected(self, penalty):
+        text = self.golden_with("#pos(ad_001@1,", f"#pos(ad_001@{penalty},")
+        with pytest.raises(ValueError, match=rf"^line 26: example 'ad_001' has penalty {penalty}, "
+                                             r"not in 1 \.\. 2\*\*63 - 1"):
+            parse_task_text(text)
+
+    def test_penalty_total_above_int64_rejected(self):
+        # each CN penalty fits an int64, but their sum does not
+        text = GOLDEN.read_text().replace("#pos(cn_000@1,", f"#pos(cn_000@{2**62},")
+        text = text.replace("#pos(cn_001@1,", f"#pos(cn_001@{2**62},")
+        with pytest.raises(ValueError, match="penalties too large"):
             parse_task_text(text)
 
     def test_unsorted_thresholds_rejected(self):
@@ -381,7 +473,7 @@ def tasks(draw):
         st.booleans(),
         st.dictionaries(st.sampled_from(edges), st.integers(0, 5000)),
     ), min_size=1, max_size=6, unique_by=lambda ex: ex.id))  # a .las file names each once
-    return LearningTask(space, tuple(examples))
+    return LearningTask(space, to_examples(examples, edges))
 
 
 class TestTextProperties:
