@@ -226,7 +226,11 @@ class Cohort:
     def subset(self, ids: Sequence[str]) -> "Cohort":
         """Sub-cohort of the given ids, preserving this cohort's order."""
         keep = set(ids)
-        return Cohort(tuple(s for s in self.subjects if s.id in keep), self.atlas)
+        subjects = tuple(s for s in self.subjects if s.id in keep)
+        if len(subjects) != len(keep):
+            known = {s.id for s in subjects}
+            raise ValueError(f"unknown subject id: {next(x for x in ids if x not in known)!r}")
+        return Cohort(subjects, self.atlas)
 
 
 @dataclass(frozen=True)
@@ -252,15 +256,16 @@ class EdgeMask:
 @dataclass(frozen=True, eq=False)
 class Features:
     """Masked strengths of a cohort: row k is the cohort's subject k, column
-    c is edges[c]; is_ad is the one label field."""
+    c is edges[c]; is_ad is the one label field. X and is_ad are read-only
+    copies."""
 
     X: np.ndarray
     is_ad: np.ndarray
     edges: tuple[EdgeId, ...]
 
     def __post_init__(self):
-        X = np.asarray(self.X, dtype=float)
-        is_ad = np.asarray(self.is_ad, dtype=bool)
+        X = np.array(self.X, dtype=float)
+        is_ad = np.array(self.is_ad, dtype=bool)
         if X.ndim != 2 or len(X) == 0:
             raise ValueError("empty sample set")
         if is_ad.shape != (len(X),):

@@ -67,9 +67,7 @@ from __future__ import annotations
 import json
 import operator
 import re
-from math import prod
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,10 +138,6 @@ class Hypothesis:
     @property
     def atom_count(self) -> int:
         return sum(r.atom_count for r in self.rules)
-
-    @property
-    def sort_key(self) -> tuple:
-        return tuple(r.sort_key for r in self.rules)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -319,7 +313,6 @@ class _Walk:
     literals: tuple[BodyLiteral, ...]  # of the usable edges, in canonical order
     reach: int  # the examples some literal holds on
     fires: np.ndarray  # (bodies, words): fire-set of each body
-    size: np.ndarray  # literals in each body
     last: np.ndarray  # index in literals of each body's last literal
     parent: np.ndarray  # the body each one extends by its last literal; -1 at size 1
     floors: np.ndarray  # atoms + the CN penalty of each body's own fire-set
@@ -351,7 +344,9 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     hypothesis. A body of size s has at least 1 + 2s atoms, so with stop
     the walk ends before the first size s whose 1 + 2s is above the
     incumbent: no body of that size or larger can lower the incumbent or
-    pass the floor cut. Without stop it walks every size."""
+    pass the floor cut. Without stop it walks every size. Before making a
+    size, the walk raises ValueError when the bodies kept so far plus that
+    size's extensions are above MAX_ENUMERATION."""
     examples = task.examples
     ad_mask = table.ad_mask
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
@@ -359,15 +354,6 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     lits = [_edge_literals(e, examples.column(e), space.threshold_domain[e], cn_mask, ad_mask)
             for e in sorted(space.edges.edges)]
     usable = [edge_lits for edge_lits in lits if edge_lits]
-
-    max_size = min(space.max_body_edges, len(usable))
-    projected = sum(prod(len(edge_lits) for edge_lits in combo)
-                    for m in range(1, max_size + 1)
-                    for combo in combinations(usable, m))
-    if projected > MAX_ENUMERATION:
-        raise ValueError(
-            f"candidate enumeration would generate {projected} rule bodies "
-            f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
 
     n_words = max(1, -(-len(examples) // 64))
     masks = [mask for edge_lits in usable for _, mask in edge_lits]
@@ -379,7 +365,7 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     ad_row = _pack([ad_mask], n_words)[0]
 
     no_rows = np.empty(0, dtype=np.intp)
-    parts = [(np.empty((0, n_words), dtype=np.uint64), no_rows, no_rows, no_rows, no_rows)]
+    parts = [(np.empty((0, n_words), dtype=np.uint64), no_rows, no_rows, no_rows)]
     incumbent = table.ad_total
     # the bodies of the last size: their rows, fire-sets and first literal
     # they may take; at first the empty body, which fires everywhere
@@ -387,10 +373,15 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     fires = np.full((1, n_words), np.iinfo(np.uint64).max, dtype=np.uint64)
     nexts = np.zeros(1, dtype=np.intp)
     done = 0
-    for size in range(1, max_size + 1):
+    for size in range(1, min(space.max_body_edges, len(usable)) + 1):
         if stop and 1 + 2 * size > incumbent:
             break
         counts = n_lits - nexts
+        bodies = done + int(counts.sum())
+        if bodies > MAX_ENUMERATION:
+            raise ValueError(
+                f"candidate enumeration would generate {bodies} rule bodies by size {size} "
+                f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
         prefix = np.repeat(np.arange(len(rows)), counts)
         lit = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - nexts, counts)
         hit = fires[prefix] & literal_rows[lit]
@@ -403,7 +394,7 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
         # the AD penalty it covers
         change = floors - _penalties(fires, table.ad_groups)
         incumbent = min(incumbent, table.ad_total + int(change.min(initial=0)))
-        parts.append((fires, np.full(len(fires), size), lit, rows[prefix], floors))
+        parts.append((fires, lit, rows[prefix], floors))
         rows = done + np.arange(len(fires))
         nexts = later[lit]
         done += len(fires)

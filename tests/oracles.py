@@ -345,6 +345,23 @@ def oracle_walk(task) -> list[tuple[tuple[BodyLiteral, ...], int]]:
     return walked
 
 
+def oracle_enumeration_counts(task) -> list[int]:
+    """Per body size s up to the task's bound: the bodies of oracle_walk
+    below size s plus every extension of its size s - 1 bodies (of the
+    empty body at s = 1) by one literal of a later usable edge. This is the
+    count the walk holds against MAX_ENUMERATION before it makes size s."""
+    _, lits = _literals(task)
+    usable = [e for e in lits if lits[e]]
+    later = {e: sum(len(lits[f]) for f in usable[u + 1:]) for u, e in enumerate(usable)}
+    walked = oracle_walk(task)
+    counts = []
+    for s in range(1, min(task.space.max_body_edges, len(usable)) + 1):
+        extensions = (sum(map(len, lits.values())) if s == 1 else
+                      sum(later[body[-1].edge] for body, _ in walked if len(body) == s - 1))
+        counts.append(sum(len(body) < s for body, _ in walked) + extensions)
+    return counts
+
+
 def oracle_first_bodies(task) -> dict[int, tuple[BodyLiteral, ...]]:
     """Each fire-set of oracle_walk mapped to the first body reaching it:
     its fewest-atom, smallest-key representative. The insertion order is

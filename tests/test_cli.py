@@ -325,6 +325,49 @@ class TestExitCodes:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_mask_of_non_finite_weight_is_2(self, tmp_path, capsys, bad):
+        w = np.zeros((N_REGIONS, N_REGIONS))
+        w[0, 1] = w[1, 0] = float(bad)
+        matrix = tmp_path / "s0.csv"
+        np.savetxt(matrix, w, delimiter=",")
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({"atlas": list(default_atlas().names), "subjects": [
+            {"id": "s0", "diagnosis": "AD", "sex": "F", "manufacturer": "MfrA",
+             "matrix": "s0.csv"}]}))
+        out = tmp_path / "mask.json"
+        assert main(["mask", "--cohort", str(manifest), "--out", str(out)]) == 2
+        assert f"error: {manifest}: {matrix}: non-finite weight" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rule, message", [
+        ("ad(X) :- foo.", "unparseable rule"),
+        ("ad :- connection(region(1), region(2), V0), connection(region(3), region(4), V0), "
+         "V0 >= 5.", "V0 bound twice"),
+        ("ad :- connection(region(1), region(2), V0), V1 >= 5.",
+         "mismatched connection and comparison literals"),
+    ], ids=["unparseable", "bound-twice", "unmatched"])
+    def test_bad_rule_text_is_2(self, workspace, tmp_path, capsys, rule, message):
+        hyp = tmp_path / "h.lp"
+        hyp.write_text(rule + "\n")
+        out = tmp_path / "out"
+        assert main(["infer", "--hypothesis", str(hyp),
+                     "--cohort", str(workspace / "cohort.json"), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {hyp}: {message}" in err
+        assert not out.exists()
+
+    def test_cv_budget_exceeded_is_3(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "cv.json"
+        cfg_path.write_text(json.dumps({"n_repeats": 1, "n_folds": 2, "budget": 1,
+                                        "fit_reference_models": False}))
+        run_dir = tmp_path / "run"
+        assert main(["cv", "--config", str(cfg_path), "--cohort", str(workspace / "cohort.json"),
+                     "--out-dir", str(run_dir)]) == 3
+        assert "budget exceeded on at least one fold" in capsys.readouterr().err
+        report = json.loads((run_dir / "report.json").read_text())
+        assert not all(fold["optimal"] for fold in report["folds"])
+
     def test_unknown_config_key_is_2(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "cv.json"
         cfg_path.write_text(json.dumps({"n_repeat": 1, "selector": {"k_globl": 2}}))

@@ -249,6 +249,12 @@ class TestManifestIO:
         with pytest.raises(ValueError, match="duplicate subject id"):
             Cohort((s, Subject("dup", w, CN, "M", "MfrB")), default_atlas())
 
+    def test_subset_rejects_unknown_id(self):
+        cohort = generate_synthetic(0, 5)
+        assert [s.id for s in cohort.subset(["s0001", "s0000"]).subjects] == ["s0000", "s0001"]
+        with pytest.raises(ValueError, match="unknown subject id: 'typo'"):
+            cohort.subset(["s0000", "typo", "also-typo"])
+
     def test_full_matrix_rejected_as_strengths(self):
         with pytest.raises(ValueError, match=r"strengths must have shape \(3486,\), got \(84, 84\)"):
             Subject("a", make_weights({(0, 1): 1.0}), AD, "F", "MfrA")
@@ -347,6 +353,15 @@ class TestFeatures:
         X = np.array([[1.0, 2.0], [3.0, bad]])
         with pytest.raises(ValueError, match="non-finite strength .* at row 1, column 1"):
             Features(X, np.array([True, False]), (edge(0, 1), edge(0, 2)))
+
+    def test_callers_arrays_stay_writeable(self):
+        X = np.array([[1.0, 2.0], [3.0, 4.0]])
+        is_ad = np.array([True, False])
+        features = Features(X, is_ad, (edge(0, 1), edge(0, 2)))
+        X[0, 0] = 5.0
+        is_ad[0] = False
+        assert features.X[0, 0] == 1.0 and features.is_ad[0]
+        assert not features.X.flags.writeable and not features.is_ad.flags.writeable
 
     def test_ranks_order_values_and_share_ties(self):
         X = np.array([[2.0, 0.5], [1.0, 0.5], [2.0, 9.0], [0.0, 0.5]])

@@ -1,8 +1,11 @@
 import gc
+import math
+import re
 import sys
 import tracemalloc
 from dataclasses import replace
 from functools import partial
+from itertools import combinations
 from unittest import mock
 
 import numpy as np
@@ -10,9 +13,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from connrules import learner
+from connrules import crossval, learner
 from connrules.cli import main
-from connrules.cohort import AD, CN, canonical_edges, edge
+from connrules.cohort import AD, CN, PlantedEdge, canonical_edges, edge, generate_synthetic
+from connrules.crossval import CVConfig, run_pipeline
 from connrules.learner import (
     DEFAULT_NODE_BUDGET,
     BodyLiteral,
@@ -40,16 +44,18 @@ from connrules.learner import (
     score,
     union_hypotheses,
 )
-from connrules.selection import SelectedEdges
+from connrules.selection import SelectedEdges, SelectorConfig
 from connrules.taskgen import COMPARATORS, LearningTask, build_space, serialize_task
 from oracles import (
     Example,
     OraclePenaltyTable,
+    _literals as oracle_literals,
     brute_force_learn,
     covers,
     example_rows,
     oracle_candidates,
     oracle_edge_literals,
+    oracle_enumeration_counts,
     oracle_first_bodies,
     oracle_floor_cut,
     oracle_learn,
@@ -398,7 +404,6 @@ class TestPackedWalk:
         walk = _walk(task, _PenaltyTable(task.examples), stop=False)
         walked = oracle_walk(task)
         assert [(walk.body(r), fires) for r, fires in enumerate(_unpack(walk.fires))] == walked
-        assert walk.size.tolist() == [len(body) for body, _ in walked]
         assert walk.floors.tolist() == [1 + 2 * len(body) + oracle_penalty(task, fires, False)
                                         for body, fires in walked]
         assert walk.incumbent == oracle_floor_cut(task)[0]
@@ -480,6 +485,74 @@ class TestWalkStop:
             uncut = learn(task)
         assert (res.bodies, uncut.bodies) == (n, len(full.fires))
         assert res == replace(uncut, bodies=n)
+
+
+def readme_cohort_cv(noise, k_global, max_body_edges):
+    """One repeat of the README CV protocol, without reference models."""
+    cohort = generate_synthetic(7, 100, [PlantedEdge(edge(2, 5), 2.0, "low")], noise)
+    config = CVConfig(n_repeats=1, selector=SelectorConfig(k_global=k_global),
+                      max_body_edges=max_body_edges, fit_reference_models=False)
+    return run_pipeline(config, cohort)
+
+
+class TestEnumerationLimit:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_limit_holds_the_bodies_each_made_size_allocates(self, data):
+        # before making size s the walk counts the bodies below s and the
+        # extensions of size s - 1; the limit is never stricter than the
+        # count of every body of every size up to the bound
+        task = random_task(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), 3)
+        counts = oracle_enumeration_counts(task)
+        assume(counts)
+        usable = [lits for lits in oracle_literals(task)[1].values() if lits]
+        assert max(counts) <= sum(math.prod(map(len, combo)) for m in range(1, len(counts) + 1)
+                                  for combo in combinations(usable, m))
+        table = _PenaltyTable(task.examples)
+        limit = data.draw(st.integers(0, max(counts)))
+        over = [(c, s) for s, c in enumerate(counts, 1) if c > limit]
+        with mock.patch.object(learner, "MAX_ENUMERATION", limit):
+            if over:
+                message = (f"would generate {over[0][0]} rule bodies by size {over[0][1]} "
+                           f"(limit {limit})")
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    _walk(task, table, stop=False)
+            else:
+                _walk(task, table, stop=False)
+            # learn's walk counts only the sizes it makes
+            made = counts[:(oracle_stop_size(task) or len(counts) + 1) - 1]
+            if max(made, default=0) > limit:
+                with pytest.raises(ValueError, match="rule bodies by size"):
+                    learn(task)
+            else:
+                assert learn(task).optimal
+
+    def test_readme_cohort_with_five_edges_of_three_literals(self):
+        # the projection of every body size up to 3 was 15,809,743; the walk
+        # stops after size 1
+        report = readme_cohort_cv(0.0, 5, 3)
+        assert len(report.folds) == 5
+        assert all(fold.optimal for fold in report.folds)
+
+    def test_walk_over_the_limit_raises(self, tmp_path, capsys):
+        # noise 0.1 and 4 edges: the first task of repeat 0, fold 0 reaches
+        # size 3 and its count is above the limit there
+        tasks = []
+
+        def capture(task, budget):
+            tasks.append(task)
+            return learn(task, budget=budget)
+
+        message = f"would generate 9343413 rule bodies by size 3 (limit {learner.MAX_ENUMERATION})"
+        with mock.patch.object(crossval, "learn", capture):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                readme_cohort_cv(0.1, 4, 3)
+        path = tmp_path / "t.las"
+        serialize_task(tasks[-1], path)
+        capsys.readouterr()
+        assert main(["learn", "--task", str(path), "--out", str(tmp_path / "h.json")]) == 2
+        assert f"error: candidate enumeration {message}" in capsys.readouterr().err
+        assert not (tmp_path / "h.json").exists()
 
 
 class TestCoverRecordSearch:
