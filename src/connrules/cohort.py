@@ -7,6 +7,10 @@ from __future__ import annotations
 import io
 import json
 import math
+import mmap
+import os
+import pickle
+import threading
 from dataclasses import dataclass, is_dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -468,6 +472,90 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     return check_connectome(np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2))
 
 
+def _read_rows(paths, rows: np.ndarray, first: int = 0) -> tuple[int, Exception] | None:
+    """Read the connectome CSV at each of paths into the matching row of
+    rows, stopping at the first that fails: its (first + row, exception), or
+    None when every path was read."""
+    for k, path in enumerate(paths):
+        try:
+            rows[k] = read_input(path, _matrix_from_csv)
+        except (ValueError, OSError) as exc:
+            return first + k, exc
+    return None
+
+
+def _fork_reader(paths, rows: np.ndarray, first: int) -> tuple[int, int]:
+    """(pid, read end of its pipe) of a forked child that runs _read_rows
+    into rows, which must lie in shared memory, and sends back only its
+    result, pickled. The child leaves by os._exit on every path: status 0
+    once its result is written, 1 otherwise."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as fh:
+                pickle.dump(_read_rows(paths, rows, first), fh)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)
+    return pid, r
+
+
+def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
+    """The strengths of the connectome CSV at each path, row k for paths[k],
+    as one read-only matrix, and the (row, exception) of the first path in
+    order that could not be read, or None.
+
+    The matrix lies in anonymous shared memory, and the paths are split into
+    one contiguous block per usable CPU (at most one per path): this process
+    reads the first block, and a forked child reads each other, writing its
+    rows straight into the matrix and sending back only its block's first
+    failure. A process with another thread alive reads every block itself:
+    a forked child holds only the forking thread, so a lock that another
+    thread held would stay locked in it.
+    """
+    n = len(paths)
+    if n == 0:
+        return np.empty((0, N_EDGES)), None
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    procs = min(n, cpus) if hasattr(os, "fork") and threading.active_count() == 1 else 1
+    shared = mmap.mmap(-1, n * N_EDGES * 8)
+    matrix = np.frombuffer(shared, dtype=float).reshape(n, N_EDGES)
+    bounds = [n * p // procs for p in range(procs + 1)]
+    children, sent, statuses = [], [], []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_reader(paths[lo:hi], matrix[lo:hi], lo))
+        failure = _read_rows(paths[:bounds[1]], matrix[:bounds[1]])
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                sent.append(fh.read())
+    finally:
+        for pid, r in children:
+            os.close(r)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    # blocks are in manifest order: the first failure found, block by block,
+    # is the first in the manifest
+    for lo, status, data in zip(bounds[1:], statuses, sent):
+        if failure:
+            break
+        if status != 0:
+            raise ChildProcessError(f"the process reading {paths[lo]} and on "
+                                    f"exited with status {status}")
+        failure = pickle.loads(data)
+    # a view of a read-only buffer, so no row can be made writeable again
+    matrix = np.frombuffer(memoryview(shared).toreadonly(), dtype=float)
+    return matrix.reshape(n, N_EDGES), failure
+
+
 def load_cohort(manifest_path) -> Cohort:
     """Load a cohort from a JSON manifest referencing per-subject CSV matrices.
 
@@ -478,16 +566,21 @@ def load_cohort(manifest_path) -> Cohort:
                        "manufacturer": ..., "matrix": "relative/path.csv"}]}
 
     Raises ValueError naming the manifest, and the matrix file where one is
-    at fault, on any missing, malformed or invalid input.
+    at fault, on any missing, malformed or invalid input; the first fault in
+    manifest order is the one raised. Each subject's strengths are a row
+    view of one read-only matrix, read on every usable CPU.
     """
     base = Path(manifest_path).parent
 
     def parse(text: str) -> Cohort:
         atlas, records = _manifest_records(json.loads(text))
-        return Cohort(tuple(
-            Subject(rec["id"], read_input(base / rec["matrix"], _matrix_from_csv),
-                    rec["diagnosis"], rec["sex"], rec["manufacturer"])
-            for rec in records), atlas)
+        strengths, failure = _read_matrices([base / rec["matrix"] for rec in records])
+        end = failure[0] if failure else len(records)
+        subjects = tuple(Subject(rec["id"], row, rec["diagnosis"], rec["sex"], rec["manufacturer"])
+                         for rec, row in zip(records[:end], strengths))
+        if failure:
+            raise failure[1]
+        return Cohort(subjects, atlas)
 
     return read_input(manifest_path, parse)
 

@@ -58,7 +58,7 @@ def evaluate(true_labels: Sequence[str], predicted: Sequence[str]) -> Metrics:
         raise ValueError(f"{len(true_labels)} true labels but {len(predicted)} predictions")
     if not true_labels:
         raise ValueError("no labels to evaluate")
-    for label in true_labels:
+    for label in (*true_labels, *predicted):
         if label not in (AD, CN):
             raise ValueError(f"unknown label {label!r}")
     hits = Counter(zip(true_labels, (pred == AD for pred in predicted)))
@@ -78,6 +78,9 @@ def predictions_to_csv(
     true_labels: Sequence[str],
     path,
 ) -> Path:
+    """One CSV row per prediction, beside the true label at its position."""
+    if len(predictions) != len(true_labels):
+        raise ValueError(f"{len(predictions)} predictions but {len(true_labels)} true labels")
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

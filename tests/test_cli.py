@@ -1,6 +1,9 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -495,3 +498,16 @@ class TestExitCodes:
         assert main(["learn", "--task", str(task), "--out", str(out)]) == 2
         assert "line 1: unrecognised line 'garbage'" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_loads_no_process_pool_module():
+    """Each command of the walkthrough starts by importing connrules.cli, and
+    multiprocessing or concurrent.futures would add 5-15 ms to that; the
+    cohort loader forks its readers with os.fork alone."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, connrules.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        env=env, check=True, capture_output=True, text=True, timeout=60).stdout
+    assert out == "[]\n"

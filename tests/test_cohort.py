@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import os
 import re
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import connrules.cohort as cohort_module
 from connrules.cohort import (
     AD,
     CN,
@@ -258,6 +261,158 @@ class TestManifestIO:
     def test_full_matrix_rejected_as_strengths(self):
         with pytest.raises(ValueError, match=r"strengths must have shape \(3486,\), got \(84, 84\)"):
             Subject("a", make_weights({(0, 1): 1.0}), AD, "F", "MfrA")
+
+
+def use_cpus(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """One entry per os.fork call made while the test runs."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+class TestForkedLoad:
+    """load_cohort reads one contiguous block of the manifest per usable CPU:
+    this process the first, a forked child each other."""
+
+    N = 8  # with 4 CPUs: rows 0-1 here, then 2-3, 4-5 and 6-7 in children
+
+    @pytest.fixture
+    def manifest(self, tmp_path):
+        return save_cohort(generate_synthetic(5, self.N // 2), tmp_path)
+
+    @pytest.mark.parametrize("cpus, setting, n_forks", [
+        (1, "", 0), (2, "", 1), (4, "", 3), (64, "", N - 1),
+        (4, "no fork", 0), (4, "thread alive", 0)])
+    def test_rows_are_the_parsed_files(self, manifest, monkeypatch, forks, cpus, setting,
+                                       n_forks):
+        use_cpus(monkeypatch, cpus)
+        if setting == "no fork":
+            monkeypatch.delattr(os, "fork")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if setting == "thread alive":
+            thread.start()
+        try:
+            cohort = load_cohort(manifest)
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(forks) == n_forks
+        assert_no_child_left()
+        for s in cohort.subjects:
+            want = check_connectome(np.loadtxt(
+                manifest.parent / "matrices" / f"{s.id}.csv", delimiter=",", ndmin=2))
+            assert s.strengths.tobytes() == want.tobytes()
+        # read-only row views of one matrix, row k at k rows past row 0
+        rows = [s.strengths for s in cohort.subjects]
+        start = [r.__array_interface__["data"][0] for r in rows]
+        assert start == [start[0] + k * N_EDGES * 8 for k in range(self.N)]
+        assert all(r.base is rows[0].base for r in rows)
+        for r in rows:
+            with pytest.raises(ValueError):
+                r.flags.writeable = True
+
+    # row: fault; the first in manifest order is the one raised, with 2 CPUs
+    # (blocks 0-3, 4-7) and with 4 (blocks 0-1, 2-3, 4-5, 6-7) alike
+    FAULTS = {
+        "malformed-here": {1: "malformed", 5: "missing", 6: "directory"},
+        "missing-in-a-child": {4: "missing", 6: "directory", 7: "malformed"},
+        "directory": {2: "directory", 5: "malformed", 7: "missing"},
+        "diagnosis-before-file": {3: "diagnosis", 5: "malformed"},
+        "file-before-diagnosis": {3: "malformed", 5: "diagnosis"},
+    }
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("case", FAULTS)
+    def test_first_fault_in_manifest_order_is_raised(self, manifest, monkeypatch, forks,
+                                                     capsys, cpus, case):
+        from connrules.cli import main
+        doc = json.loads(manifest.read_text())
+        for row, fault in self.FAULTS[case].items():
+            path = manifest.parent / doc["subjects"][row]["matrix"]
+            if fault == "malformed":
+                path.write_text("0,1,x\n")
+            elif fault == "diagnosis":
+                doc["subjects"][row]["diagnosis"] = "XX"
+            else:
+                path.unlink()
+                if fault == "directory":
+                    path.mkdir()
+        manifest.write_text(json.dumps(doc))
+        row, fault = min(self.FAULTS[case].items())
+        errors = []
+        for n in (1, cpus):
+            use_cpus(monkeypatch, n)
+            with pytest.raises((ValueError, OSError)) as info:
+                load_cohort(manifest)
+            errors.append((type(info.value), str(info.value)))
+            assert_no_child_left()
+        assert len(forks) == cpus - 1
+        assert errors[0] == errors[1]  # as one process reading in order gives it
+        kind, message = errors[0]
+        if fault == "diagnosis":
+            assert message == f"{manifest}: diagnosis must be AD or CN, got 'XX'"
+        else:
+            path = manifest.parent / doc["subjects"][row]["matrix"]
+            assert kind is (IsADirectoryError if fault == "directory" else ValueError)
+            assert message.endswith({
+                "malformed": f"{path}: could not convert string 'x' to float64 at row 0, "
+                             "column 3.",
+                "missing": f"missing file: {path}",
+                "directory": f"Is a directory: '{path}'"}[fault])
+        out = manifest.parent / "mask.json"
+        assert main(["mask", "--cohort", str(manifest), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+        assert_no_child_left()
+
+    def test_reader_that_dies_is_an_error(self, manifest, monkeypatch, forks):
+        # an error other than ValueError or OSError ends the child's read
+        # without a result; rows 6-7 are the last child's block
+        subjects = json.loads(manifest.read_text())["subjects"]
+        first, dying = (manifest.parent / subjects[k]["matrix"] for k in (6, 7))
+        read_input = cohort_module.read_input
+
+        def failing(path, parse):
+            if path == dying:
+                raise MemoryError
+            return read_input(path, parse)
+
+        monkeypatch.setattr(cohort_module, "read_input", failing)
+        use_cpus(monkeypatch, 4)
+        with pytest.raises(ChildProcessError,
+                           match=f"^the process reading {re.escape(str(first))} and on "
+                                 "exited with status 1$"):
+            load_cohort(manifest)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_no_subjects_is_an_empty_cohort(self, tmp_path, monkeypatch, forks, cpus):
+        use_cpus(monkeypatch, cpus)
+        manifest = tmp_path / "cohort.json"
+        manifest.write_text(json.dumps({"atlas": list(default_atlas().names), "subjects": []}))
+        with pytest.raises(ValueError, match="empty cohort"):
+            load_cohort(manifest)
+        assert forks == []
 
 
 class TestComputeMask:

@@ -107,6 +107,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="unknown label 'MCI'"):
             evaluate(["MCI"], [AD])
 
+    def test_unknown_predicted_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown label 'typo'"):
+            evaluate([AD, CN], [AD, "typo"])
+
 
 @st.composite
 def scored_tasks(draw):
@@ -161,3 +165,9 @@ class TestCsvExport:
         assert lines[0] == "subject_id,true_label,predicted_label,fired_rule_ids"
         assert lines[1] == "s1,AD,AD,0"
         assert lines[2] == "s2,AD,CN,"
+
+    def test_length_mismatch_rejected(self, tmp_path):
+        preds = predict(HYP, examples_of({E1: 85}))
+        with pytest.raises(ValueError, match="1 predictions but 3 true labels"):
+            predictions_to_csv(preds, [AD, CN, AD], tmp_path / "p.csv")
+        assert not (tmp_path / "p.csv").exists()
