@@ -9,7 +9,6 @@ import json
 import math
 import mmap
 import os
-import pickle
 import threading
 from dataclasses import dataclass, is_dataclass
 from functools import cached_property
@@ -82,11 +81,18 @@ def edges_from_pairs(pairs) -> tuple[EdgeId, ...]:
 
 def _checked(value, want, what: str):
     """value, once it is of type want (an int passes for a float, a bool
-    never for a number); what names the value in the error."""
+    never for a number, and a float must be finite); what names the value
+    in the error."""
     if (not isinstance(value, (int, float) if want is float else want)
             or isinstance(value, bool) and want not in (bool, object)):
         raise ValueError(f"{what} must be {getattr(want, '__name__', want)}, "
                          f"not {type(value).__name__}")
+    try:
+        finite = want is not float or math.isfinite(value)
+    except OverflowError:  # an int past the largest float
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} must be a finite float")
     return value
 
 
@@ -472,41 +478,16 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     return check_connectome(np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2))
 
 
-def _read_rows(paths, rows: np.ndarray, first: int = 0) -> tuple[int, Exception] | None:
-    """Read the connectome CSV at each of paths into the matching row of
-    rows, stopping at the first that fails: its (first + row, exception), or
-    None when every path was read."""
-    for k, path in enumerate(paths):
+def _read_rows(paths, matrix: np.ndarray, lo: int, hi: int) -> tuple[int, Exception] | None:
+    """Read the connectome CSV at paths[k] into matrix[k] for each k from lo
+    up to hi, stopping at the first that fails: its (k, exception), or None
+    when every path was read."""
+    for k in range(lo, hi):
         try:
-            rows[k] = read_input(path, _matrix_from_csv)
+            matrix[k] = read_input(paths[k], _matrix_from_csv)
         except (ValueError, OSError) as exc:
-            return first + k, exc
+            return k, exc
     return None
-
-
-def _fork_reader(paths, rows: np.ndarray, first: int) -> tuple[int, int]:
-    """(pid, read end of its pipe) of a forked child that runs _read_rows
-    into rows, which must lie in shared memory, and sends back only its
-    result, pickled. The child leaves by os._exit on every path: status 0
-    once its result is written, 1 otherwise."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(r)
-            with open(w, "wb") as fh:
-                pickle.dump(_read_rows(paths, rows, first), fh)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(w)
-    return pid, r
 
 
 def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
@@ -516,11 +497,14 @@ def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
 
     The matrix lies in anonymous shared memory, and the paths are split into
     one contiguous block per usable CPU (at most one per path): this process
-    reads the first block, and a forked child reads each other, writing its
-    rows straight into the matrix and sending back only its block's first
-    failure. A process with another thread alive reads every block itself:
-    a forked child holds only the forking thread, so a lock that another
-    thread held would stay locked in it.
+    reads the first block, and a forked child each other, writing its rows
+    straight into the matrix. A child reports only its exit status, 0 when
+    it read every row of its block; this process then reads again, in order,
+    each block whose child did not exit 0 or could not be forked, so the
+    result and the first failure are those of reading every block here. A
+    process with another thread alive reads every block itself: a forked
+    child holds only the forking thread, so a lock that another thread held
+    would stay locked in it.
     """
     n = len(paths)
     if n == 0:
@@ -530,27 +514,29 @@ def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
     shared = mmap.mmap(-1, n * N_EDGES * 8)
     matrix = np.frombuffer(shared, dtype=float).reshape(n, N_EDGES)
     bounds = [n * p // procs for p in range(procs + 1)]
-    children, sent, statuses = [], [], []
+    blocks = list(zip(bounds[1:-1], bounds[2:]))
+    pids = []  # one per block, None where the fork failed
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_reader(paths[lo:hi], matrix[lo:hi], lo))
-        failure = _read_rows(paths[:bounds[1]], matrix[:bounds[1]])
-        for _, r in children:
-            with open(r, "rb", closefd=False) as fh:
-                sent.append(fh.read())
+        for lo, hi in blocks:
+            try:
+                pid = os.fork()
+            except OSError:
+                pid = None
+            if pid == 0:
+                try:
+                    if _read_rows(paths, matrix, lo, hi) is None:
+                        os._exit(0)
+                finally:
+                    os._exit(1)
+            pids.append(pid)
+        failure = _read_rows(paths, matrix, 0, bounds[1])
     finally:
-        for pid, r in children:
-            os.close(r)
-            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-    # blocks are in manifest order: the first failure found, block by block,
-    # is the first in the manifest
-    for lo, status, data in zip(bounds[1:], statuses, sent):
+        finished = [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
+    for (lo, hi), done in zip(blocks, finished):
         if failure:
             break
-        if status != 0:
-            raise ChildProcessError(f"the process reading {paths[lo]} and on "
-                                    f"exited with status {status}")
-        failure = pickle.loads(data)
+        if not done:
+            failure = _read_rows(paths, matrix, lo, hi)
     # a view of a read-only buffer, so no row can be made writeable again
     matrix = np.frombuffer(memoryview(shared).toreadonly(), dtype=float)
     return matrix.reshape(n, N_EDGES), failure
@@ -568,7 +554,9 @@ def load_cohort(manifest_path) -> Cohort:
     Raises ValueError naming the manifest, and the matrix file where one is
     at fault, on any missing, malformed or invalid input; the first fault in
     manifest order is the one raised. Each subject's strengths are a row
-    view of one read-only matrix, read on every usable CPU.
+    view of one read-only matrix, read on every usable CPU: a forked child
+    reports only whether it read its whole block, and any block a child did
+    not finish is read again in this process.
     """
     base = Path(manifest_path).parent
 

@@ -30,6 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Decimal
+from fractions import Fraction
 from itertools import count
 from pathlib import Path
 
@@ -198,10 +199,10 @@ def partition_tasks(
     seed: int = 0,
 ) -> TaskPartition:
     """Split AD examples into near-even disjoint subsets; pair each with the
-    full CN set. AD penalties are rescaled to round(base_pen * |CN| / |AD_task|)
-    (minimum 1) so the class penalty sums roughly balance; CN penalties stay
-    at base_pen. A task's rows are its AD rows, then the CN rows, each in
-    their order in examples."""
+    full CN set. AD penalties are rescaled to round(base_pen * |CN| / |AD_task|),
+    the exact quotient rounded half to even (minimum 1), so the class penalty
+    sums roughly balance; CN penalties stay at base_pen. A task's rows are its
+    AD rows, then the CN rows, each in their order in examples."""
     ad = np.flatnonzero(examples.is_ad)
     cn = np.flatnonzero(~examples.is_ad)
     if n_ad_subsets < 1:
@@ -214,7 +215,7 @@ def partition_tasks(
     # near-even: the first len(ad) % n_ad_subsets subsets take one more
     for members in np.array_split(perm, n_ad_subsets):
         rows = np.concatenate([ad[np.sort(members)], cn])
-        pen = max(1, round(base_pen * len(cn) / len(members)))
+        pen = max(1, round(Fraction(base_pen * len(cn), len(members))))
         is_ad = examples.is_ad[rows]
         tasks.append(LearningTask(space, Examples(
             tuple(examples.ids[r] for r in rows.tolist()), is_ad,

@@ -237,6 +237,23 @@ class TestExitCodes:
                          "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
             assert f"{model}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, bad", [("impurity_decrease", float("nan")),
+                                          ("threshold", float("inf")),
+                                          ("impurity_decrease", 10**400)],
+                             ids=["nan", "infinity", "10**400"])
+    def test_model_non_finite_float_is_2(self, workspace, tmp_path, capsys, key, bad):
+        tree = json.loads((workspace / "dt.json").read_text())
+        tree["root"][key] = bad
+        forest = {"params": {"n_estimators": 1}, "seed": 0, "trees": [tree]}
+        out = tmp_path / "selected.json"
+        for obj in (tree, forest):
+            model = tmp_path / "bad.json"
+            model.write_text(json.dumps(obj))
+            assert main(["select", "--mode", "global", "--model", str(model),
+                         "--k", "2", "--out", str(out)]) == 2
+            assert f"{model}: {key} must be a finite float" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mask_non_integer_index_is_2(self, workspace, tmp_path, capsys):
         mask = tmp_path / "mask.json"
         mask.write_text(json.dumps([[0, 1], [2.7, 5]]))

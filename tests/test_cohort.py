@@ -1,8 +1,10 @@
+import errno
 import io
 import json
 import math
 import os
 import re
+import signal
 import sys
 import tempfile
 import threading
@@ -272,6 +274,10 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def matrix_paths(manifest) -> list[Path]:
+    return [manifest.parent / s["matrix"] for s in json.loads(manifest.read_text())["subjects"]]
+
+
 @pytest.fixture
 def forks(monkeypatch):
     """One entry per os.fork call made while the test runs."""
@@ -288,7 +294,8 @@ def forks(monkeypatch):
 
 class TestForkedLoad:
     """load_cohort reads one contiguous block of the manifest per usable CPU:
-    this process the first, a forked child each other."""
+    this process the first, a forked child each other, and this process
+    again any block whose child did not read it all."""
 
     N = 8  # with 4 CPUs: rows 0-1 here, then 2-3, 4-5 and 6-7 in children
 
@@ -298,12 +305,33 @@ class TestForkedLoad:
 
     @pytest.mark.parametrize("cpus, setting, n_forks", [
         (1, "", 0), (2, "", 1), (4, "", 3), (64, "", N - 1),
-        (4, "no fork", 0), (4, "thread alive", 0)])
+        (4, "no fork", 0), (4, "thread alive", 0), (4, "child killed", 3),
+        (4, "second fork fails", 3)])
     def test_rows_are_the_parsed_files(self, manifest, monkeypatch, forks, cpus, setting,
                                        n_forks):
         use_cpus(monkeypatch, cpus)
+        paths = matrix_paths(manifest)
         if setting == "no fork":
             monkeypatch.delattr(os, "fork")
+        elif setting == "child killed":  # the child for rows 6-7, at row 6
+            here, read_input = os.getpid(), cohort_module.read_input
+
+            def killing(path, parse):
+                if path == paths[6] and os.getpid() != here:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return read_input(path, parse)
+
+            monkeypatch.setattr(cohort_module, "read_input", killing)
+        elif setting == "second fork fails":
+            fork = os.fork  # counted by forks
+
+            def second_fails():
+                if len(forks) == 1:
+                    forks.append(None)
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return fork()
+
+            monkeypatch.setattr(os, "fork", second_fails)
         release = threading.Event()
         thread = threading.Thread(target=release.wait)
         if setting == "thread alive":
@@ -317,9 +345,8 @@ class TestForkedLoad:
         assert not thread.is_alive()
         assert len(forks) == n_forks
         assert_no_child_left()
-        for s in cohort.subjects:
-            want = check_connectome(np.loadtxt(
-                manifest.parent / "matrices" / f"{s.id}.csv", delimiter=",", ndmin=2))
+        for s, path in zip(cohort.subjects, paths, strict=True):
+            want = check_connectome(np.loadtxt(path, delimiter=",", ndmin=2))
             assert s.strengths.tobytes() == want.tobytes()
         # read-only row views of one matrix, row k at k rows past row 0
         rows = [s.strengths for s in cohort.subjects]
@@ -385,25 +412,26 @@ class TestForkedLoad:
         assert_no_child_left()
 
     def test_reader_that_dies_is_an_error(self, manifest, monkeypatch, forks):
-        # an error other than ValueError or OSError ends the child's read
-        # without a result; rows 6-7 are the last child's block
-        subjects = json.loads(manifest.read_text())["subjects"]
-        first, dying = (manifest.parent / subjects[k]["matrix"] for k in (6, 7))
+        # an error other than ValueError or OSError ends the last child's
+        # read of rows 6-7; this process reads them again and meets it too
+        dying = matrix_paths(manifest)[7]
         read_input = cohort_module.read_input
 
         def failing(path, parse):
             if path == dying:
-                raise MemoryError
+                raise MemoryError("row 7")
             return read_input(path, parse)
 
         monkeypatch.setattr(cohort_module, "read_input", failing)
-        use_cpus(monkeypatch, 4)
-        with pytest.raises(ChildProcessError,
-                           match=f"^the process reading {re.escape(str(first))} and on "
-                                 "exited with status 1$"):
-            load_cohort(manifest)
+        errors = []
+        for cpus in (1, 4):
+            use_cpus(monkeypatch, cpus)
+            with pytest.raises(MemoryError) as info:
+                load_cohort(manifest)
+            errors.append((type(info.value), str(info.value)))
+            assert_no_child_left()
+        assert errors == [(MemoryError, "row 7")] * 2
         assert len(forks) == 3
-        assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_no_subjects_is_an_empty_cohort(self, tmp_path, monkeypatch, forks, cpus):

@@ -209,6 +209,14 @@ class TestPartitionTasks:
                 cn_sum = task.examples.penalty[~task.examples.is_ad].sum()
                 assert abs(ad_sum - cn_sum) <= k
 
+    def test_ad_penalty_rounded_exactly(self):
+        # |AD| = |CN|: the AD penalty is base_pen itself, also past 2**53,
+        # where base_pen * |CN| / |AD| in floats lands on a neighbour
+        examples, space = self.make_pool(2, 2)
+        for base_pen in (2**53 + 1, 2**60 + 3):
+            task, = partition_tasks(examples, space, 1, base_pen=base_pen).tasks
+            assert task.examples.penalty.tolist() == [base_pen] * 4
+
     def test_deterministic_in_seed(self):
         examples, space = self.make_pool(8, 8)
         a = partition_tasks(examples, space, 3, base_pen=1, seed=42)
