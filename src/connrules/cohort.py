@@ -490,31 +490,38 @@ def _read_rows(paths, matrix: np.ndarray, lo: int, hi: int) -> tuple[int, Except
     return None
 
 
+def _blocks(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of the contiguous blocks that range(n) splits
+    into for forked workers, in order: one per usable CPU and at most one
+    per item, or the single block (0, n) when n < 2, os.fork is missing or
+    another thread is alive (a forked child holds only the forking thread,
+    so a lock that another thread held would stay locked in it)."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    forkable = hasattr(os, "fork") and threading.active_count() == 1
+    procs = max(1, min(n, cpus)) if forkable else 1
+    bounds = [n * p // procs for p in range(procs + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
     """The strengths of the connectome CSV at each path, row k for paths[k],
     as one read-only matrix, and the (row, exception) of the first path in
     order that could not be read, or None.
 
     The matrix lies in anonymous shared memory, and the paths are split into
-    one contiguous block per usable CPU (at most one per path): this process
-    reads the first block, and a forked child each other, writing its rows
-    straight into the matrix. A child reports only its exit status, 0 when
-    it read every row of its block; this process then reads again, in order,
-    each block whose child did not exit 0 or could not be forked, so the
-    result and the first failure are those of reading every block here. A
-    process with another thread alive reads every block itself: a forked
-    child holds only the forking thread, so a lock that another thread held
-    would stay locked in it.
+    _blocks: this process reads the first block, and a forked child each
+    other, writing its rows straight into the matrix. A child reports only
+    its exit status, 0 when it read every row of its block; this process
+    then reads again, in order, each block whose child did not exit 0 or
+    could not be forked, so the result and the first failure are those of
+    reading every block here.
     """
     n = len(paths)
     if n == 0:
         return np.empty((0, N_EDGES)), None
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    procs = min(n, cpus) if hasattr(os, "fork") and threading.active_count() == 1 else 1
     shared = mmap.mmap(-1, n * N_EDGES * 8)
     matrix = np.frombuffer(shared, dtype=float).reshape(n, N_EDGES)
-    bounds = [n * p // procs for p in range(procs + 1)]
-    blocks = list(zip(bounds[1:-1], bounds[2:]))
+    first, *blocks = _blocks(n)
     pids = []  # one per block, None where the fork failed
     try:
         for lo, hi in blocks:
@@ -529,7 +536,7 @@ def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
                 finally:
                     os._exit(1)
             pids.append(pid)
-        failure = _read_rows(paths, matrix, 0, bounds[1])
+        failure = _read_rows(paths, matrix, *first)
     finally:
         finished = [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
     for (lo, hi), done in zip(blocks, finished):

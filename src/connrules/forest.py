@@ -4,14 +4,19 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import pickle
 from dataclasses import asdict, dataclass
+
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, Features, _field, _from_obj
+from .cohort import AD, CN, EdgeId, Features, _blocks, _field, _from_obj
 from .tree import (
     DecisionTree,
     ImportanceRanking,
+    TreeNode,
     TreeParams,
+    _check_count,
     _grow,
     predict_tree,
     tree_atom_count,
@@ -28,6 +33,13 @@ class ForestParams:
     min_samples_split: int = 2
     max_features: str | int | None = "sqrt"  # "sqrt", explicit int, or None for all
 
+    def __post_init__(self):
+        _check_count("n_estimators", self.n_estimators, 1)
+        _check_count("max_depth", self.max_depth, 0)
+        _check_count("min_samples_split", self.min_samples_split, 1)
+        if self.max_features is not None and self.max_features != "sqrt":
+            _check_count("max_features", self.max_features, 1, "'sqrt', None or ")
+
 
 @dataclass
 class Forest:
@@ -38,23 +50,47 @@ class Forest:
     def __post_init__(self):
         if len(self.trees) != self.params.n_estimators:
             raise ValueError("forest must hold exactly n_estimators trees")
-        if not self.trees:
-            raise ValueError("empty forest")
 
 
 def _n_features_per_split(max_features, n_features: int) -> int | None:
     """Features each node searches: all (None), floor(sqrt(n_features))
-    ("sqrt"), or an int in [1, n_features]. Any other value, a bool or a
-    numeric string among them, is rejected, never coerced."""
+    ("sqrt"), or max_features, an int ForestParams checked to be at least 1,
+    once it is at most n_features."""
     if max_features is None:
         return None
-    if isinstance(max_features, str) and max_features == "sqrt":
+    if max_features == "sqrt":
         return max(1, math.floor(math.sqrt(n_features)))
-    if (isinstance(max_features, bool) or not isinstance(max_features, (int, np.integer))
-            or not 1 <= max_features <= n_features):
+    if max_features > n_features:
         raise ValueError(f"max_features {max_features!r} must be 'sqrt', None or an int "
                          f"in [1, {n_features}]")
-    return int(max_features)
+    return max_features
+
+
+def _fork_block(grow, lo: int, hi: int) -> tuple[int, int] | None:
+    """The pid of a forked child that writes grow(lo, hi) pickled to a pipe
+    and exits 0 once all of it is written (1 on every other path), and the
+    read end of that pipe; None when the pipe or the fork could not be
+    made."""
+    try:
+        r, w = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pickle.dump(grow(lo, hi), pipe)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    return pid, r
 
 
 def fit_forest(
@@ -67,6 +103,12 @@ def fit_forest(
     Tree t uses sub-seed (seed, t); each node draws its feature subset from
     sub-seed (seed, t, node_id) with node ids assigned in preorder, so the
     result is a pure function of (features, params, seed).
+
+    The trees grow in contiguous blocks, one per usable CPU (cohort._blocks):
+    this process grows the first, and a forked child each other, sending
+    back only its block's root nodes. This process then grows again each
+    block whose child did not exit 0 or could not be forked, so the forest
+    never depends on the children.
     """
     params = params or ForestParams()
     n, n_features = features.X.shape
@@ -84,9 +126,32 @@ def fit_forest(
         def draw(t, node_id):
             node_rng = np.random.default_rng([base, t, node_id])
             return np.sort(node_rng.choice(n_features, size=m_features, replace=False))
-    trees = [DecisionTree(root, tree_params, features.edges)
-             for root in _grow(features, tree_params, roots, draw)]
-    return Forest(trees, params, seed)
+
+    def grow(lo: int, hi: int) -> list[TreeNode]:
+        block_draw = draw and (lambda t, node_id: draw(lo + t, node_id))
+        return _grow(features, tree_params, roots[lo:hi], block_draw)
+
+    features.ranks  # built once here, so that every child inherits it
+    first, *blocks = _blocks(params.n_estimators)
+    children = []  # (block, pid, read end of its pipe) of each forked child
+    payloads = {}  # block: pickled root nodes, of each child that exited 0
+    try:
+        for block in blocks:
+            child = _fork_block(grow, *block)
+            if child is not None:
+                children.append((block, *child))
+        nodes = grow(*first)
+    finally:
+        # a payload can outgrow the pipe, so read it all before reaping
+        for block, pid, r in children:
+            with open(r, "rb") as pipe:
+                payload = pipe.read()
+            if os.waitpid(pid, 0)[1] == 0:
+                payloads[block] = payload
+    for block in blocks:
+        nodes += pickle.loads(payloads[block]) if block in payloads else grow(*block)
+    return Forest([DecisionTree(root, tree_params, features.edges) for root in nodes],
+                  params, seed)
 
 
 def predict_forest(forest: Forest, x) -> str:

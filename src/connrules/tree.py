@@ -64,10 +64,21 @@ class Internal:
 TreeNode = Union[Leaf, Internal]
 
 
+def _check_count(name: str, value, least: int, others: str = "") -> None:
+    """Raise ValueError unless value is an int (never a bool) of at least
+    least; others names the values other than such an int that are valid."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{name} {value!r} must be {others}an int >= {least}")
+
+
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: int = 8
     min_samples_split: int = 2
+
+    def __post_init__(self):
+        _check_count("max_depth", self.max_depth, 0)
+        _check_count("min_samples_split", self.min_samples_split, 1)
 
 
 @dataclass

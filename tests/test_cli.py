@@ -302,6 +302,31 @@ class TestExitCodes:
                          "--k", "2", "--out", str(tmp_path / "selected.json")]) == 2
             assert f"{model}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, key, bad, message", [
+        ("forest", "max_depth", -3, "max_depth -3 must be an int >= 0"),
+        ("forest", "min_samples_split", -7, "min_samples_split -7 must be an int >= 1"),
+        ("forest", "max_features", "cube",
+         "max_features 'cube' must be 'sqrt', None or an int >= 1"),
+        ("forest", "max_features", 0, "max_features 0 must be 'sqrt', None or an int >= 1"),
+        ("forest", "n_estimators", 0, "n_estimators 0 must be an int >= 1"),
+        ("tree", "max_depth", -1, "max_depth -1 must be an int >= 0"),
+        ("tree", "min_samples_split", 0, "min_samples_split 0 must be an int >= 1")])
+    def test_model_params_out_of_range_is_2(self, workspace, tmp_path, capsys, model, key, bad,
+                                            message):
+        tree = json.loads((workspace / "dt.json").read_text())
+        if model == "tree":
+            tree["params"][key] = bad
+            obj = tree
+        else:
+            obj = {"params": {"n_estimators": 1, key: bad}, "seed": 0, "trees": [tree]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "selected.json"
+        assert main(["select", "--mode", "global", "--model", str(path), "--k", "2",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
     def test_explanations_k_instance_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
         path = tmp_path / "explanations.json"
         records = [{"subject_id": "ad_000", "edges": [[2, 5], [0, 1]]}]

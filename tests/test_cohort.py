@@ -39,6 +39,7 @@ from connrules.cohort import (
     mask_to_json,
     save_cohort,
 )
+from conftest import assert_no_child_left, use_cpus
 from oracles import oracle_best_split, oracle_compute_mask
 
 
@@ -265,31 +266,8 @@ class TestManifestIO:
             Subject("a", make_weights({(0, 1): 1.0}), AD, "F", "MfrA")
 
 
-def use_cpus(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def matrix_paths(manifest) -> list[Path]:
     return [manifest.parent / s["matrix"] for s in json.loads(manifest.read_text())["subjects"]]
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """One entry per os.fork call made while the test runs."""
-    calls = []
-    fork = os.fork
-
-    def counted():
-        calls.append(None)
-        return fork()
-
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
 
 
 class TestForkedLoad:
@@ -298,6 +276,13 @@ class TestForkedLoad:
     again any block whose child did not read it all."""
 
     N = 8  # with 4 CPUs: rows 0-1 here, then 2-3, 4-5 and 6-7 in children
+
+    @pytest.mark.parametrize("n, cpus, blocks", [
+        (0, 4, [(0, 0)]), (1, 4, [(0, 1)]), (8, 1, [(0, 8)]),
+        (5, 4, [(0, 1), (1, 2), (2, 3), (3, 5)]), (5, 64, [(k, k + 1) for k in range(5)])])
+    def test_blocks_one_per_cpu_at_most_one_per_item(self, monkeypatch, n, cpus, blocks):
+        use_cpus(monkeypatch, cpus)
+        assert cohort_module._blocks(n) == blocks
 
     @pytest.fixture
     def manifest(self, tmp_path):

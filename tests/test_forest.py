@@ -1,6 +1,10 @@
+import errno
 import hashlib
 import json
+import os
 import re
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import connrules.forest as forest_module
+import connrules.tree as tree_module
 from connrules.cohort import (
     AD, CN, Features, PlantedEdge, apply_mask, canonical_edges, compute_mask, edge,
     generate_synthetic)
@@ -34,6 +40,7 @@ from connrules.tree import (
     tree_importance,
     tree_to_json,
 )
+from conftest import assert_no_child_left, use_cpus
 from oracles import oracle_fit_tree
 
 
@@ -173,6 +180,118 @@ class TestPinnedOutputs:
             "9765f87d96a6a25cf6f1389006d52df7f00e357dc7e6b9e541883fc26c54adeb"
         assert hashlib.sha256(forest.encode()).hexdigest() == \
             "7948ffb31df27f6c5343338c6cbf02f9fa67187b242af8cf5b4e6e6a1a4af5bf"
+
+
+class TestForkedFit:
+    """fit_forest grows one contiguous block of trees per usable CPU: this
+    process the first, a forked child each other, and this process again
+    any block whose child did not send it back."""
+
+    PARAMS = ForestParams(n_estimators=5, max_depth=4)  # 64 CPUs: 5 blocks, 4 forks
+
+    @pytest.fixture
+    def features(self):
+        rng = np.random.default_rng(8)
+        X = rng.uniform(0, 10, size=(40, 9))
+        return vectors(X, [AD if rng.random() < 0.5 else CN for _ in range(40)])
+
+    @pytest.mark.parametrize("cpus, setting, n_forks", [
+        (1, "", 0), (2, "", 1), (4, "", 3), (64, "", 4),
+        (4, "no fork", 0), (4, "thread alive", 0), (4, "child killed", 3),
+        (4, "second fork fails", 3)])
+    def test_forest_is_the_in_process_fit(self, features, monkeypatch, forks, cpus, setting,
+                                          n_forks):
+        use_cpus(monkeypatch, 1)
+        want = forest_to_json(fit_forest(features, self.PARAMS, seed=4))
+        assert forks == []
+        use_cpus(monkeypatch, cpus)
+        if setting == "no fork":
+            monkeypatch.delattr(os, "fork")
+        elif setting == "child killed":  # the child for trees 3-4, past their roots
+            here, grow, waitpid = os.getpid(), forest_module._grow, os.waitpid
+            statuses = []
+
+            def killing(features, params, roots, draw):
+                def dying(t, node_id):
+                    if node_id > 0:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return draw(t, node_id)
+
+                in_last_child = os.getpid() != here and len(roots) == 2
+                return grow(features, params, roots, dying if in_last_child else draw)
+
+            def reaping(pid, options):
+                statuses.append(waitpid(pid, options)[1])
+                return pid, statuses[-1]
+
+            monkeypatch.setattr(forest_module, "_grow", killing)
+            monkeypatch.setattr(os, "waitpid", reaping)
+        elif setting == "second fork fails":
+            fork = os.fork  # counted by forks
+
+            def second_fails():
+                if len(forks) == 1:
+                    forks.append(None)
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return fork()
+
+            monkeypatch.setattr(os, "fork", second_fails)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        if setting == "thread alive":
+            thread.start()
+        try:
+            got = forest_to_json(fit_forest(features, self.PARAMS, seed=4))
+        finally:
+            release.set()
+            if thread.is_alive():
+                thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert len(forks) == n_forks
+        if setting == "child killed":
+            assert statuses == [0, 0, signal.SIGKILL]
+        assert_no_child_left()
+        assert got == want
+
+    def test_error_in_this_process_propagates(self, features, monkeypatch, forks):
+        here, best_splits = os.getpid(), tree_module._best_splits
+
+        def failing(features, nodes):
+            if os.getpid() == here:
+                raise MemoryError("in the first block")
+            return best_splits(features, nodes)
+
+        monkeypatch.setattr(tree_module, "_best_splits", failing)
+        use_cpus(monkeypatch, 4)
+        with pytest.raises(MemoryError, match="^in the first block$"):
+            fit_forest(features, self.PARAMS, seed=4)
+        assert len(forks) == 3
+        assert_no_child_left()
+
+
+class TestParams:
+    @pytest.mark.parametrize("key, value, message", [
+        ("n_estimators", 0, "n_estimators 0 must be an int >= 1"),
+        ("n_estimators", True, "n_estimators True must be an int >= 1"),
+        ("n_estimators", 2.5, "n_estimators 2.5 must be an int >= 1"),
+        ("max_depth", -3, "max_depth -3 must be an int >= 0"),
+        ("max_depth", 4.0, "max_depth 4.0 must be an int >= 0"),
+        ("min_samples_split", -7, "min_samples_split -7 must be an int >= 1"),
+        ("min_samples_split", 0, "min_samples_split 0 must be an int >= 1"),
+        ("max_features", "cube", "max_features 'cube' must be 'sqrt', None or an int >= 1"),
+        ("max_features", 0, "max_features 0 must be 'sqrt', None or an int >= 1"),
+        ("max_features", np.int64(2), "max_features np.int64(2) must be 'sqrt', None or an int"),
+    ])
+    def test_out_of_range_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            ForestParams(**{key: value})
+
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"n_estimators": 1, "max_depth": 0, "min_samples_split": 1, "max_features": 1},
+        {"max_features": None}, {"max_features": "sqrt"}])
+    def test_in_range_accepted(self, kwargs):
+        params = ForestParams(**kwargs)
+        assert all(getattr(params, key) == value for key, value in kwargs.items())
 
 
 class TestMaxFeatures:

@@ -178,6 +178,23 @@ class TestFitPredict:
         total(tree.root)
 
 
+class TestParams:
+    @pytest.mark.parametrize("key, value, message", [
+        ("max_depth", -1, "max_depth -1 must be an int >= 0"),
+        ("max_depth", 2.0, "max_depth 2.0 must be an int >= 0"),
+        ("max_depth", True, "max_depth True must be an int >= 0"),
+        ("min_samples_split", 0, "min_samples_split 0 must be an int >= 1"),
+        ("min_samples_split", "2", "min_samples_split '2' must be an int >= 1"),
+    ])
+    def test_out_of_range_rejected(self, key, value, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TreeParams(**{key: value})
+
+    def test_least_values_accepted(self):
+        params = TreeParams(0, 1)
+        assert (params.max_depth, params.min_samples_split) == (0, 1)
+
+
 class TestImportance:
     def test_single_leaf_all_zero(self):
         tree = fit_tree(vectors([[1], [2]], [CN, CN]))
