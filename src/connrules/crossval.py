@@ -9,6 +9,7 @@ only; the validation split is touched only by the final evaluation.
 from __future__ import annotations
 
 import json
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -18,10 +19,10 @@ from .cohort import Cohort, EdgeId, EdgeMask, _from_obj, apply_mask, compute_mas
 from .forest import (
     Forest,
     ForestParams,
-    fit_forest,
     forest_atom_count,
     forest_importance,
     predict_forest,
+    start_forest,
 )
 from .inference import Metrics, evaluate, metrics_to_obj, predict
 from .learner import DEFAULT_NODE_BUDGET, Hypothesis, learn, union_hypotheses
@@ -165,42 +166,48 @@ def fit_fold(
     model_seed: int,
     explanations: Sequence[InstanceExplanation] | None = None,
 ) -> FoldArtifacts:
-    """Learn every artifact of one fold from its training split alone."""
+    """Learn every artifact of one fold from its training split alone.
+
+    The forest, when the fold needs one, starts growing (start_forest) as
+    soon as the masked features exist, beside the tree, the selection, the
+    tasks and the learner; the fold waits for it only where it reads it:
+    before selection in the rf pipeline, after the learner otherwise."""
     mask = compute_mask(train, config.keep_ratio)
     features = apply_mask(train, mask)
 
-    dt = None
-    rf = None
-    if config.pipeline == "dt" or config.fit_reference_models:
-        dt = fit_tree(features, TreeParams())
-    if config.pipeline == "rf" or config.fit_reference_models:
-        rf = fit_forest(features, ForestParams(), seed=model_seed)
+    fit_rf = config.pipeline == "rf" or config.fit_reference_models
+    growing = start_forest(features, ForestParams(), seed=model_seed) if fit_rf else None
+    with growing or nullcontext():
+        dt = None
+        if config.pipeline == "dt" or config.fit_reference_models:
+            dt = fit_tree(features, TreeParams())
 
-    if config.pipeline == "dt":
-        selected = select_global(tree_importance(dt), config.selector.k_global)
-    elif config.pipeline == "rf":
-        selected = select_global(forest_importance(rf), config.selector.k_global)
-    else:
-        # explanations describe the masked network: count only edges the
-        # training mask keeps, over training subjects only
-        train_ids = {s.id for s in train.subjects}
-        kept = set(mask.edges)
-        local = []
-        for ex in explanations or []:
-            if ex.subject_id not in train_ids:
-                continue
-            surviving = tuple(e for e in ex.edges if e in kept)
-            if surviving:
-                local.append(InstanceExplanation(ex.subject_id, surviving))
-        if not local:
-            raise ValueError("no explanations for any training subject")
-        selected = aggregate_frequency(local, config.selector.k_total)
+        if config.pipeline == "dt":
+            selected = select_global(tree_importance(dt), config.selector.k_global)
+        elif config.pipeline == "rf":
+            selected = select_global(forest_importance(growing.join()), config.selector.k_global)
+        else:
+            # explanations describe the masked network: count only edges the
+            # training mask keeps, over training subjects only
+            train_ids = {s.id for s in train.subjects}
+            kept = set(mask.edges)
+            local = []
+            for ex in explanations or []:
+                if ex.subject_id not in train_ids:
+                    continue
+                surviving = tuple(e for e in ex.edges if e in kept)
+                if surviving:
+                    local.append(InstanceExplanation(ex.subject_id, surviving))
+            if not local:
+                raise ValueError("no explanations for any training subject")
+            selected = aggregate_frequency(local, config.selector.k_total)
 
-    examples = build_examples(features, selected, config.base_pen)
-    space = build_space(selected, examples, config.max_body_edges)
-    partition = partition_tasks(
-        examples, space, config.n_ad_subsets, config.base_pen, seed=partition_seed)
-    results = [learn(task, budget=config.budget) for task in partition.tasks]
+        examples = build_examples(features, selected, config.base_pen)
+        space = build_space(selected, examples, config.max_body_edges)
+        partition = partition_tasks(
+            examples, space, config.n_ad_subsets, config.base_pen, seed=partition_seed)
+        results = [learn(task, budget=config.budget) for task in partition.tasks]
+        rf = growing.join() if growing else None
     hypothesis = union_hypotheses([res.hypothesis for res in results])
     return FoldArtifacts(mask, selected, examples, hypothesis,
                          all(res.optimal for res in results), dt, rf)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
+import io
 import json
 import math
 import os
 import pickle
+import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -66,7 +70,7 @@ def _n_features_per_split(max_features, n_features: int) -> int | None:
     return max_features
 
 
-def _fork_block(grow, lo: int, hi: int) -> tuple[int, int] | None:
+def _fork_block(grow, lo: int, hi: int) -> tuple[int, io.BufferedReader] | None:
     """The pid of a forked child that writes grow(lo, hi) pickled to a pipe
     and exits 0 once all of it is written (1 on every other path), and the
     read end of that pipe; None when the pipe or the fork could not be
@@ -83,6 +87,9 @@ def _fork_block(grow, lo: int, hi: int) -> tuple[int, int] | None:
         return None
     if pid == 0:
         try:
+            # the child leaves by os._exit: a collection would only fault on
+            # pages it shares with the parent
+            gc.disable()
             os.close(r)
             with open(w, "wb") as pipe:
                 pickle.dump(grow(lo, hi), pipe)
@@ -90,25 +97,84 @@ def _fork_block(grow, lo: int, hi: int) -> tuple[int, int] | None:
         finally:
             os._exit(1)
     os.close(w)
-    return pid, r
+    return pid, open(r, "rb")
 
 
-def fit_forest(
+class GrowingForest:
+    """A forest fit that start_forest has begun: join() returns the Forest.
+
+    Used as a context manager, leaving the context kills and reaps every
+    child that join() has not, so an exception raised before the join
+    leaves no child behind.
+    """
+
+    def __init__(self, grow, blocks: list[tuple[int, int]], finish):
+        self._grow = grow
+        self._blocks = blocks
+        self._finish = finish  # root nodes of every tree -> Forest
+        self._children = []  # (block, pid, read end of its pipe) of each child not reaped
+        self._forest = None
+        if len(blocks) < 2:
+            return
+        try:
+            for block in blocks:
+                child = _fork_block(grow, *block)
+                if child is not None:
+                    self._children.append((block, *child))
+        except BaseException:
+            self._stop()
+            raise
+
+    def join(self) -> Forest:
+        """The forest, the same on every call. Reaps every child, after
+        reading its pipe to EOF (a block's payload can outgrow the pipe
+        buffer), and grows here each block whose child did not exit 0 or
+        could not be forked."""
+        if self._forest is None:
+            payloads = {}  # block: pickled root nodes, of each child that exited 0
+            while self._children:
+                block, pid, pipe = self._children[0]
+                with pipe:
+                    payload = pipe.read()
+                if os.waitpid(pid, 0)[1] == 0:
+                    payloads[block] = payload
+                del self._children[0]
+            nodes = []
+            for block in self._blocks:
+                nodes += pickle.loads(payloads[block]) if block in payloads else self._grow(*block)
+            self._forest = self._finish(nodes)
+        return self._forest
+
+    def _stop(self) -> None:
+        """Kill and reap every child that join() has not reaped."""
+        for _, pid, pipe in self._children:
+            pipe.close()
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        self._children.clear()
+
+    def __enter__(self) -> GrowingForest:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop()
+
+
+def start_forest(
     features: Features,
     params: ForestParams | None = None,
     seed: int = 0,
-) -> Forest:
-    """Fit n_estimators trees, each on a size-n with-replacement bootstrap.
+) -> GrowingForest:
+    """Start fitting the forest fit_forest(features, params, seed) returns,
+    and return at once; join() on the result waits for it.
 
-    Tree t uses sub-seed (seed, t); each node draws its feature subset from
-    sub-seed (seed, t, node_id) with node ids assigned in preorder, so the
-    result is a pure function of (features, params, seed).
-
-    The trees grow in contiguous blocks, one per usable CPU (cohort._blocks):
-    this process grows the first, and a forked child each other, sending
-    back only its block's root nodes. This process then grows again each
-    block whose child did not exit 0 or could not be forked, so the forest
-    never depends on the children.
+    The trees split into contiguous blocks, one per usable CPU
+    (cohort._blocks). With two blocks or more, a forked child grows each
+    block and sends back only its root nodes, while this process goes on
+    with its own work; with one, join() grows every tree here. A block whose
+    child did not exit 0 or could not be forked is grown again here, so the
+    forest never depends on the children.
     """
     params = params or ForestParams()
     n, n_features = features.X.shape
@@ -131,27 +197,28 @@ def fit_forest(
         block_draw = draw and (lambda t, node_id: draw(lo + t, node_id))
         return _grow(features, tree_params, roots[lo:hi], block_draw)
 
+    def finish(nodes: list[TreeNode]) -> Forest:
+        return Forest([DecisionTree(root, tree_params, features.edges) for root in nodes],
+                      params, seed)
+
     features.ranks  # built once here, so that every child inherits it
-    first, *blocks = _blocks(params.n_estimators)
-    children = []  # (block, pid, read end of its pipe) of each forked child
-    payloads = {}  # block: pickled root nodes, of each child that exited 0
-    try:
-        for block in blocks:
-            child = _fork_block(grow, *block)
-            if child is not None:
-                children.append((block, *child))
-        nodes = grow(*first)
-    finally:
-        # a payload can outgrow the pipe, so read it all before reaping
-        for block, pid, r in children:
-            with open(r, "rb") as pipe:
-                payload = pipe.read()
-            if os.waitpid(pid, 0)[1] == 0:
-                payloads[block] = payload
-    for block in blocks:
-        nodes += pickle.loads(payloads[block]) if block in payloads else grow(*block)
-    return Forest([DecisionTree(root, tree_params, features.edges) for root in nodes],
-                  params, seed)
+    return GrowingForest(grow, _blocks(params.n_estimators), finish)
+
+
+def fit_forest(
+    features: Features,
+    params: ForestParams | None = None,
+    seed: int = 0,
+) -> Forest:
+    """Fit n_estimators trees, each on a size-n with-replacement bootstrap.
+
+    Tree t uses sub-seed (seed, t); each node draws its feature subset from
+    sub-seed (seed, t, node_id) with node ids assigned in preorder, so the
+    result is a pure function of (features, params, seed). The trees grow
+    as start_forest grows them, one block per usable CPU.
+    """
+    with start_forest(features, params, seed) as growing:
+        return growing.join()
 
 
 def predict_forest(forest: Forest, x) -> str:

@@ -1,4 +1,6 @@
 import os
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,6 +13,22 @@ def use_cpus(monkeypatch, n: int) -> None:
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@contextmanager
+def deadline(seconds: int):
+    """Raise TimeoutError in the block once it has run for seconds, so that
+    a wait that never ends fails the test instead of hanging it."""
+    def expired(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

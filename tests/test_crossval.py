@@ -1,10 +1,15 @@
+import errno
 import json
+import os
 import re
+import signal
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import connrules.crossval as crossval_module
+import connrules.forest as forest_module
 from connrules.cohort import (
     AD,
     CN,
@@ -27,9 +32,12 @@ from connrules.crossval import (
     stratified_folds,
     stratified_subsample,
 )
+from connrules.forest import ForestParams
 from connrules.inference import ConfusionCounts, Metrics
 from connrules.learner import Hypothesis, hypothesis_to_text
 from connrules.selection import SelectedEdges, SelectorConfig
+
+from conftest import assert_no_child_left, deadline, use_cpus
 
 PLANTED = PlantedEdge(edge(2, 5), 2.0, "low")
 
@@ -242,6 +250,60 @@ class TestRunPipeline:
         summary = run_pipeline(tiny_config(), cohort).summary()
         assert summary["rf_atoms"] is None  # the dt pipeline fits only the tree
         assert set(summary["dt_atoms"]) == set(summary["hypothesis_atoms"]) == {"mean", "std"}
+
+
+class TestForestBesideTheFold:
+    """fit_fold grows its forest in forked children while its tree, tasks
+    and learner run; nothing it reports depends on how many CPUs it has."""
+
+    COHORT = generate_synthetic(6, 12, [PLANTED], 0.1)
+
+    @pytest.fixture(params=["dt", "rf"])
+    def config(self, request):
+        return tiny_config(pipeline=request.param, fit_reference_models=True)
+
+    @pytest.mark.parametrize("cpus, setting, n_forks", [
+        (1, "", 0), (2, "", 4), (4, "", 8), (4, "child killed", 8),
+        (4, "second fork fails", 8)])
+    def test_report_is_the_same_on_any_cpu_count(self, config, monkeypatch, forks, cpus,
+                                                 setting, n_forks):
+        use_cpus(monkeypatch, 1)
+        want = report_to_json(run_pipeline(config, self.COHORT))
+        assert forks == []
+        use_cpus(monkeypatch, cpus)
+        if setting == "child killed":  # in every fold, the child for the last trees
+            fork_block = forest_module._fork_block
+
+            def dying(lo, hi):
+                os.kill(os.getpid(), signal.SIGKILL)
+
+            monkeypatch.setattr(forest_module, "_fork_block", lambda grow, lo, hi: fork_block(
+                dying if hi == ForestParams().n_estimators else grow, lo, hi))
+        elif setting == "second fork fails":
+            fork = os.fork  # counted by forks
+
+            def second_fails():
+                if len(forks) == 1:
+                    forks.append(None)
+                    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                return fork()
+
+            monkeypatch.setattr(os, "fork", second_fails)
+        assert report_to_json(run_pipeline(config, self.COHORT)) == want
+        assert len(forks) == n_forks
+
+    @pytest.mark.parametrize("error", [RuntimeError("in the learner"), KeyboardInterrupt()])
+    def test_error_before_the_join_propagates(self, config, monkeypatch, forks, error):
+        def failing(task, budget):
+            raise error
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(crossval_module, "learn", failing)
+        with deadline(60), pytest.raises(type(error)) as raised:
+            run_pipeline(config, self.COHORT)
+        assert raised.value is error
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 class TestSummaries:

@@ -5,6 +5,7 @@ import os
 import re
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from connrules.forest import (
     forest_importance,
     forest_to_json,
     predict_forest,
+    start_forest,
 )
 from connrules.tree import (
     ClassCounts,
@@ -40,7 +42,7 @@ from connrules.tree import (
     tree_importance,
     tree_to_json,
 )
-from conftest import assert_no_child_left, use_cpus
+from conftest import assert_no_child_left, deadline, use_cpus
 from oracles import oracle_fit_tree
 
 
@@ -183,11 +185,11 @@ class TestPinnedOutputs:
 
 
 class TestForkedFit:
-    """fit_forest grows one contiguous block of trees per usable CPU: this
-    process the first, a forked child each other, and this process again
-    any block whose child did not send it back."""
+    """fit_forest grows one contiguous block of trees per usable CPU: with two
+    blocks or more a forked child each, and this process again any block
+    whose child did not send it back."""
 
-    PARAMS = ForestParams(n_estimators=5, max_depth=4)  # 64 CPUs: 5 blocks, 4 forks
+    PARAMS = ForestParams(n_estimators=5, max_depth=4)  # 64 CPUs: 5 blocks, 5 forks
 
     @pytest.fixture
     def features(self):
@@ -196,9 +198,9 @@ class TestForkedFit:
         return vectors(X, [AD if rng.random() < 0.5 else CN for _ in range(40)])
 
     @pytest.mark.parametrize("cpus, setting, n_forks", [
-        (1, "", 0), (2, "", 1), (4, "", 3), (64, "", 4),
-        (4, "no fork", 0), (4, "thread alive", 0), (4, "child killed", 3),
-        (4, "second fork fails", 3)])
+        (1, "", 0), (2, "", 2), (4, "", 4), (64, "", 5),
+        (4, "no fork", 0), (4, "thread alive", 0), (4, "child killed", 4),
+        (4, "second fork fails", 4)])
     def test_forest_is_the_in_process_fit(self, features, monkeypatch, forks, cpus, setting,
                                           n_forks):
         use_cpus(monkeypatch, 1)
@@ -249,23 +251,53 @@ class TestForkedFit:
         assert not thread.is_alive()
         assert len(forks) == n_forks
         if setting == "child killed":
-            assert statuses == [0, 0, signal.SIGKILL]
+            assert statuses == [0, 0, 0, signal.SIGKILL]
         assert_no_child_left()
         assert got == want
 
     def test_error_in_this_process_propagates(self, features, monkeypatch, forks):
-        here, best_splits = os.getpid(), tree_module._best_splits
-
+        # every child fails its block, so this process grows them all again
         def failing(features, nodes):
-            if os.getpid() == here:
-                raise MemoryError("in the first block")
-            return best_splits(features, nodes)
+            raise MemoryError("in a block grown here")
 
         monkeypatch.setattr(tree_module, "_best_splits", failing)
         use_cpus(monkeypatch, 4)
-        with pytest.raises(MemoryError, match="^in the first block$"):
+        with pytest.raises(MemoryError, match="^in a block grown here$"):
             fit_forest(features, self.PARAMS, seed=4)
-        assert len(forks) == 3
+        assert len(forks) == 4
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_join_returns_the_same_forest(self, features, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        with start_forest(features, self.PARAMS, seed=4) as growing:
+            forest = growing.join()
+            assert growing.join() is forest
+        assert forest_to_json(forest) == forest_to_json(fit_forest(features, self.PARAMS, seed=4))
+
+    @pytest.mark.parametrize("error", [RuntimeError("before the join"), KeyboardInterrupt()])
+    def test_error_before_the_join_leaves_no_child(self, monkeypatch, forks, tmp_path, error):
+        """Each child's payload outgrows the pipe buffer, so a child that is
+        done waits on its write until its pipe is read or closed."""
+        train = generate_synthetic(7, 100, [PlantedEdge(edge(2, 5), 2.0, "low")], 0.1)
+        features = apply_mask(train, compute_mask(train, 0.30))
+        use_cpus(monkeypatch, 2)
+        grow = forest_module._grow
+
+        def marking(*args):  # a child marks its block grown
+            nodes = grow(*args)
+            (tmp_path / str(os.getpid())).touch()
+            return nodes
+
+        monkeypatch.setattr(forest_module, "_grow", marking)
+        with deadline(60), pytest.raises(type(error)) as raised:
+            with start_forest(features, ForestParams(), seed=0):
+                while len(list(tmp_path.iterdir())) < 2:
+                    time.sleep(0.01)
+                time.sleep(0.2)  # time to pickle and fill the pipe
+                raise error
+        assert raised.value is error
+        assert len(forks) == 2
         assert_no_child_left()
 
 
