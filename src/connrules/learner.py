@@ -41,7 +41,9 @@ space, then runs a branch-and-bound search over rule subsets:
    the floor of what it dominates, so every dominated survivor is dropped
    at once. The prune sweeps the packed rows by the number of examples each
    gets wrong (a dominator always gets fewer), testing the order
-   explicitly; ints and rules are built only for what it keeps.
+   explicitly; fire-set ints are built only for what it keeps, and they
+   are put in canonical rule order by one lexsort over the bodies'
+   literal-index paths, with no Rule built.
 4. The search branches on the AD examples in order: either some specific
    candidate covers the first undecided one, or none does (its penalty is
    committed). A node at AD ordinal k has decided every AD example before
@@ -49,13 +51,17 @@ space, then runs a branch-and-bound search over rule subsets:
    miss, and the AD examples no body fires on, committed at the root. A
    node keeps only k, its rules, their union and atom count, the committed
    penalty and the union's CN penalty. Node bound = atoms so far +
-   committed AD penalties + CN penalties already incurred. The greedy
-   weighted-cover pass, which starts from the empty hypothesis, seeds the
-   incumbent. Each AD example has a cover list of one (floor, atoms,
-   fire-set, index) record per candidate firing on it, sorted by floor.
-   The search runs depth first from an explicit stack of child generators,
-   so a path may hold one node per AD example whatever the interpreter's
-   recursion limit.
+   committed AD penalties + CN penalties already incurred, compared with
+   the incumbent as (total, atoms): atoms never fall along a path, so a
+   child that ties the incumbent's total with more atoms already loses the
+   tie-break. The greedy weighted-cover pass, which starts from the empty
+   hypothesis, seeds the incumbent. Each AD example has cover lists of
+   one (floor, atoms, fire-set, index) record per candidate firing on it,
+   sorted by floor, one list per largest body size, and a node scans only
+   the list whose rules fit under the incumbent. The search runs depth
+   first from an explicit stack of child generators, so a path may hold
+   one node per AD example whatever the interpreter's recursion limit.
+   Rules are built only for the hypothesis returned.
 
 Ties between optimal hypotheses break toward fewer atoms, then the
 lexicographically smallest rule list under the canonical (edge, comparator,
@@ -406,13 +412,22 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
                  *(np.concatenate(column) for column in zip(*parts)), incumbent)
 
 
-def _candidates(walk: _Walk, rows: np.ndarray) -> tuple[list[Candidate], np.ndarray]:
-    """The candidates of the given walk rows in canonical rule order, and
-    the rows in that order."""
-    cands = [Candidate(Rule(walk.body(r)), fires)
-             for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
-    order = sorted(range(len(cands)), key=lambda i: cands[i].rule.sort_key)
-    return [cands[i] for i in order], rows[order]
+def _canonical(walk: _Walk, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given walk rows in canonical rule order, and their atom counts,
+    with no Rule built. The walk's literals come in BodyLiteral.sort_key
+    order and a body's literal indices ascend, so Rule.sort_key order is
+    the lexicographic order of the bodies' literal-index paths, a path
+    before any it is a prefix of: one lexsort over the paths padded with -1
+    after their last literal."""
+    back = [walk.last[rows]]  # back[d]: each body's d-th literal from its last, or -1
+    up = walk.parent[rows]
+    while (up >= 0).any():
+        back.append(np.where(up >= 0, walk.last[up], -1))
+        up = np.where(up >= 0, walk.parent[up], -1)
+    front = np.column_stack(back[::-1])  # each body's literals, padded with -1 in front
+    paths = np.take_along_axis(front, np.argsort(front < 0, axis=1, kind="stable"), axis=1)
+    order = np.lexsort(paths.T[::-1])
+    return rows[order], 1 + 2 * (paths[order] >= 0).sum(axis=1)
 
 
 def enumerate_candidates(task: LearningTask) -> list[Candidate]:
@@ -421,9 +436,11 @@ def enumerate_candidates(task: LearningTask) -> list[Candidate]:
     by exactly one candidate with identical coverage and minimal atoms.
     Uncut and unpruned, from a walk of every size: learn's walk stops at
     the first size its floor cut rules out, and learn builds rules only for
-    the fire-sets that pass that cut and its dominance prune."""
+    the hypothesis it returns."""
     walk = _walk(task, _PenaltyTable(task.examples), stop=False)
-    return _candidates(walk, _first_occurrences(walk.fires))[0]
+    rows, _ = _canonical(walk, _first_occurrences(walk.fires))
+    return [Candidate(Rule(walk.body(r)), fires)
+            for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
 
 
 _PRUNE_BLOCK_CELLS = 1 << 16  # uint64 cells per temporary array: 0.5 MB
@@ -509,19 +526,20 @@ class _PenaltyTable:
         return atoms + self.ad_total - self.ad_over(union) + self.cn_over(union)
 
 
-def _greedy(cands: Sequence[Candidate], atoms_of: Sequence[int],
+def _greedy(fire_sets: Sequence[int], atoms_of: Sequence[int],
             table: _PenaltyTable) -> tuple[list[int], int, int]:
-    """Weighted-cover greedy: repeatedly add the rule with the best score
-    delta until none improves. Returns (indices, union, atoms)."""
+    """Weighted-cover greedy over candidates given as fire-set ints and atom
+    counts: repeatedly add the one with the best score delta until none
+    improves. Returns (indices, union, atoms)."""
     chosen: list[int] = []
     union = 0
     atoms = 0
-    remaining = list(range(len(cands)))
+    remaining = list(range(len(fire_sets)))
     while True:
         best_delta = 0
         best_ci = None
         for ci in remaining:
-            new = cands[ci].fires & ~union
+            new = fire_sets[ci] & ~union
             delta = atoms_of[ci] - table.ad_over(new) + table.cn_over(new)
             if delta < best_delta:
                 best_delta = delta
@@ -529,25 +547,27 @@ def _greedy(cands: Sequence[Candidate], atoms_of: Sequence[int],
         if best_ci is None:
             return chosen, union, atoms
         chosen.append(best_ci)
-        union |= cands[best_ci].fires
+        union |= fire_sets[best_ci]
         atoms += atoms_of[best_ci]
         remaining.remove(best_ci)
 
 
 def _search_inputs(task: LearningTask, table: _PenaltyTable
-                   ) -> tuple[_Walk, int, list[Candidate], list[int]]:
+                   ) -> tuple[_Walk, int, list[int], list[int], list[int], list[int]]:
     """learn's pre-search, items 2 and 3 of the module docstring: the walk,
-    the number of distinct fire-sets within the floor cut, and the
-    undominated candidates in canonical order with their floors (atoms +
-    the CN penalty of their own fire-set). A fire-set's first body has the
-    fewest atoms, so the dedupe keeps it whenever the cut keeps a copy."""
+    the number of distinct fire-sets within the floor cut, and the walk rows
+    of the undominated candidates in canonical order with their fire-sets
+    as ints, their atom counts and their floors (atoms + the CN penalty of
+    their own fire-set). A fire-set's first body has the fewest atoms, so
+    the dedupe keeps it whenever the cut keeps a copy."""
     walk = _walk(task, table)
     rows = np.flatnonzero(walk.floors <= walk.incumbent)
     rows = rows[_first_occurrences(walk.fires[rows])]
     n_filtered = len(rows)
     rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], walk.fires.shape[1]))]
-    cands, rows = _candidates(walk, rows)
-    return walk, n_filtered, cands, walk.floors[rows].tolist()
+    rows, atoms = _canonical(walk, rows)
+    return (walk, n_filtered, rows.tolist(), _unpack(walk.fires[rows]), atoms.tolist(),
+            walk.floors[rows].tolist())
 
 
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
@@ -563,29 +583,40 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     one generator of child nodes per node on the current path; the loop
     takes the next child from the top one. A generator tests each child's
     bound only when asked for it, so against the incumbent its elder
-    siblings' subtrees left, as a recursive search would. A node branches
-    over its ordinal's cover list, sorted by floor, so its branch loop
-    stops as soon as no remaining candidate can undercut the incumbent.
-    Each child's bound adds the CN penalty of its new union and the least
-    penalty, capped at 3, of an AD example left coverable, one loop over
-    the penalty levels each. When the node budget runs out, the best
+    siblings' subtrees left, as a recursive search would. Each child's
+    bound adds the CN penalty of its new union and the least penalty,
+    capped at 3, of an AD example left coverable, one loop over the penalty
+    levels each. The bound is compared with the incumbent as (total,
+    atoms): atoms never fall along a path, so a child whose bound ties the
+    incumbent's total but already has more atoms loses the tie-break.
+    A node branches over the cover list of its ordinal's candidates that
+    fit its room (the incumbent's total less base and CN penalty so far),
+    sorted by floor, so its branch loop stops as soon as no remaining
+    candidate can undercut the incumbent; the incumbent only falls, so a
+    list chosen at the start of a node stays valid. Rules are built only
+    for the hypothesis returned. When the node budget runs out, the best
     incumbent found so far is returned with optimal=False instead of
     raising; a budget below 1 raises ValueError.
     """
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
     table = _PenaltyTable(task.examples)
-    walk, n_filtered, cands, floors = _search_inputs(task, table)
-    atoms_of = [c.rule.atom_count for c in cands]
+    walk, n_filtered, rows, fire_sets, atoms_of, floors = _search_inputs(task, table)
 
-    # per AD ordinal: its bit and penalty, and its cover list of the records
-    # (floor, atoms, fire-set, index) of the candidates firing on it, in
-    # (floor, index) order
+    # per AD ordinal: its bit and penalty, and per body size s up to the
+    # largest, its cover list of the records (floor, atoms, fire-set, index)
+    # of the candidates firing on it with at most s literals, in (floor,
+    # index) order: none at size 0, every record at the largest
     is_ad, penalty = task.examples.is_ad, task.examples.penalty
     ad = [(1 << k, p) for k, p in zip(np.flatnonzero(is_ad).tolist(), penalty[is_ad].tolist())]
-    records = sorted(zip(floors, atoms_of, [c.fires for c in cands], range(len(cands))),
+    records = sorted(zip(floors, atoms_of, fire_sets, range(len(rows))),
                      key=lambda r: (r[0], r[3]))
-    cover_list = [[r for r in records if r[2] & bit] for bit, _ in ad]
+    max_size = (max(atoms_of, default=1) - 1) // 2
+    cover = []
+    for bit, _ in ad:
+        hits = [r for r in records if r[2] & bit]
+        cover.append([[]] + [[r for r in hits if r[1] <= 1 + 2 * s]
+                             for s in range(1, max_size)] + [hits])
     # the AD examples no body fires on, whichever candidates the cut keeps
     unreached = table.ad_mask & ~walk.reach
     # later[k]: the AD examples from ordinal k on that some body fires on
@@ -596,12 +627,13 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     # per AD penalty level, ascending: what a still-coverable example of it adds
     # to a bound, capped at 3
     ad_caps = [(min(3, p), m) for p, m in table.ad_groups]
+    least_cap = min((p for p, _ in ad_caps), default=0)
 
     # the greedy pass starts from the empty hypothesis and takes only rules
     # that lower the score, so it is never worse than the empty one.
     # Candidates are in canonical rule order, so sorted index tuples compare
     # like sorted rule lists.
-    best_rules, g_union, g_atoms = _greedy(cands, atoms_of, table)
+    best_rules, g_union, g_atoms = _greedy(fire_sets, atoms_of, table)
     best_total = table.total(g_atoms, g_union)
     best_key = (g_atoms, tuple(sorted(best_rules)))
 
@@ -613,27 +645,36 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         base = atoms + committed_pen
         coverable = later[k]
         banned = table.ad_mask & ~coverable & ~union
+        uncovered = coverable & ~union
+        # a rule child adds its atoms to base + cn_union, so it has at most
+        # room atoms: at most (room - 1) // 2 literals, none below 3 atoms
+        room = best_total - base - cn_union
 
-        for floor, rule_atoms, fires, ci in cover_list[k]:
+        for floor, rule_atoms, fires, ci in cover[k][max(0, min((room - 1) // 2, max_size))]:
             if base + floor > best_total:
                 break  # sorted by floor: nothing later can fit either
             # past the floor test, this is base + atoms + max(cn_union, the
             # rule's own CN penalty) > best_total: a lower bound on the child
             if base + rule_atoms + cn_union > best_total or fires & banned:
                 continue
+            # the floor and the least cap bound a child that leaves a
+            # coverable AD example uncovered
+            remaining = uncovered & ~fires
+            if remaining and base + floor + least_cap > best_total:
+                continue
             union2 = union | fires
             cn_union2 = 0
             for p, m in cn_groups:
                 cn_union2 += p * (union2 & m).bit_count()
             b = base + rule_atoms + cn_union2
-            remaining = coverable & ~union2
             if remaining:
                 for p, m in ad_caps:  # the first level hit is the least
                     if remaining & m:
                         b += p
                         break
-            if b <= best_total:
-                yield k, chosen + (ci,), union2, atoms + rule_atoms, committed_pen, cn_union2
+            atoms2 = atoms + rule_atoms
+            if b < best_total or b == best_total and atoms2 <= best_key[0]:
+                yield k, chosen + (ci,), union2, atoms2, committed_pen, cn_union2
         # no chosen rule covers this example: commit its penalty
         pen = ad[k][1]
         b = base + pen + cn_union
@@ -643,7 +684,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
                 if remaining & m:
                     b += p
                     break
-        if b <= best_total:
+        if b < best_total or b == best_total and atoms <= best_key[0]:
             yield k + 1, chosen, union, atoms, committed_pen + pen, cn_union
 
     nodes = 0
@@ -672,9 +713,9 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         if (total, key) < (best_total, best_key):
             best_rules, best_total, best_key = list(chosen), total, key
 
-    hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
+    hypothesis = Hypothesis(tuple(Rule(walk.body(rows[ci])) for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(walk.fires), n_filtered, len(cands))
+                       len(walk.fires), n_filtered, len(rows))
 
 
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:

@@ -482,12 +482,16 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     recomputes the CN penalty of its union through the penalty table, and
     every child reads the candidate's atoms, floor and fire-set from
     parallel lists, with the floors recomputed from the rules. It shares
-    learn's pre-search (walk, cut, dedupe, prune and candidate list), its
-    greedy and its root commit of the AD examples no body fires on, so the
-    two must agree on every LearnResult field, node count included."""
+    learn's pre-search (walk, cut, dedupe, prune and canonical order), its
+    greedy, its root commit of the AD examples no body fires on and its
+    child test, which compares (bound, atoms) with the incumbent's (total,
+    atoms), so the two must agree on every LearnResult field, node count
+    included. It builds a rule for every candidate and scans each cover
+    list whole."""
     examples = example_rows(task.examples)
     table = OraclePenaltyTable(task.examples)
-    walk, n_filtered, cands, _ = _search_inputs(task, table)
+    walk, n_filtered, rows, fire_sets, _, _ = _search_inputs(task, table)
+    cands = [Candidate(Rule(walk.body(r)), fires) for r, fires in zip(rows, fire_sets)]
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
     floor_of = [atoms + cn for atoms, cn in zip(atoms_of, cn_solo)]
@@ -508,7 +512,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     best_rules: list[int] = []
     best_total = table.total(0, 0)
     best_key = (0, ())
-    g_rules, g_union, g_atoms = _greedy(cands, atoms_of, table)
+    g_rules, g_union, g_atoms = _greedy(fire_sets, atoms_of, table)
     g_total = table.total(g_atoms, g_union)
     g_key = (g_atoms, tuple(sorted(g_rules)))
     if (g_total, g_key) < (best_total, best_key):
@@ -538,7 +542,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
             remaining = table.ad_mask & ~union2 & ~committed
             if remaining:
                 b += min(3, table.min_ad_over(remaining))
-            if b <= best_total:
+            if (b, atoms2) <= (best_total, best_key[0]):
                 yield k, chosen + (ci,), union2, atoms2, committed_pen, committed
         # no chosen rule covers this example: commit its penalty
         committed2 = committed | (1 << e)
@@ -547,7 +551,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         remaining = table.ad_mask & ~union & ~committed2
         if remaining:
             b += min(3, table.min_ad_over(remaining))
-        if b <= best_total:
+        if (b, atoms) <= (best_total, best_key[0]):
             yield k + 1, chosen, union, atoms, committed_pen2, committed2
 
     nodes = 0
