@@ -8,8 +8,6 @@ import io
 import json
 import math
 import mmap
-import os
-import threading
 from dataclasses import dataclass, is_dataclass
 from functools import cached_property
 from operator import itemgetter
@@ -17,6 +15,8 @@ from pathlib import Path
 from typing import NamedTuple, Sequence, get_type_hints
 
 import numpy as np
+
+from .forked import ForkedBlocks
 
 N_REGIONS = 84
 N_EDGES = N_REGIONS * (N_REGIONS - 1) // 2  # 3486
@@ -478,77 +478,6 @@ def _matrix_from_csv(text: str) -> np.ndarray:
     return check_connectome(np.loadtxt(io.StringIO(text), delimiter=",", ndmin=2))
 
 
-def _read_rows(paths, matrix: np.ndarray, lo: int, hi: int) -> tuple[int, Exception] | None:
-    """Read the connectome CSV at paths[k] into matrix[k] for each k from lo
-    up to hi, stopping at the first that fails: its (k, exception), or None
-    when every path was read."""
-    for k in range(lo, hi):
-        try:
-            matrix[k] = read_input(paths[k], _matrix_from_csv)
-        except (ValueError, OSError) as exc:
-            return k, exc
-    return None
-
-
-def _blocks(n: int) -> list[tuple[int, int]]:
-    """The (lo, hi) bounds of the contiguous blocks that range(n) splits
-    into for forked workers, in order: one per usable CPU and at most one
-    per item, or the single block (0, n) when n < 2, os.fork is missing or
-    another thread is alive (a forked child holds only the forking thread,
-    so a lock that another thread held would stay locked in it)."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    forkable = hasattr(os, "fork") and threading.active_count() == 1
-    procs = max(1, min(n, cpus)) if forkable else 1
-    bounds = [n * p // procs for p in range(procs + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
-def _read_matrices(paths) -> tuple[np.ndarray, tuple[int, Exception] | None]:
-    """The strengths of the connectome CSV at each path, row k for paths[k],
-    as one read-only matrix, and the (row, exception) of the first path in
-    order that could not be read, or None.
-
-    The matrix lies in anonymous shared memory, and the paths are split into
-    _blocks: this process reads the first block, and a forked child each
-    other, writing its rows straight into the matrix. A child reports only
-    its exit status, 0 when it read every row of its block; this process
-    then reads again, in order, each block whose child did not exit 0 or
-    could not be forked, so the result and the first failure are those of
-    reading every block here.
-    """
-    n = len(paths)
-    if n == 0:
-        return np.empty((0, N_EDGES)), None
-    shared = mmap.mmap(-1, n * N_EDGES * 8)
-    matrix = np.frombuffer(shared, dtype=float).reshape(n, N_EDGES)
-    first, *blocks = _blocks(n)
-    pids = []  # one per block, None where the fork failed
-    try:
-        for lo, hi in blocks:
-            try:
-                pid = os.fork()
-            except OSError:
-                pid = None
-            if pid == 0:
-                try:
-                    if _read_rows(paths, matrix, lo, hi) is None:
-                        os._exit(0)
-                finally:
-                    os._exit(1)
-            pids.append(pid)
-        failure = _read_rows(paths, matrix, *first)
-    finally:
-        finished = [pid is not None and os.waitpid(pid, 0)[1] == 0 for pid in pids]
-    for (lo, hi), done in zip(blocks, finished):
-        if failure:
-            break
-        if not done:
-            failure = _read_rows(paths, matrix, lo, hi)
-    # a view of a read-only buffer, so no row can be made writeable again
-    matrix = np.frombuffer(memoryview(shared).toreadonly(), dtype=float)
-    return matrix.reshape(n, N_EDGES), failure
-
-
 def load_cohort(manifest_path) -> Cohort:
     """Load a cohort from a JSON manifest referencing per-subject CSV matrices.
 
@@ -561,20 +490,38 @@ def load_cohort(manifest_path) -> Cohort:
     Raises ValueError naming the manifest, and the matrix file where one is
     at fault, on any missing, malformed or invalid input; the first fault in
     manifest order is the one raised. Each subject's strengths are a row
-    view of one read-only matrix, read on every usable CPU: a forked child
-    reports only whether it read its whole block, and any block a child did
-    not finish is read again in this process.
+    view of one read-only matrix in shared memory, read on every usable
+    CPU: forked.ForkedBlocks forks a child per block of the manifest, which
+    writes its rows straight into the matrix, and reads here again, in
+    manifest order, each block a child did not finish, so a fault is raised
+    as reading every file here would raise it.
     """
     base = Path(manifest_path).parent
 
     def parse(text: str) -> Cohort:
         atlas, records = _manifest_records(json.loads(text))
-        strengths, failure = _read_matrices([base / rec["matrix"] for rec in records])
-        end = failure[0] if failure else len(records)
-        subjects = tuple(Subject(rec["id"], row, rec["diagnosis"], rec["sex"], rec["manufacturer"])
-                         for rec, row in zip(records[:end], strengths))
+        n = len(records)
+        shared = mmap.mmap(-1, max(n, 1) * N_EDGES * 8)  # mmap rejects a length of 0
+        matrix = np.frombuffer(shared, dtype=float, count=n * N_EDGES).reshape(n, N_EDGES)
+        row = n  # the row this process read last: once a read raised, the row at fault
+
+        def read(lo: int, hi: int) -> None:
+            nonlocal row
+            for row in range(lo, hi):
+                matrix[row] = read_input(base / records[row]["matrix"], _matrix_from_csv)
+
+        failure = None
+        try:
+            with ForkedBlocks(n, read, list) as reading:
+                reading.join()
+        except (ValueError, OSError) as exc:
+            failure, records = exc, records[:row]
+        # a view of a read-only buffer, so no row can be made writeable again
+        strengths = np.frombuffer(memoryview(shared).toreadonly(), dtype=float, count=n * N_EDGES)
+        subjects = tuple(Subject(rec["id"], values, rec["diagnosis"], rec["sex"], rec["manufacturer"])
+                         for rec, values in zip(records, strengths.reshape(n, N_EDGES)))
         if failure:
-            raise failure[1]
+            raise failure
         return Cohort(subjects, atlas)
 
     return read_input(manifest_path, parse)

@@ -2,19 +2,14 @@
 
 from __future__ import annotations
 
-import contextlib
-import gc
-import io
 import json
 import math
-import os
-import pickle
-import signal
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cohort import AD, CN, EdgeId, Features, _blocks, _field, _from_obj
+from .cohort import AD, CN, EdgeId, Features, _field, _from_obj
+from .forked import ForkedBlocks
 from .tree import (
     DecisionTree,
     ImportanceRanking,
@@ -70,110 +65,18 @@ def _n_features_per_split(max_features, n_features: int) -> int | None:
     return max_features
 
 
-def _fork_block(grow, lo: int, hi: int) -> tuple[int, io.BufferedReader] | None:
-    """The pid of a forked child that writes grow(lo, hi) pickled to a pipe
-    and exits 0 once all of it is written (1 on every other path), and the
-    read end of that pipe; None when the pipe or the fork could not be
-    made."""
-    try:
-        r, w = os.pipe()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:
-        try:
-            # the child leaves by os._exit: a collection would only fault on
-            # pages it shares with the parent
-            gc.disable()
-            os.close(r)
-            with open(w, "wb") as pipe:
-                pickle.dump(grow(lo, hi), pipe)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
-class GrowingForest:
-    """A forest fit that start_forest has begun: join() returns the Forest.
-
-    Used as a context manager, leaving the context kills and reaps every
-    child that join() has not, so an exception raised before the join
-    leaves no child behind.
-    """
-
-    def __init__(self, grow, blocks: list[tuple[int, int]], finish):
-        self._grow = grow
-        self._blocks = blocks
-        self._finish = finish  # root nodes of every tree -> Forest
-        self._children = []  # (block, pid, read end of its pipe) of each child not reaped
-        self._forest = None
-        if len(blocks) < 2:
-            return
-        try:
-            for block in blocks:
-                child = _fork_block(grow, *block)
-                if child is not None:
-                    self._children.append((block, *child))
-        except BaseException:
-            self._stop()
-            raise
-
-    def join(self) -> Forest:
-        """The forest, the same on every call. Reaps every child, after
-        reading its pipe to EOF (a block's payload can outgrow the pipe
-        buffer), and grows here each block whose child did not exit 0 or
-        could not be forked."""
-        if self._forest is None:
-            payloads = {}  # block: pickled root nodes, of each child that exited 0
-            while self._children:
-                block, pid, pipe = self._children[0]
-                with pipe:
-                    payload = pipe.read()
-                if os.waitpid(pid, 0)[1] == 0:
-                    payloads[block] = payload
-                del self._children[0]
-            nodes = []
-            for block in self._blocks:
-                nodes += pickle.loads(payloads[block]) if block in payloads else self._grow(*block)
-            self._forest = self._finish(nodes)
-        return self._forest
-
-    def _stop(self) -> None:
-        """Kill and reap every child that join() has not reaped."""
-        for _, pid, pipe in self._children:
-            pipe.close()
-            with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        self._children.clear()
-
-    def __enter__(self) -> GrowingForest:
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop()
-
-
 def start_forest(
     features: Features,
     params: ForestParams | None = None,
     seed: int = 0,
-) -> GrowingForest:
+) -> ForkedBlocks:
     """Start fitting the forest fit_forest(features, params, seed) returns,
     and return at once; join() on the result waits for it.
 
-    The trees split into contiguous blocks, one per usable CPU
-    (cohort._blocks). With two blocks or more, a forked child grows each
-    block and sends back only its root nodes, while this process goes on
-    with its own work; with one, join() grows every tree here. A block whose
-    child did not exit 0 or could not be forked is grown again here, so the
+    The trees split into one contiguous block per usable CPU, and each
+    block grows in a forked child (forked.ForkedBlocks) that sends back
+    only its root nodes, while this process goes on with its own work. The
+    join grows here every block whose child did not finish it, so the
     forest never depends on the children.
     """
     params = params or ForestParams()
@@ -197,12 +100,12 @@ def start_forest(
         block_draw = draw and (lambda t, node_id: draw(lo + t, node_id))
         return _grow(features, tree_params, roots[lo:hi], block_draw)
 
-    def finish(nodes: list[TreeNode]) -> Forest:
-        return Forest([DecisionTree(root, tree_params, features.edges) for root in nodes],
-                      params, seed)
+    def finish(blocks: list[list[TreeNode]]) -> Forest:
+        return Forest([DecisionTree(root, tree_params, features.edges)
+                       for nodes in blocks for root in nodes], params, seed)
 
     features.ranks  # built once here, so that every child inherits it
-    return GrowingForest(grow, _blocks(params.n_estimators), finish)
+    return ForkedBlocks(params.n_estimators, grow, finish)
 
 
 def fit_forest(
@@ -214,8 +117,9 @@ def fit_forest(
 
     Tree t uses sub-seed (seed, t); each node draws its feature subset from
     sub-seed (seed, t, node_id) with node ids assigned in preorder, so the
-    result is a pure function of (features, params, seed). The trees grow
-    as start_forest grows them, one block per usable CPU.
+    result is a pure function of (features, params, seed). It is
+    start_forest then join: one forked child per block of trees, and every
+    block whose child did not finish it grown again here.
     """
     with start_forest(features, params, seed) as growing:
         return growing.join()

@@ -8,6 +8,7 @@ import signal
 import sys
 import tempfile
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import connrules.cohort as cohort_module
+import connrules.forked as forked_module
 from connrules.cohort import (
     AD,
     CN,
@@ -271,27 +273,27 @@ def matrix_paths(manifest) -> list[Path]:
 
 
 class TestForkedLoad:
-    """load_cohort reads one contiguous block of the manifest per usable CPU:
-    this process the first, a forked child each other, and this process
-    again any block whose child did not read it all."""
+    """load_cohort reads one contiguous block of the manifest per usable CPU,
+    each in a forked child, and this process again any block whose child
+    did not read it all."""
 
-    N = 8  # with 4 CPUs: rows 0-1 here, then 2-3, 4-5 and 6-7 in children
+    N = 8  # with 4 CPUs: rows 0-1, 2-3, 4-5 and 6-7, each in a child
 
     @pytest.mark.parametrize("n, cpus, blocks", [
         (0, 4, [(0, 0)]), (1, 4, [(0, 1)]), (8, 1, [(0, 8)]),
         (5, 4, [(0, 1), (1, 2), (2, 3), (3, 5)]), (5, 64, [(k, k + 1) for k in range(5)])])
     def test_blocks_one_per_cpu_at_most_one_per_item(self, monkeypatch, n, cpus, blocks):
         use_cpus(monkeypatch, cpus)
-        assert cohort_module._blocks(n) == blocks
+        assert forked_module._blocks(n) == blocks
 
     @pytest.fixture
     def manifest(self, tmp_path):
         return save_cohort(generate_synthetic(5, self.N // 2), tmp_path)
 
     @pytest.mark.parametrize("cpus, setting, n_forks", [
-        (1, "", 0), (2, "", 1), (4, "", 3), (64, "", N - 1),
-        (4, "no fork", 0), (4, "thread alive", 0), (4, "child killed", 3),
-        (4, "second fork fails", 3)])
+        (1, "", 0), (2, "", 2), (4, "", 4), (64, "", N),
+        (4, "no fork", 0), (4, "thread alive", 0), (4, "child killed", 4),
+        (4, "second fork fails", 4)])
     def test_rows_are_the_parsed_files(self, manifest, monkeypatch, forks, cpus, setting,
                                        n_forks):
         use_cpus(monkeypatch, cpus)
@@ -377,7 +379,7 @@ class TestForkedLoad:
                 load_cohort(manifest)
             errors.append((type(info.value), str(info.value)))
             assert_no_child_left()
-        assert len(forks) == cpus - 1
+        assert len(forks) == cpus
         assert errors[0] == errors[1]  # as one process reading in order gives it
         kind, message = errors[0]
         if fault == "diagnosis":
@@ -416,7 +418,35 @@ class TestForkedLoad:
             errors.append((type(info.value), str(info.value)))
             assert_no_child_left()
         assert errors == [(MemoryError, "row 7")] * 2
-        assert len(forks) == 3
+        assert len(forks) == 4
+
+    def test_interrupt_while_children_read_leaves_no_child(self, manifest, monkeypatch, forks):
+        # the children's reads outlast the test; the interrupt lands in this
+        # process while it waits for them
+        here, read_input = os.getpid(), cohort_module.read_input
+
+        def sleeping(path, parse):
+            if os.getpid() != here:
+                time.sleep(30)
+            return read_input(path, parse)
+
+        def interrupt(signum, frame):
+            raise KeyboardInterrupt
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(cohort_module, "read_input", sleeping)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        started = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(KeyboardInterrupt):
+                load_cohort(manifest)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert_no_child_left()
+        assert time.monotonic() - started < 10
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_no_subjects_is_an_empty_cohort(self, tmp_path, monkeypatch, forks, cpus):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import connrules.crossval as crossval_module
-import connrules.forest as forest_module
+import connrules.forked as forked_module
 from connrules.cohort import (
     AD,
     CN,
@@ -32,7 +32,6 @@ from connrules.crossval import (
     stratified_folds,
     stratified_subsample,
 )
-from connrules.forest import ForestParams
 from connrules.inference import ConfusionCounts, Metrics
 from connrules.learner import Hypothesis, hypothesis_to_text
 from connrules.selection import SelectedEdges, SelectorConfig
@@ -272,13 +271,17 @@ class TestForestBesideTheFold:
         assert forks == []
         use_cpus(monkeypatch, cpus)
         if setting == "child killed":  # in every fold, the child for the last trees
-            fork_block = forest_module._fork_block
+            here, init = os.getpid(), forked_module.ForkedBlocks.__init__
 
-            def dying(lo, hi):
-                os.kill(os.getpid(), signal.SIGKILL)
+            def dying_last(blocks, n, work, finish):
+                def work_or_die(lo, hi):
+                    if hi == n and os.getpid() != here:
+                        os.kill(os.getpid(), signal.SIGKILL)
+                    return work(lo, hi)
 
-            monkeypatch.setattr(forest_module, "_fork_block", lambda grow, lo, hi: fork_block(
-                dying if hi == ForestParams().n_estimators else grow, lo, hi))
+                init(blocks, n, work_or_die, finish)
+
+            monkeypatch.setattr(forked_module.ForkedBlocks, "__init__", dying_last)
         elif setting == "second fork fails":
             fork = os.fork  # counted by forks
 
