@@ -18,9 +18,10 @@ space, then runs a branch-and-bound search over rule subsets:
    first body a walk in canonical order reaches, where size s extends the
    bodies of size s - 1, smallest size first. Rules firing on no AD example
    are dropped (they can only add atoms and CN penalties), and so are the
-   bodies that could extend them. The walk keeps fire-sets packed as rows
-   of uint64 words and makes each size from the last with a few array ANDs,
-   so its rows come in (atom count, canonical) order.
+   bodies that could extend them. The walk keeps each body once, as its
+   literal-index path beside its fire-set packed as a row of uint64 words,
+   and makes each size from the last with a few array ANDs, so its rows
+   come in (atom count, canonical) order.
 3. Before any deduplication, the walked bodies are cut by a floor: a rule
    in a hypothesis of total T has atoms + the CN penalty of its own
    fire-set at most T, so against a first incumbent of total I (the empty
@@ -319,18 +320,13 @@ class _Walk:
     literals: tuple[BodyLiteral, ...]  # of the usable edges, in canonical order
     reach: int  # the examples some literal holds on
     fires: np.ndarray  # (bodies, words): fire-set of each body
-    last: np.ndarray  # index in literals of each body's last literal
-    parent: np.ndarray  # the body each one extends by its last literal; -1 at size 1
+    paths: np.ndarray  # (bodies, width): each body's indices in literals, ascending, then -1
     floors: np.ndarray  # atoms + the CN penalty of each body's own fire-set
     incumbent: int  # the least total of the empty hypothesis and each single body
 
     def body(self, row: int) -> tuple[BodyLiteral, ...]:
-        """The body of a row, rebuilt along its parents."""
-        lits = []
-        while row >= 0:
-            lits.append(self.literals[self.last[row]])
-            row = self.parent[row]
-        return tuple(reversed(lits))
+        """The body of a row, read from its path."""
+        return tuple(self.literals[k] for k in self.paths[row].tolist() if k >= 0)
 
 
 def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Walk:
@@ -342,8 +338,9 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     fewest-atom, smallest-key representative. A body that misses every AD
     example is dropped, and so are its extensions, which cannot regain one.
     One step is a few array operations: the bodies of size s - 1 are
-    repeated once per literal they may take, and their fire-set rows ANDed
-    with those literals' rows.
+    repeated once per literal they may take, their fire-set rows ANDed
+    with those literals' rows and the literal written into column s - 1 of
+    their paths.
 
     Each size's floors and single-body totals are taken as it is made, and
     the incumbent is the least total so far, starting from the empty
@@ -370,12 +367,14 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     later = np.repeat(np.cumsum(edge_sizes, dtype=np.intp), edge_sizes)
     ad_row = _pack([ad_mask], n_words)[0]
 
-    no_rows = np.empty(0, dtype=np.intp)
-    parts = [(np.empty((0, n_words), dtype=np.uint64), no_rows, no_rows, no_rows)]
+    # at least one column: np.lexsort takes no zero keys
+    width = max(1, min(space.max_body_edges, len(usable)))
+    parts = [(np.empty((0, n_words), dtype=np.uint64), np.empty((0, width), dtype=np.int32),
+              np.empty(0, dtype=np.int64))]
     incumbent = table.ad_total
-    # the bodies of the last size: their rows, fire-sets and first literal
+    # the bodies of the last size: their paths, fire-sets and first literal
     # they may take; at first the empty body, which fires everywhere
-    rows = np.array([-1])
+    paths = np.full((1, width), -1, dtype=np.int32)
     fires = np.full((1, n_words), np.iinfo(np.uint64).max, dtype=np.uint64)
     nexts = np.zeros(1, dtype=np.intp)
     done = 0
@@ -388,20 +387,21 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
             raise ValueError(
                 f"candidate enumeration would generate {bodies} rule bodies by size {size} "
                 f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
-        prefix = np.repeat(np.arange(len(rows)), counts)
+        prefix = np.repeat(np.arange(len(paths)), counts)
         lit = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - nexts, counts)
         hit = fires[prefix] & literal_rows[lit]
         keep = np.zeros(len(hit), dtype=bool)
         for w in range(n_words):  # faster than any(axis=1) over a few words
             keep |= (hit[:, w] & ad_row[w]) != 0
-        fires, prefix, lit = hit[keep], prefix[keep], lit[keep]
+        fires, lit = hit[keep], lit[keep]
+        paths = paths.take(prefix[keep], axis=0)  # faster than paths[...] on narrow rows
+        paths[:, size - 1] = lit
         floors = 1 + 2 * size + _penalties(fires, table.cn_groups)
         # a single body's total: the empty hypothesis's, plus its floor, less
         # the AD penalty it covers
         change = floors - _penalties(fires, table.ad_groups)
         incumbent = min(incumbent, table.ad_total + int(change.min(initial=0)))
-        parts.append((fires, lit, rows[prefix], floors))
-        rows = done + np.arange(len(fires))
+        parts.append((fires, paths, floors))
         nexts = later[lit]
         done += len(fires)
 
@@ -416,16 +416,9 @@ def _canonical(walk: _Walk, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The given walk rows in canonical rule order, and their atom counts,
     with no Rule built. The walk's literals come in BodyLiteral.sort_key
     order and a body's literal indices ascend, so Rule.sort_key order is
-    the lexicographic order of the bodies' literal-index paths, a path
-    before any it is a prefix of: one lexsort over the paths padded with -1
-    after their last literal."""
-    back = [walk.last[rows]]  # back[d]: each body's d-th literal from its last, or -1
-    up = walk.parent[rows]
-    while (up >= 0).any():
-        back.append(np.where(up >= 0, walk.last[up], -1))
-        up = np.where(up >= 0, walk.parent[up], -1)
-    front = np.column_stack(back[::-1])  # each body's literals, padded with -1 in front
-    paths = np.take_along_axis(front, np.argsort(front < 0, axis=1, kind="stable"), axis=1)
+    the lexicographic order of the bodies' paths, whose -1 after the last
+    literal puts a path before any it is a prefix of: one lexsort."""
+    paths = walk.paths[rows]
     order = np.lexsort(paths.T[::-1])
     return rows[order], 1 + 2 * (paths[order] >= 0).sum(axis=1)
 
@@ -722,10 +715,7 @@ def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:
     """Set union of rules across tasks, canonically ordered."""
     if not per_task:
         raise ValueError("no hypotheses to union")
-    rules: set[Rule] = set()
-    for h in per_task:
-        rules.update(h.rules)
-    return Hypothesis(tuple(rules))
+    return Hypothesis(tuple(r for h in per_task for r in h.rules))
 
 
 # ---------------------------------------------------------------------------

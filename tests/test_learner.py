@@ -404,6 +404,15 @@ class TestPackedWalk:
         walk = _walk(task, _PenaltyTable(task.examples), stop=False)
         walked = oracle_walk(task)
         assert [(walk.body(r), fires) for r, fires in enumerate(_unpack(walk.fires))] == walked
+        # each path: the body's indices in walk.literals, ascending, then -1,
+        # the order _canonical sorts on
+        index = {lit: k for k, lit in enumerate(walk.literals)}
+        width = walk.paths.shape[1]
+        assert width == max(1, min(task.space.max_body_edges, len(
+            {lit.edge for lit in walk.literals})))
+        want = [[index[lit] for lit in body] for body, _ in walked]
+        assert all(path == sorted(path) for path in want)
+        assert walk.paths.tolist() == [path + [-1] * (width - len(path)) for path in want]
         assert walk.floors.tolist() == [1 + 2 * len(body) + oracle_penalty(task, fires, False)
                                         for body, fires in walked]
         assert walk.incumbent == oracle_floor_cut(task)[0]
