@@ -5,8 +5,9 @@ head, 2 per body edge: a connection atom plus a comparator literal) plus the
 penalties of uncovered examples. An AD example is covered when some rule
 fires on its row of facts, a CN example when none does.
 
-The solver enumerates candidate rules whose coverage signatures exhaust the
-space, then runs a branch-and-bound search over rule subsets:
+learn's pre-search, enumerate_candidates, finds candidate rules whose
+coverage signatures exhaust the space (items 1-3); learn then runs a
+branch-and-bound search over rule subsets (item 4):
 
 1. Per edge and comparator, the satisfied example set only changes at
    observed strengths, so thresholds outside the observed values are
@@ -213,12 +214,6 @@ def score(hypothesis: Hypothesis, task: LearningTask) -> Score:
 # Candidate enumeration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Candidate:
-    rule: Rule
-    fires: int  # bitmask over task.examples
-
-
 def _edge_literals(
     e: EdgeId,
     column: np.ndarray,
@@ -329,7 +324,7 @@ class _Walk:
         return tuple(self.literals[k] for k in self.paths[row].tolist() if k >= 0)
 
 
-def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Walk:
+def _walk(task: LearningTask, table: _PenaltyTable) -> _Walk:
     """The rule bodies of the task that fire on an AD example, size by size:
     size s extends each body of size s - 1, in order, by one literal of a
     later usable edge. Each edge's literals come in sort-key order and
@@ -344,12 +339,12 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
 
     Each size's floors and single-body totals are taken as it is made, and
     the incumbent is the least total so far, starting from the empty
-    hypothesis. A body of size s has at least 1 + 2s atoms, so with stop
-    the walk ends before the first size s whose 1 + 2s is above the
-    incumbent: no body of that size or larger can lower the incumbent or
-    pass the floor cut. Without stop it walks every size. Before making a
-    size, the walk raises ValueError when the bodies kept so far plus that
-    size's extensions are above MAX_ENUMERATION."""
+    hypothesis. A body of size s has at least 1 + 2s atoms, so the walk
+    ends before the first size s whose 1 + 2s is above the incumbent: no
+    body of that size or larger can lower the incumbent or pass the floor
+    cut of enumerate_candidates. Before making a size, the walk raises
+    ValueError when the bodies kept so far plus that size's extensions are
+    above MAX_ENUMERATION."""
     examples = task.examples
     ad_mask = table.ad_mask
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
@@ -379,7 +374,7 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
     nexts = np.zeros(1, dtype=np.intp)
     done = 0
     for size in range(1, min(space.max_body_edges, len(usable)) + 1):
-        if stop and 1 + 2 * size > incumbent:
+        if 1 + 2 * size > incumbent:
             break
         counts = n_lits - nexts
         bodies = done + int(counts.sum())
@@ -389,7 +384,8 @@ def _walk(task: LearningTask, table: _PenaltyTable, *, stop: bool = True) -> _Wa
                 f"(limit {MAX_ENUMERATION}); reduce selected edges or max_body_edges")
         prefix = np.repeat(np.arange(len(paths)), counts)
         lit = np.arange(len(prefix)) - np.repeat(np.cumsum(counts) - counts - nexts, counts)
-        hit = fires[prefix] & literal_rows[lit]
+        # take: faster than fancy indexing on rows of a few words
+        hit = fires.take(prefix, axis=0) & literal_rows.take(lit, axis=0)
         keep = np.zeros(len(hit), dtype=bool)
         for w in range(n_words):  # faster than any(axis=1) over a few words
             keep |= (hit[:, w] & ad_row[w]) != 0
@@ -421,19 +417,6 @@ def _canonical(walk: _Walk, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     paths = walk.paths[rows]
     order = np.lexsort(paths.T[::-1])
     return rows[order], 1 + 2 * (paths[order] >= 0).sum(axis=1)
-
-
-def enumerate_candidates(task: LearningTask) -> list[Candidate]:
-    """Coverage-distinct candidate rules in canonical order. Every rule in
-    the space whose fire-set contains at least one AD example is represented
-    by exactly one candidate with identical coverage and minimal atoms.
-    Uncut and unpruned, from a walk of every size: learn's walk stops at
-    the first size its floor cut rules out, and learn builds rules only for
-    the hypothesis it returns."""
-    walk = _walk(task, _PenaltyTable(task.examples), stop=False)
-    rows, _ = _canonical(walk, _first_occurrences(walk.fires))
-    return [Candidate(Rule(walk.body(r)), fires)
-            for r, fires in zip(rows.tolist(), _unpack(walk.fires[rows]))]
 
 
 _PRUNE_BLOCK_CELLS = 1 << 16  # uint64 cells per temporary array: 0.5 MB
@@ -545,28 +528,45 @@ def _greedy(fire_sets: Sequence[int], atoms_of: Sequence[int],
         remaining.remove(best_ci)
 
 
-def _search_inputs(task: LearningTask, table: _PenaltyTable
-                   ) -> tuple[_Walk, int, list[int], list[int], list[int], list[int]]:
-    """learn's pre-search, items 2 and 3 of the module docstring: the walk,
-    the number of distinct fire-sets within the floor cut, and the walk rows
-    of the undominated candidates in canonical order with their fire-sets
-    as ints, their atom counts and their floors (atoms + the CN penalty of
-    their own fire-set). A fire-set's first body has the fewest atoms, so
-    the dedupe keeps it whenever the cut keeps a copy."""
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """The undominated candidates in canonical rule order, as walk rows with
+    their fire-sets as ints, atom counts and floors; see enumerate_candidates."""
+
+    walk: _Walk
+    table: _PenaltyTable
+    filtered: int  # distinct fire-sets within the floor cut
+    rows: list[int]
+    fire_sets: list[int]
+    atoms: list[int]
+    floors: list[int]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
+def enumerate_candidates(task: LearningTask) -> Candidates:
+    """learn's pre-search, items 1-3 of the module docstring: the walk,
+    cut by the floor, deduplicated, pruned by dominance and put in
+    canonical order. A fire-set's first body has the fewest atoms, so the
+    dedupe keeps it whenever the cut keeps a copy."""
+    table = _PenaltyTable(task.examples)
     walk = _walk(task, table)
     rows = np.flatnonzero(walk.floors <= walk.incumbent)
-    rows = rows[_first_occurrences(walk.fires[rows])]
-    n_filtered = len(rows)
-    rows = rows[_undominated(walk.fires[rows] ^ _pack([table.ad_mask], walk.fires.shape[1]))]
+    rows = rows[_first_occurrences(walk.fires.take(rows, axis=0))]
+    filtered = len(rows)
+    rows = rows[_undominated(walk.fires.take(rows, axis=0)
+                             ^ _pack([table.ad_mask], walk.fires.shape[1]))]
     rows, atoms = _canonical(walk, rows)
-    return (walk, n_filtered, rows.tolist(), _unpack(walk.fires[rows]), atoms.tolist(),
-            walk.floors[rows].tolist())
+    return Candidates(walk, table, filtered, rows.tolist(),
+                      _unpack(walk.fires.take(rows, axis=0)), atoms.tolist(),
+                      walk.floors[rows].tolist())
 
 
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """Minimal-score hypothesis via branch and bound over the undominated
-    candidates of _search_inputs; the result counts the candidates at each
-    stage.
+    candidates of enumerate_candidates, its only pre-search; the result
+    counts the candidates at each stage.
 
     A node (k, chosen, union, atoms, committed_pen, cn_union) branches on AD
     ordinal k, the first AD example neither covered nor committed. Its
@@ -593,8 +593,8 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """
     if budget < 1:
         raise ValueError(f"node budget must be >= 1, got {budget}")
-    table = _PenaltyTable(task.examples)
-    walk, n_filtered, rows, fire_sets, atoms_of, floors = _search_inputs(task, table)
+    found = enumerate_candidates(task)
+    walk, table, fire_sets, atoms_of = found.walk, found.table, found.fire_sets, found.atoms
 
     # per AD ordinal: its bit and penalty, and per body size s up to the
     # largest, its cover list of the records (floor, atoms, fire-set, index)
@@ -602,7 +602,7 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     # index) order: none at size 0, every record at the largest
     is_ad, penalty = task.examples.is_ad, task.examples.penalty
     ad = [(1 << k, p) for k, p in zip(np.flatnonzero(is_ad).tolist(), penalty[is_ad].tolist())]
-    records = sorted(zip(floors, atoms_of, fire_sets, range(len(rows))),
+    records = sorted(zip(found.floors, atoms_of, fire_sets, range(len(found))),
                      key=lambda r: (r[0], r[3]))
     max_size = (max(atoms_of, default=1) - 1) // 2
     cover = []
@@ -706,9 +706,9 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         if (total, key) < (best_total, best_key):
             best_rules, best_total, best_key = list(chosen), total, key
 
-    hypothesis = Hypothesis(tuple(Rule(walk.body(rows[ci])) for ci in best_rules))
+    hypothesis = Hypothesis(tuple(Rule(walk.body(found.rows[ci])) for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(walk.fires), n_filtered, len(rows))
+                       len(walk.fires), found.filtered, len(found))
 
 
 def union_hypotheses(per_task: Sequence[Hypothesis]) -> Hypothesis:

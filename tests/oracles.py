@@ -23,13 +23,11 @@ from connrules.cohort import AD, CN, N_EDGES, EdgeMask, canonical_edges
 from connrules.learner import (
     DEFAULT_NODE_BUDGET,
     BodyLiteral,
-    Candidate,
     Hypothesis,
     LearnResult,
     Rule,
     Score,
     _greedy,
-    _search_inputs,
     enumerate_candidates,
     score,
 )
@@ -286,6 +284,19 @@ def oracle_edge_literals(e, examples, domain, cn_mask: int, ad_mask: int) -> lis
     return out
 
 
+@dataclass(frozen=True)
+class Candidate:
+    rule: Rule
+    fires: int  # bitmask over task.examples
+
+
+def candidates(task) -> list[Candidate]:
+    """The candidates of learner.enumerate_candidates, each with its rule."""
+    found = enumerate_candidates(task)
+    return [Candidate(Rule(found.walk.body(r)), fires)
+            for r, fires in zip(found.rows, found.fire_sets)]
+
+
 def _literals(task) -> tuple[int, dict]:
     """The task's AD mask and each edge's useful literals, as learn has them."""
     examples = task.examples
@@ -299,10 +310,11 @@ def _literals(task) -> tuple[int, dict]:
 
 
 def oracle_candidates(task) -> list[Candidate]:
-    """enumerate_candidates by exhaustion: every body of 1..max_body_edges
-    literals, one per distinct edge, whose fire-set holds an AD example; on
-    each fire-set collision the rule with (atom_count, sort_key) smaller
-    wins. Sorted by rule sort key."""
+    """Every coverage-distinct candidate rule, uncut and unpruned, by
+    exhaustion: every body of 1..max_body_edges literals, one per distinct
+    edge, whose fire-set holds an AD example; on each fire-set collision
+    the rule with (atom_count, sort_key) smaller wins. Sorted by rule sort
+    key."""
     ad_mask, lits = _literals(task)
     best: dict[int, Rule] = {}
     for m in range(1, task.space.max_body_edges + 1):
@@ -431,10 +443,10 @@ def oracle_undominated(task, cands) -> list[Candidate]:
 
 def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> LearnResult:
     """Exhaustive search over every subset of at most max_rules candidates
-    from the unpruned enumerate_candidates, with learn's tie-break: lowest
-    score, then fewest atoms, then the smallest sorted rule list. Errors out
-    on oversized instances."""
-    cands = enumerate_candidates(task)
+    of oracle_candidates, with learn's tie-break: lowest score, then fewest
+    atoms, then the smallest sorted rule list. Errors out on oversized
+    instances."""
+    cands = oracle_candidates(task)
     if len(cands) > max_candidates:
         raise ValueError(
             f"instance too large: {len(cands)} candidates exceeds {max_candidates}")
@@ -482,16 +494,16 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     recomputes the CN penalty of its union through the penalty table, and
     every child reads the candidate's atoms, floor and fire-set from
     parallel lists, with the floors recomputed from the rules. It shares
-    learn's pre-search (walk, cut, dedupe, prune and canonical order), its
-    greedy, its root commit of the AD examples no body fires on and its
-    child test, which compares (bound, atoms) with the incumbent's (total,
-    atoms), so the two must agree on every LearnResult field, node count
-    included. It builds a rule for every candidate and scans each cover
+    learn's pre-search (enumerate_candidates), its greedy, its root commit
+    of the AD examples no body fires on and its child test, which compares
+    (bound, atoms) with the incumbent's (total, atoms), so the two must
+    agree on every LearnResult field, node count included. It builds a rule for every candidate and scans each cover
     list whole."""
     examples = example_rows(task.examples)
     table = OraclePenaltyTable(task.examples)
-    walk, n_filtered, rows, fire_sets, _, _ = _search_inputs(task, table)
-    cands = [Candidate(Rule(walk.body(r)), fires) for r, fires in zip(rows, fire_sets)]
+    found = enumerate_candidates(task)
+    walk, fire_sets = found.walk, found.fire_sets
+    cands = [Candidate(Rule(walk.body(r)), fires) for r, fires in zip(found.rows, fire_sets)]
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
     floor_of = [atoms + cn for atoms, cn in zip(atoms_of, cn_solo)]
@@ -582,7 +594,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
 
     hypothesis = Hypothesis(tuple(cands[ci].rule for ci in best_rules))
     return LearnResult(hypothesis, score(hypothesis, task), optimal, nodes,
-                       len(walk.fires), n_filtered, len(cands))
+                       len(walk.fires), found.filtered, len(cands))
 
 
 def snap_rule_to_domain(rule: Rule, task) -> Rule:

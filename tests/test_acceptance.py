@@ -34,7 +34,6 @@ from connrules.inference import evaluate
 from connrules.learner import (
     BodyLiteral,
     Rule,
-    enumerate_candidates,
     hypothesis_to_text,
     learn,
     parse_hypothesis_text,
@@ -47,6 +46,7 @@ from oracles import (
     brute_force_learn,
     example_rows,
     oracle_best_split,
+    oracle_candidates,
     oracle_gini_exact,
     rule_fires,
     snap_rule_to_domain,
@@ -182,7 +182,7 @@ def test_c3_learner_optimality():
     solved = 0
     while solved < 50:
         task = random_oracle_task(rng)
-        if len(enumerate_candidates(task)) > 300:
+        if len(oracle_candidates(task)) > 300:
             continue
         got = learn(task)
         want = brute_force_learn(task)

@@ -3,8 +3,6 @@ import math
 import re
 import sys
 import tracemalloc
-from dataclasses import replace
-from functools import partial
 from itertools import combinations
 from unittest import mock
 
@@ -20,7 +18,6 @@ from connrules.crossval import CVConfig, run_pipeline
 from connrules.learner import (
     DEFAULT_NODE_BUDGET,
     BodyLiteral,
-    Candidate,
     _PRUNE_BLOCK_CELLS,
     _PenaltyTable,
     _edge_literals,
@@ -47,10 +44,12 @@ from connrules.learner import (
 from connrules.selection import SelectedEdges, SelectorConfig
 from connrules.taskgen import COMPARATORS, LearningTask, build_space, serialize_task
 from oracles import (
+    Candidate,
     Example,
     OraclePenaltyTable,
     _literals as oracle_literals,
     brute_force_learn,
+    candidates,
     covers,
     example_rows,
     oracle_candidates,
@@ -212,7 +211,7 @@ class TestCandidates:
         rng = np.random.default_rng(0)
         for _ in range(25):
             task = random_task(rng)
-            for cand in enumerate_candidates(task):
+            for cand in candidates(task):
                 expected = 0
                 for k, ex in enumerate(example_rows(task.examples)):
                     if rule_fires(cand.rule, ex.context):
@@ -225,18 +224,27 @@ class TestCandidates:
             task = random_task(rng)
             ad_mask = ad_mask_of(task)
             seen = set()
-            for cand in enumerate_candidates(task):
+            for cand in candidates(task):
                 assert cand.fires & ad_mask
                 assert cand.fires not in seen
                 seen.add(cand.fires)
 
     def test_matches_exhaustive_oracle(self):
-        # same rules, fire-sets and order as the collision-comparing oracle
+        # the rules, fire-sets and order of the undominated candidates within
+        # the floor cut of the collision-comparing oracle, with their atoms
+        # and floors, and the count within the cut
         rng = np.random.default_rng(9)
         for max_body in (1, 2, 3):
             for _ in range(200):
                 task = random_task(rng, max_body)
-                assert enumerate_candidates(task) == oracle_candidates(task)
+                _, cut = oracle_floor_cut(task)
+                want = oracle_undominated(task, cut)
+                found = enumerate_candidates(task)
+                assert candidates(task) == want
+                assert (len(found), found.filtered) == (len(want), len(cut))
+                assert found.atoms == [c.rule.atom_count for c in want]
+                assert found.floors == [c.rule.atom_count + oracle_penalty(task, c.fires, False)
+                                        for c in want]
 
     def test_first_bodies_in_atom_count_then_key_order(self):
         # _undominated takes this insertion order as the dominance order
@@ -244,7 +252,7 @@ class TestCandidates:
         for max_body in (1, 2, 3):
             for _ in range(200):
                 task = random_task(rng, max_body)
-                ordered = sorted(enumerate_candidates(task),
+                ordered = sorted(oracle_candidates(task),
                                  key=lambda c: (c.rule.atom_count, c.rule.sort_key))
                 assert list(oracle_first_bodies(task)) == [c.fires for c in ordered]
 
@@ -254,7 +262,7 @@ class TestCandidates:
         rng = np.random.default_rng(2)
         for _ in range(10):
             task = random_task(rng, max_body=1)
-            cands = enumerate_candidates(task)
+            cands = oracle_candidates(task)
             ad_mask = ad_mask_of(task)
             for e in task.space.edges.edges:
                 for comp in COMPARATORS:
@@ -288,7 +296,7 @@ class TestDominance:
             kept = [Candidate(Rule(bodies[fires]), fires)
                     for fires in undominated(list(bodies), ad_mask, len(task.examples))]
             assert (sorted(kept, key=lambda c: c.rule.sort_key)
-                    == oracle_undominated(task, enumerate_candidates(task)))
+                    == oracle_undominated(task, oracle_candidates(task)))
 
     def test_order_condition_across_popcount_levels(self):
         # AD examples 0 and 1, CN examples 2 and 3; h = fires ^ ad_mask.
@@ -398,11 +406,13 @@ class TestPackedWalk:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_matches_oracle_walk(self, data):
-        # every body, its fire-set and its place in the walk, and so the same
-        # first bodies in the same order
+        # every body below the oracle's stop size, its fire-set and its place
+        # in the walk, and so the same first bodies in the same order
         task = drawn_task(data, max_ad=129, top=5)
-        walk = _walk(task, _PenaltyTable(task.examples), stop=False)
-        walked = oracle_walk(task)
+        walk = _walk(task, _PenaltyTable(task.examples))
+        stop = oracle_stop_size(task)
+        walked = [(body, fires) for body, fires in oracle_walk(task)
+                  if stop is None or len(body) < stop]
         assert [(walk.body(r), fires) for r, fires in enumerate(_unpack(walk.fires))] == walked
         # each path: the body's indices in walk.literals, ascending, then -1,
         # the order _canonical sorts on
@@ -418,10 +428,12 @@ class TestPackedWalk:
         assert walk.incumbent == oracle_floor_cut(task)[0]
         first = _first_occurrences(walk.fires)
         assert ([(fires, walk.body(r)) for r, fires in zip(first, _unpack(walk.fires[first]))]
-                == list(oracle_first_bodies(task).items()))
+                == [(fires, body) for fires, body in oracle_first_bodies(task).items()
+                    if stop is None or len(body) < stop])
+        # reach comes from the literals, whatever size the walk stops at
         ad_mask = ad_mask_of(task)
         reached = 0
-        for _, fires in walked:
+        for _, fires in oracle_walk(task):
             reached |= fires
         assert walk.reach & ad_mask == reached & ad_mask
 
@@ -480,20 +492,27 @@ class TestWalkStop:
         task = make_task(examples, edges, max_body)
         assert oracle_stop_size(task) == kind
 
-        # the stopped walk is the start of the full one, with the same incumbent
-        table = _PenaltyTable(task.examples)
-        walk, full = _walk(task, table), _walk(task, table, stop=False)
-        n = len(walk.fires)
-        assert n == sum(kind is None or len(body) < kind for body, _ in oracle_walk(task))
-        assert _unpack(walk.fires) == _unpack(full.fires[:n])
-        assert walk.floors.tolist() == full.floors[:n].tolist()
-        assert walk.incumbent == full.incumbent
-        # and learn differs from a learn over the full walk only in its bodies
+        # the walk is the oracle's below the stop, with the incumbent of the
+        # whole space
+        walk = _walk(task, _PenaltyTable(task.examples))
+        walked = [(body, fires) for body, fires in oracle_walk(task)
+                  if kind is None or len(body) < kind]
+        assert _unpack(walk.fires) == [fires for _, fires in walked]
+        assert walk.floors.tolist() == [1 + 2 * len(body) + oracle_penalty(task, fires, False)
+                                        for body, fires in walked]
+        incumbent, cut = oracle_floor_cut(task)
+        assert walk.incumbent == incumbent
+        # so learn searches the candidates of the whole space and finds its
+        # optimum. That has at most one rule: two have 6 atoms, above the
+        # empty hypothesis's total at kind 1 and one literal's 3 at kind 2,
+        # and at kind None a rule pays on the CN twins all the AD penalty it
+        # saves, so the brute force need try single rules only, which takes
+        # time linear in the candidates (at most 230 in 3,000 draws)
+        assert candidates(task) == oracle_undominated(task, cut)
         res = learn(task)
-        with mock.patch.object(learner, "_walk", partial(_walk, stop=False)):
-            uncut = learn(task)
-        assert (res.bodies, uncut.bodies) == (n, len(full.fires))
-        assert res == replace(uncut, bodies=n)
+        want = brute_force_learn(task, max_rules=1, max_candidates=10_000)
+        assert res.bodies == len(walked)
+        assert (res.optimal, res.score, res.hypothesis) == (True, want.score, want.hypothesis)
 
 
 def readme_cohort_cv(noise, k_global, max_body_edges):
@@ -519,21 +538,19 @@ class TestEnumerationLimit:
                                   for combo in combinations(usable, m))
         table = _PenaltyTable(task.examples)
         limit = data.draw(st.integers(0, max(counts)))
-        over = [(c, s) for s, c in enumerate(counts, 1) if c > limit]
+        # the walk counts only the sizes it makes
+        made = counts[:(oracle_stop_size(task) or len(counts) + 1) - 1]
+        over = [(c, s) for s, c in enumerate(made, 1) if c > limit]
         with mock.patch.object(learner, "MAX_ENUMERATION", limit):
             if over:
                 message = (f"would generate {over[0][0]} rule bodies by size {over[0][1]} "
                            f"(limit {limit})")
                 with pytest.raises(ValueError, match=re.escape(message)):
-                    _walk(task, table, stop=False)
-            else:
-                _walk(task, table, stop=False)
-            # learn's walk counts only the sizes it makes
-            made = counts[:(oracle_stop_size(task) or len(counts) + 1) - 1]
-            if max(made, default=0) > limit:
-                with pytest.raises(ValueError, match="rule bodies by size"):
+                    _walk(task, table)
+                with pytest.raises(ValueError, match=re.escape(message)):
                     learn(task)
             else:
+                _walk(task, table)
                 assert learn(task).optimal
 
     def test_readme_cohort_with_five_edges_of_three_literals(self):
@@ -752,6 +769,37 @@ class TestLearn:
                 learn(task, budget=budget)
 
 
+class TestPreSearchContract:
+    # the benchmark's traced runs time learn's pre-search by patching
+    # learner.enumerate_candidates, and count the candidates as the length
+    # of what it returns: learn must call it once, through the module name,
+    # and that length must be the candidates learn searches
+    def test_one_call_per_learn(self):
+        calls = []
+
+        def counting(task):
+            found = enumerate_candidates(task)
+            calls.append(len(found))
+            return found
+
+        solved = []
+
+        def recording(task, budget):
+            solved.append(learn(task, budget=budget))
+            return solved[-1]
+
+        cohort = generate_synthetic(7, 12, [PlantedEdge(edge(2, 5), 2.0, "low")], 0.1)
+        config = CVConfig(n_repeats=1, fit_reference_models=False)
+        with mock.patch.object(learner, "enumerate_candidates", counting):
+            res = learn(random_task(np.random.default_rng(5)))
+            assert calls == [res.undominated]
+            calls.clear()
+            with mock.patch.object(crossval, "learn", recording):
+                crossval.fit_fold(cohort, config, partition_seed=0, model_seed=0)
+        assert len(solved) == config.n_ad_subsets
+        assert calls == [res.undominated for res in solved]
+
+
 class TestVisitingOrder:
     # node counts of the depth-first search whose generators test each child
     # only when asked for it, against (total, atoms) of the incumbent: brute-
@@ -860,7 +908,7 @@ class TestMonotonicity:
         rng = np.random.default_rng(8)
         for _ in range(20):
             task = random_task(rng)
-            cands = enumerate_candidates(task)
+            cands = oracle_candidates(task)
             if len(cands) < 2:
                 continue
             picks = rng.choice(len(cands), size=2, replace=False)
