@@ -294,21 +294,27 @@ class Features:
         return len(self.X)
 
     @cached_property
+    def order(self) -> np.ndarray:
+        """order[c] lists the rows by column c, ascending: the one sort of X
+        that every model fitted on these features shares."""
+        order = np.argsort(np.ascontiguousarray(self.X.T), axis=1)
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """(R, V): R[c, k] is the dense rank of X[k, c] among the distinct
         values of column c, in the smallest unsigned dtype that holds it, and
         V[c, r] is the value of rank r in column c (ranks past the column's
         last hold its maximum). Equal values share a rank, so ordering rows by
-        rank orders them by value. Built with one sort of the feature-major
-        matrix and shared by every model fitted on these features."""
+        rank orders them by value. Built from order."""
         XT = np.ascontiguousarray(self.X.T)
-        order = np.argsort(XT, axis=1)
-        sv = np.take_along_axis(XT, order, axis=1)
+        sv = np.take_along_axis(XT, self.order, axis=1)
         dense = np.zeros(sv.shape, dtype=np.intp)
         np.cumsum(sv[:, 1:] != sv[:, :-1], axis=1, out=dense[:, 1:])
         n_ranks = int(dense[:, -1].max()) + 1
         R = np.empty(XT.shape, dtype=np.min_scalar_type(n_ranks - 1))
-        np.put_along_axis(R, order, dense, axis=1)
+        np.put_along_axis(R, self.order, dense, axis=1)
         V = np.repeat(sv[:, -1:], n_ranks, axis=1)
         np.put_along_axis(V, dense, sv, axis=1)
         R.flags.writeable = False

@@ -90,21 +90,22 @@ def start_forest(
     # a bootstrap row drawn k times is one row of weight k
     roots = [np.unique(np.random.default_rng([base, t]).integers(0, n, size=n), return_counts=True)
              for t in range(params.n_estimators)]
-    draw = None
-    if m_features is not None:
-        def draw(t, node_id):
-            node_rng = np.random.default_rng([base, t, node_id])
-            return np.sort(node_rng.choice(n_features, size=m_features, replace=False))
+    every = np.arange(n_features)
+
+    def draw(t, node_id):
+        if m_features is None:
+            return every
+        node_rng = np.random.default_rng([base, t, node_id])
+        return np.sort(node_rng.choice(n_features, size=m_features, replace=False))
 
     def grow(lo: int, hi: int) -> list[TreeNode]:
-        block_draw = draw and (lambda t, node_id: draw(lo + t, node_id))
-        return _grow(features, tree_params, roots[lo:hi], block_draw)
+        return _grow(features, tree_params, roots[lo:hi], lambda t, node_id: draw(lo + t, node_id))
 
     def finish(blocks: list[list[TreeNode]]) -> Forest:
         return Forest([DecisionTree(root, tree_params, features.edges)
                        for nodes in blocks for root in nodes], params, seed)
 
-    features.ranks  # built once here, so that every child inherits it
+    features.ranks  # built once here, with the order fit_tree reuses, so every child inherits it
     return ForkedBlocks(params.n_estimators, grow, finish)
 
 

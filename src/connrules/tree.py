@@ -4,6 +4,9 @@ Splits minimize Gini impurity. Conventions fixed for reproducibility:
 thresholds are midpoints between consecutive distinct sorted values, values
 <= threshold route left, split ties break toward (lower feature index, lower
 threshold), and leaf ties predict CN.
+
+fit_tree scans rows presorted by each feature (Breiman et al. 1984); forests,
+whose nodes draw few features, batch rank bins, where presorting ran slower.
 """
 
 from __future__ import annotations
@@ -97,16 +100,74 @@ class ImportanceRanking:
 
 
 # ---------------------------------------------------------------------------
-# Growth: one kernel for trees and forests
+# Growth: a presorted search for the tree, rank bins for the forest
 # ---------------------------------------------------------------------------
 
+_SORTED_BLOCK_CELLS = 1 << 14  # cells per temporary array of the tree's search: 128 kB
 _SPLIT_BLOCK_CELLS = 1 << 16  # rank bins, and rank cells, per temporary array: 0.5 MB
 
 
+def _sorted_split(columns: np.ndarray, is_ad: np.ndarray, orders: np.ndarray, n_ad: int):
+    """(feature, position, threshold, gain, left AD count) of the best split
+    of the node whose rows orders[c] sorts by columns[c] (X.T, C-contiguous),
+    or None. Position p sends the first p + 1 rows left; gain and ties are
+    _best_splits'. Unblocked, not in blocks of _SORTED_BLOCK_CELLS cells, W2's
+    1,046 x 144 roots took twice as long, faulting in each 1.2 MB temporary."""
+    n_feats, n = orders.shape
+    parent = _impurity(n_ad, n - n_ad, n)
+    nl = np.arange(1.0, n)
+    nr = n - nl
+    best, best_gain = None, 0.0
+    per_block = max(1, _SORTED_BLOCK_CELLS // n)
+    for c0 in range(0, n_feats, per_block):
+        block = orders[c0:c0 + per_block]
+        values = columns.take(block + np.arange(c0, c0 + len(block))[:, None] * len(is_ad))
+        la = is_ad.take(block[:, :-1]).cumsum(axis=1, dtype=float)
+        ra = n_ad - la
+        gain = (parent - (nl / n) * _impurity(la, nl - la, nl)
+                - (nr / n) * _impurity(ra, nr - ra, nr))
+        gain[values[:, 1:] == values[:, :-1]] = -np.inf
+        c, p = divmod(int(gain.argmax()), n - 1)
+        if gain[c, p] > best_gain:
+            below, above = values[c, p], values[c, p + 1]
+            threshold = (below + above) / 2.0
+            if threshold >= above:  # adjacent floats: midpoint rounded up, pull back
+                threshold = below
+            best_gain = gain[c, p]
+            best = (c0 + c, p, float(threshold), float(best_gain), int(la[c, p]))
+    return best
+
+
+def fit_tree(features: Features, params: TreeParams | None = None) -> DecisionTree:
+    """Fit a CART tree whose feature k is the edge features.edges[k]. A
+    child's orders are its parent's, filtered, built only if it searches."""
+    params = params or TreeParams()
+    columns = np.ascontiguousarray(features.X.T)
+
+    def grow(orders: np.ndarray, rows: np.ndarray | None, n: int, n_ad: int,
+             depth: int) -> TreeNode:
+        # the node holds the n rows (n_ad AD) of orders that the mask rows keeps (None: all)
+        if depth >= params.max_depth or n < params.min_samples_split or n_ad in (0, n):
+            return _leaf(n_ad, n)
+        if rows is not None:
+            orders = orders[rows.take(orders)].reshape(-1, n)
+        split = _sorted_split(columns, features.is_ad, orders, n_ad)
+        if split is None:
+            return _leaf(n_ad, n)
+        f, p, threshold, gain, left_ad = split
+        left = np.zeros(len(features), dtype=bool)
+        left[orders[f, :p + 1]] = True
+        return Internal(f, threshold, grow(orders, left, p + 1, left_ad, depth + 1),
+                        grow(orders, ~left, n - p - 1, n_ad - left_ad, depth + 1), gain, n)
+
+    root = grow(features.order, None, len(features), int(features.is_ad.sum()), 0)
+    return DecisionTree(root, params, features.edges)
+
+
 class _Node(NamedTuple):
-    """A node waiting for its split search: the distinct rows it holds, the
-    multiplicity of each (its AD part in ad_weights), the totals of both,
-    and the features its search may use, ascending."""
+    """A forest node waiting for its split search: the distinct rows it
+    holds, the multiplicity of each (its AD part in ad_weights), the totals
+    of both, and the features its search may use, ascending."""
 
     rows: np.ndarray
     weights: np.ndarray
@@ -212,20 +273,18 @@ def _grow(
     features: Features,
     params: TreeParams,
     roots: list[tuple[np.ndarray, np.ndarray]],
-    draw: Callable[[int, int], np.ndarray] | None = None,
+    draw: Callable[[int, int], np.ndarray],
 ) -> list[TreeNode]:
-    """Grow one tree per root (distinct rows of features, multiplicity of
-    each) and return their root nodes.
+    """Grow one forest tree per root (distinct rows of features,
+    multiplicity of each) and return their root nodes.
 
     Each tree grows in preorder from its own stack, so node ids count nodes
     in preorder. The trees advance in lockstep: each step takes from every
     tree its next node that needs a split search, settling the leaves before
     it, and runs one _best_splits over all of them. draw(tree, node_id)
-    gives the ascending features a node may split on (used by forests);
-    without it every feature is searched.
+    gives the ascending features a node may split on.
     """
     is_ad = features.is_ad
-    every = np.arange(features.X.shape[1])
     out: list[TreeNode | None] = [None] * len(roots)
 
     def attach(t: int, parent: Internal | None, side: str, node: TreeNode) -> None:
@@ -250,9 +309,8 @@ def _grow(
                         or n_ad == 0 or n_ad == n):
                     attach(t, parent, side, _leaf(n_ad, n))
                     continue
-                feats = every if draw is None else draw(t, node_id)
                 places.append((t, depth, parent, side))
-                batch.append(_Node(rows, weights, ad_weights, n, n_ad, feats))
+                batch.append(_Node(rows, weights, ad_weights, n, n_ad, draw(t, node_id)))
                 break
         if not batch:
             return out
@@ -269,14 +327,6 @@ def _grow(
                               depth + 1, internal, "right"))
             stacks[t].append((node.rows[goes_left], node.weights[goes_left],
                               depth + 1, internal, "left"))
-
-
-def fit_tree(features: Features, params: TreeParams | None = None) -> DecisionTree:
-    """Fit a CART tree whose feature k is the edge features.edges[k]."""
-    params = params or TreeParams()
-    n = len(features)
-    root, = _grow(features, params, [(np.arange(n), np.ones(n, dtype=np.int64))])
-    return DecisionTree(root, params, features.edges)
 
 
 def _route(node: TreeNode, values: np.ndarray) -> Leaf:
@@ -353,27 +403,34 @@ def _node_to_obj(node: TreeNode, feature_order) -> dict:
 
 
 def _node_from_obj(obj: dict, index: dict[EdgeId, int]) -> TreeNode:
+    """The node obj holds; ValueError on a leaf predicting against its counts
+    or a split without positive gain or with n_samples not its children's."""
     if isinstance(obj, dict) and "prediction" in obj:
         counts = _field(obj, "counts")
         prediction = _field(obj, "prediction", str)
         if prediction not in (AD, CN):
             raise ValueError(f"prediction must be AD or CN, not {prediction!r}")
-        return Leaf(ClassCounts(_field(counts, "ad", int), _field(counts, "cn", int)),
-                    prediction)
+        n_ad, n_cn = _field(counts, "ad", int), _field(counts, "cn", int)
+        leaf = _leaf(n_ad, n_ad + n_cn)
+        if prediction != leaf.prediction:
+            raise ValueError(f"{n_ad} AD, {n_cn} CN predict {leaf.prediction}, not {prediction}")
+        return leaf
     feature = edges_from_pairs([_field(obj, "feature")])[0]
     if feature not in index:
         raise ValueError(f"split feature ({feature.i}, {feature.j}) not in feature_order")
     n_samples = _field(obj, "n_samples", int)
     if n_samples < 1:  # importance divides by the root's
         raise ValueError(f"n_samples must be >= 1, not {n_samples}")
-    return Internal(
-        index[feature],
-        _field(obj, "threshold", float),
-        _node_from_obj(_field(obj, "left"), index),
-        _node_from_obj(_field(obj, "right"), index),
-        _field(obj, "impurity_decrease", float),
-        n_samples,
-    )
+    impurity_decrease = _field(obj, "impurity_decrease", float)
+    if not impurity_decrease > 0.0:
+        raise ValueError(f"impurity_decrease must be > 0, not {impurity_decrease!r}")
+    node = Internal(index[feature], _field(obj, "threshold", float),
+                    _node_from_obj(_field(obj, "left"), index),
+                    _node_from_obj(_field(obj, "right"), index), impurity_decrease, n_samples)
+    children = _node_total(node.left) + _node_total(node.right)
+    if n_samples != children:
+        raise ValueError(f"n_samples {n_samples} is not its children's total {children}")
+    return node
 
 
 def tree_to_obj(tree: DecisionTree) -> dict:

@@ -3,8 +3,9 @@
 These deliberately use plain scalar Python (exact rational arithmetic where
 it matters, exhaustive search for the learner) rather than the library's
 vectorized or pruned paths. The CART oracle grows one node at a time by
-recursion on copied rows with float sorts, where the library grows batches
-of nodes from dense ranks and row weights. The learner's oracles read a
+recursion on copied rows with a float sort per node, where the library
+searches a tree's nodes along per-feature row orders sorted once, and a
+forest's in batches from dense ranks and row weights. The learner's oracles read a
 task's examples one at a time, as Example records with a context dict,
 where the library compares whole columns of its facts matrix.
 """

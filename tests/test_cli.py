@@ -225,7 +225,9 @@ class TestExitCodes:
     def test_model_node_field_of_wrong_type_is_2(self, workspace, tmp_path, capsys):
         for set_bad, message in [
                 (lambda root: root["left"]["counts"].update(ad="x"), "ad must be int, not str"),
-                (lambda root: root.update(n_samples="x"), "n_samples must be int, not str")]:
+                (lambda root: root.update(n_samples="x"), "n_samples must be int, not str"),
+                (lambda root: root.update(impurity_decrease=-5.0),
+                 "impurity_decrease must be > 0, not -5.0")]:
             tree = json.loads((workspace / "dt.json").read_text())
             root = tree["root"]
             while "prediction" not in root["left"]:

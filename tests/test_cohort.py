@@ -570,6 +570,16 @@ class TestFeatures:
         assert V.tolist() == [[0.0, 1.0, 2.0], [0.5, 9.0, 9.0]]
         assert features.ranks is features.ranks  # built once per Features
 
+    def test_order_sorts_each_column_once(self):
+        X = np.array([[2.0, 0.5], [1.0, 0.5], [2.0, 9.0], [0.0, 0.5]])
+        features = Features(np.asfortranarray(X), np.zeros(4, dtype=bool),
+                            (edge(0, 1), edge(0, 2)))
+        order = features.order
+        assert order.shape == (2, 4) and not order.flags.writeable
+        assert order[0].tolist() in ([3, 1, 0, 2], [3, 1, 2, 0])  # the two 2.0 rows tie
+        assert sorted(order[1, :3].tolist()) == [0, 1, 3] and order[1, 3] == 2
+        assert features.order is features.order  # built once per Features
+
 
 class TestGenerateSynthetic:
     def test_deterministic(self):

@@ -39,6 +39,7 @@ from connrules.tree import (
     TreeParams,
     fit_tree,
     predict_tree,
+    tree_from_obj,
     tree_importance,
     tree_to_json,
 )
@@ -122,9 +123,10 @@ def oracle_tree(features, rows, params, sampler=None):
 
 
 class TestKernelMatchesOracle:
-    """fit_tree and fit_forest grow every tree of a batch in lockstep from
-    dense ranks and row weights; the oracle grows one node at a time from
-    copied rows and float sorts."""
+    """fit_tree searches each node along its rows' per-feature orders, and
+    fit_forest grows every tree of a batch in lockstep from dense ranks and
+    row weights; the oracle grows one node at a time from copied rows and
+    float sorts."""
 
     @settings(max_examples=150, deadline=None)
     @given(tied_features(), st.integers(0, 6), st.integers(2, 5))
@@ -174,7 +176,7 @@ class TestPinnedOutputs:
         """Repeat 0, fold 1 of the README noisy protocol, with the forest seed
         run_pipeline passes (repeat * 1000 + fold): both models serialize to
         the bytes recorded before the lockstep kernel replaced the per-node
-        grower."""
+        grower, and load back to the same bytes."""
         features = readme_fold(0, 1)
         tree = tree_to_json(fit_tree(features, TreeParams()))
         forest = forest_to_json(fit_forest(features, ForestParams(), seed=1))
@@ -182,6 +184,8 @@ class TestPinnedOutputs:
             "9765f87d96a6a25cf6f1389006d52df7f00e357dc7e6b9e541883fc26c54adeb"
         assert hashlib.sha256(forest.encode()).hexdigest() == \
             "7948ffb31df27f6c5343338c6cbf02f9fa67187b242af8cf5b4e6e6a1a4af5bf"
+        assert tree_to_json(tree_from_obj(json.loads(tree))) == tree
+        assert forest_to_json(forest_from_obj(json.loads(forest))) == forest
 
 
 class TestForkedFit:

@@ -1,11 +1,14 @@
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+import connrules.tree as tree_module
 from connrules.cohort import AD, CN, Features, canonical_edges, edge
 from connrules.inference import evaluate
 from connrules.tree import (
@@ -14,6 +17,8 @@ from connrules.tree import (
     Internal,
     Leaf,
     TreeParams,
+    _grow,
+    _node_total,
     fit_tree,
     gini,
     predict_tree,
@@ -23,7 +28,7 @@ from connrules.tree import (
     tree_to_json,
     tree_to_obj,
 )
-from oracles import oracle_best_split, oracle_gini_exact
+from oracles import oracle_best_split, oracle_fit_tree, oracle_gini_exact
 
 
 def vectors(X, labels):
@@ -178,6 +183,61 @@ class TestFitPredict:
         total(tree.root)
 
 
+@st.composite
+def awkward_features(draw):
+    """Features of 1-24 rows and 2-5 columns whose values are a few levels
+    and the float just above each (np.nextafter), with some rows repeated
+    and the last column a copy of an earlier one, in either memory layout."""
+    n = draw(st.integers(1, 20))
+    n_cols = draw(st.integers(1, 4))
+    levels = draw(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=4, unique=True))
+    values = levels + [float(np.nextafter(v, np.inf)) for v in levels]
+    X = draw(arrays(float, (n, n_cols), elements=st.sampled_from(values)))
+    X = np.column_stack([X, X[:, draw(st.integers(0, n_cols - 1))]])
+    X = np.vstack([X, X[draw(st.lists(st.integers(0, n - 1), max_size=4))]])
+    if draw(st.booleans()):
+        X = np.asfortranarray(X)
+    return Features(X, draw(arrays(bool, len(X))), tuple(canonical_edges()[:n_cols + 1]))
+
+
+class TestSortedSearch:
+    """fit_tree searches each node along its rows' per-feature orders; the
+    forest's rank-bin kernel (_grow with every feature drawn) and the
+    scalar oracle grow the same tree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(awkward_features(), st.integers(0, 6), st.integers(1, 6),
+           st.sampled_from([1, 40, 1 << 14]))
+    def test_matches_rank_kernel_and_oracle(self, features, max_depth, min_samples_split,
+                                            block_cells):
+        # small blocks put features, and tied ones, in different blocks
+        params = TreeParams(max_depth, min_samples_split)
+        n, n_features = features.X.shape
+        every = np.arange(n_features)
+        with mock.patch.object(tree_module, "_SORTED_BLOCK_CELLS", block_cells):
+            got = tree_to_json(fit_tree(features, params))
+        ranked, = _grow(features, params, [(np.arange(n), np.ones(n, dtype=np.int64))],
+                        lambda t, node_id: every)
+        assert got == tree_to_json(DecisionTree(ranked, params, features.edges))
+        oracle = oracle_fit_tree(features.X, features.is_ad, np.arange(n), params)
+        assert got == tree_to_json(DecisionTree(oracle, params, features.edges))
+
+    def test_sorts_once_and_leaves_ranks_unbuilt(self, monkeypatch):
+        argsort, sorts = np.argsort, []
+
+        def counting(*args, **kwargs):
+            sorts.append(args)
+            return argsort(*args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", counting)
+        features = vectors(*random_dataset(np.random.default_rng(3)))
+        tree = tree_to_json(fit_tree(features))
+        assert "ranks" not in vars(features)
+        features.ranks  # as a forest builds them, from the same order
+        assert tree_to_json(fit_tree(features)) == tree
+        assert len(sorts) == 1
+
+
 class TestParams:
     @pytest.mark.parametrize("key, value, message", [
         ("max_depth", -1, "max_depth -1 must be an int >= 0"),
@@ -272,15 +332,24 @@ class TestAtomCount:
 
 @st.composite
 def trees(draw):
-    """Any tree shape over 1-6 distinct edges with finite float fields."""
+    """Any tree shape over 1-6 distinct edges with finite float fields whose
+    nodes agree with themselves: a leaf predicts the class its counts give,
+    and a split has a positive impurity_decrease and its children's total
+    as n_samples."""
     order = tuple(sorted(draw(st.sets(st.sampled_from(canonical_edges()),
                                       min_size=1, max_size=6))))
     finite = st.floats(allow_nan=False, allow_infinity=False)
-    leaves = st.builds(Leaf, st.builds(ClassCounts, st.integers(0, 500), st.integers(0, 500)),
-                       st.sampled_from((AD, CN)))
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    leaves = st.builds(ClassCounts, st.integers(0, 500), st.integers(0, 500)).filter(
+        lambda counts: counts.total > 0).map(
+        lambda counts: Leaf(counts, AD if counts.n_ad > counts.n_cn else CN))
+
+    def split(feature, threshold, left, right, gain):
+        return Internal(feature, threshold, left, right, gain,
+                        _node_total(left) + _node_total(right))
+
     nodes = st.recursive(leaves, lambda kids: st.builds(
-        Internal, st.integers(0, len(order) - 1), finite, kids, kids, finite,
-        st.integers(1, 1000)), max_leaves=16)
+        split, st.integers(0, len(order) - 1), finite, kids, kids, positive), max_leaves=16)
     params = st.builds(TreeParams, st.integers(0, 12), st.integers(2, 10))
     return DecisionTree(draw(nodes), draw(params), order)
 
@@ -332,6 +401,46 @@ class TestTreeJson:
                 tree_from_obj({**obj, "root": bad})
         with pytest.raises(ValueError, match="feature_order is empty"):
             tree_from_obj({**obj, "feature_order": [], "root": left})
+
+    @staticmethod
+    def two_leaf_obj() -> dict:
+        """A depth-one tree over 4 rows: 1 AD left, 3 CN right."""
+        return tree_to_obj(DecisionTree(
+            Internal(1, 0.5, Leaf(ClassCounts(1, 0), AD), Leaf(ClassCounts(0, 3), CN), 0.375, 4),
+            TreeParams(), (edge(0, 1), edge(0, 2))))
+
+    def test_split_without_positive_gain_rejected(self):
+        obj = self.two_leaf_obj()
+        assert tree_from_obj(obj).root.impurity_decrease == 0.375
+        for bad in (-5.0, 0.0, -0.0):
+            with pytest.raises(ValueError, match=re.escape(f"impurity_decrease must be > 0, "
+                                                           f"not {bad!r}")):
+                tree_from_obj({**obj, "root": {**obj["root"], "impurity_decrease": bad}})
+
+    def test_n_samples_not_the_childrens_total_rejected(self):
+        obj = self.two_leaf_obj()
+        for bad in (99, 3, 5):
+            with pytest.raises(ValueError,
+                               match=f"n_samples {bad} is not its children's total 4"):
+                tree_from_obj({**obj, "root": {**obj["root"], "n_samples": bad}})
+        # a deeper split's children count too
+        root = obj["root"]
+        deep = {**root, "right": {**root, "n_samples": 5}, "n_samples": 6}
+        with pytest.raises(ValueError, match="n_samples 5 is not its children's total 4"):
+            tree_from_obj({**obj, "root": deep})
+
+    def test_leaf_predicting_against_its_counts_rejected(self):
+        obj = self.two_leaf_obj()
+        root = obj["root"]
+        for counts, prediction, want in [({"ad": 5, "cn": 2}, CN, AD),
+                                         ({"ad": 2, "cn": 5}, AD, CN),
+                                         ({"ad": 2, "cn": 2}, AD, CN)]:  # a tie predicts CN
+            n = counts["ad"] + counts["cn"]
+            bad = {**root, "n_samples": n + 3,
+                   "left": {"counts": counts, "prediction": prediction}}
+            with pytest.raises(ValueError, match=f"{counts['ad']} AD, {counts['cn']} CN "
+                                                 f"predict {want}, not {prediction}"):
+                tree_from_obj({**obj, "root": bad})
 
     def test_round_trip(self):
         rng = np.random.default_rng(8)
