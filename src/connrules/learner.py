@@ -46,9 +46,13 @@ branch-and-bound search over rule subsets (item 4):
    explicitly; fire-set ints are built only for what it keeps, and they
    are put in canonical rule order by one lexsort over the bodies'
    literal-index paths, with no Rule built.
-4. The search branches on the AD examples in order: either some specific
-   candidate covers the first undecided one, or none does (its penalty is
-   committed). A node at AD ordinal k has decided every AD example before
+4. The search charges net penalties: examples with the same facts fire
+   together under every body, so where such a group holds both classes,
+   min(A, C) of its AD and CN penalty sums is paid by every hypothesis and
+   only |A - C| on one row of the heavier class is left to decide. It
+   branches on the AD examples left with a penalty, in order: either some
+   specific candidate covers the first undecided one, or none does (its
+   penalty is committed). A node at AD ordinal k has decided every AD example before
    k, so its committed set is implied: the examples before k its rules
    miss, and the AD examples no body fires on, committed at the root. A
    node keeps only k, its rules, their union and atom count, the committed
@@ -76,6 +80,7 @@ import json
 import operator
 import re
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -475,14 +480,19 @@ def _undominated(h: np.ndarray) -> np.ndarray:
 class _PenaltyTable:
     """Groups examples by (class, penalty) so penalty sums are popcounts."""
 
-    def __init__(self, examples: Examples):
-        is_ad, penalty = examples.is_ad, examples.penalty
-        self.ad_mask = _mask(is_ad)
+    def __init__(self, examples: Examples, penalty: np.ndarray | None = None):
+        """penalty, when given, replaces the examples' own, one per row; a
+        row at 0 is in no group and, if AD, not in ad_mask."""
+        is_ad = examples.is_ad
+        penalty = examples.penalty if penalty is None else penalty
+        counted = penalty > 0
+        self.ad_mask = _mask(is_ad & counted)
         self.ad_total = int(penalty[is_ad].sum())
         # per class, ascending: (penalty, the examples of the class with it)
         self.ad_groups, self.cn_groups = (
             [(p, _mask(in_class & (penalty == p)))
-             for p in sorted(set(penalty[in_class].tolist()))] for in_class in (is_ad, ~is_ad))
+             for p in sorted(set(penalty[in_class & counted].tolist()))]
+            for in_class in (is_ad, ~is_ad))
 
     # plain loops: the greedy pass calls these once per candidate per round,
     # and a generator or a temporary list costs more than the sum
@@ -500,6 +510,37 @@ class _PenaltyTable:
 
     def total(self, atoms: int, union: int) -> int:
         return atoms + self.ad_total - self.ad_over(union) + self.cn_over(union)
+
+
+def _net_penalties(examples: Examples) -> np.ndarray | None:
+    """The penalties learn's search charges, or None when they are the
+    examples' own. Rows with the same facts fire under the same bodies, so
+    a group of them holding both classes pays its AD penalty A when no rule
+    fires on it and its CN penalty C when one does: min(A, C) in every
+    hypothesis, and |A - C| on the heavier side. The group's first row of
+    that class carries |A - C| and its other rows 0, which lowers every
+    hypothesis's total by the same sum of min(A, C), so the optimum and the
+    tie-break stay, and the search branches only on the AD examples left
+    with a penalty. Where every AD example has a CN twin of at least its
+    penalty, none is left, and the root proves the empty hypothesis."""
+    is_ad, penalty = examples.is_ad, examples.penalty
+    rows = examples.facts.tolist()
+    ad_rows = {tuple(row) for row in compress(rows, is_ad.tolist())}
+    if not any(tuple(row) in ad_rows for row in compress(rows, (~is_ad).tolist())):
+        return None  # no row holds both classes: cheaper to see than to group
+    _, group = np.unique(examples.facts, axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    ad_sum = np.zeros(group.max() + 1, np.int64)
+    cn_sum = np.zeros_like(ad_sum)
+    np.add.at(ad_sum, group[is_ad], penalty[is_ad])
+    np.add.at(cn_sum, group[~is_ad], penalty[~is_ad])
+    mixed = (ad_sum > 0) & (cn_sum > 0)
+    diff = (ad_sum - cn_sum)[group]
+    net = np.where(mixed[group], 0, penalty)
+    heavier = np.flatnonzero(mixed[group] & np.where(is_ad, diff > 0, diff < 0))
+    _, first = np.unique(group[heavier], return_index=True)
+    net[heavier[first]] = np.abs(diff[heavier[first]])
+    return net
 
 
 def _greedy(fire_sets: Sequence[int], atoms_of: Sequence[int],
@@ -566,7 +607,8 @@ def enumerate_candidates(task: LearningTask) -> Candidates:
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """Minimal-score hypothesis via branch and bound over the undominated
     candidates of enumerate_candidates, its only pre-search; the result
-    counts the candidates at each stage.
+    counts the candidates at each stage. The search charges the penalties
+    of _net_penalties, and the result's score is the task's own.
 
     A node (k, chosen, union, atoms, committed_pen, cn_union) branches on AD
     ordinal k, the first AD example neither covered nor committed. Its
@@ -595,14 +637,22 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         raise ValueError(f"node budget must be >= 1, got {budget}")
     found = enumerate_candidates(task)
     walk, table, fire_sets, atoms_of = found.walk, found.table, found.fire_sets, found.atoms
+    # the search charges the net penalties of _net_penalties, so its totals
+    # and floors are below the task's by one constant
+    is_ad, penalty, floors = task.examples.is_ad, task.examples.penalty, found.floors
+    net = _net_penalties(task.examples)
+    if net is not None:
+        penalty, table = net, _PenaltyTable(task.examples, net)
+        floors = [a + table.cn_over(fires) for a, fires in zip(atoms_of, fire_sets)]
 
-    # per AD ordinal: its bit and penalty, and per body size s up to the
-    # largest, its cover list of the records (floor, atoms, fire-set, index)
-    # of the candidates firing on it with at most s literals, in (floor,
-    # index) order: none at size 0, every record at the largest
-    is_ad, penalty = task.examples.is_ad, task.examples.penalty
-    ad = [(1 << k, p) for k, p in zip(np.flatnonzero(is_ad).tolist(), penalty[is_ad].tolist())]
-    records = sorted(zip(found.floors, atoms_of, fire_sets, range(len(found))),
+    # per AD ordinal (an AD example with a penalty to pay): its bit and
+    # penalty, and per body size s up to the largest, its cover list of the
+    # records (floor, atoms, fire-set, index) of the candidates firing on it
+    # with at most s literals, in (floor, index) order: none at size 0,
+    # every record at the largest
+    ordinals = np.flatnonzero(is_ad & (penalty > 0))
+    ad = [(1 << k, p) for k, p in zip(ordinals.tolist(), penalty[ordinals].tolist())]
+    records = sorted(zip(floors, atoms_of, fire_sets, range(len(found))),
                      key=lambda r: (r[0], r[3]))
     max_size = (max(atoms_of, default=1) - 1) // 2
     cover = []

@@ -490,6 +490,27 @@ class OraclePenaltyTable(learner._PenaltyTable):
         return 0
 
 
+def oracle_net_penalties(task) -> list[int]:
+    """learner._net_penalties as a list, the task's own penalties when
+    nothing nets: examples grouped by their facts row as a tuple, and each
+    group holding both classes cut to its first row of the heavier class,
+    at the difference of the two classes' penalty sums."""
+    rows: dict[tuple, list[int]] = {}
+    for k, row in enumerate(task.examples.facts.tolist()):
+        rows.setdefault(tuple(row), []).append(k)
+    is_ad = task.examples.is_ad.tolist()
+    net = task.examples.penalty.tolist()
+    for members in rows.values():
+        ad = sum(net[k] for k in members if is_ad[k])
+        cn = sum(net[k] for k in members if not is_ad[k])
+        if ad and cn:
+            for k in members:
+                net[k] = 0
+            if ad != cn:
+                net[next(k for k in members if is_ad[k] == (ad > cn))] = abs(ad - cn)
+    return net
+
+
 def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """learn as it was before its search ran over cover records: every node
     recomputes the CN penalty of its union through the penalty table, and
@@ -498,10 +519,13 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     learn's pre-search (enumerate_candidates), its greedy, its root commit
     of the AD examples no body fires on and its child test, which compares
     (bound, atoms) with the incumbent's (total, atoms), so the two must
-    agree on every LearnResult field, node count included. It builds a rule for every candidate and scans each cover
+    agree on every LearnResult field, node count included. Like learn, it
+    charges oracle_net_penalties and branches only on AD examples left with
+    a penalty. It builds a rule for every candidate and scans each cover
     list whole."""
     examples = example_rows(task.examples)
-    table = OraclePenaltyTable(task.examples)
+    net = oracle_net_penalties(task)
+    table = OraclePenaltyTable(task.examples, np.array(net, dtype=np.int64))
     found = enumerate_candidates(task)
     walk, fire_sets = found.walk, found.fire_sets
     cands = [Candidate(Rule(walk.body(r)), fires) for r, fires in zip(found.rows, fire_sets)]
@@ -509,7 +533,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     cn_solo = [table.cn_over(c.fires) for c in cands]
     floor_of = [atoms + cn for atoms, cn in zip(atoms_of, cn_solo)]
 
-    ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad]
+    ad_positions = [k for k, ex in enumerate(examples) if ex.is_ad and net[k]]
     cover_list: dict[int, list[int]] = {k: [] for k in ad_positions}
     for ci in sorted(range(len(cands)), key=lambda ci: (floor_of[ci], ci)):
         hits = cands[ci].fires & table.ad_mask
@@ -559,7 +583,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
                 yield k, chosen + (ci,), union2, atoms2, committed_pen, committed
         # no chosen rule covers this example: commit its penalty
         committed2 = committed | (1 << e)
-        committed_pen2 = committed_pen + examples[e].penalty
+        committed_pen2 = committed_pen + net[e]
         b = atoms + committed_pen2 + cn_union
         remaining = table.ad_mask & ~union & ~committed2
         if remaining:
