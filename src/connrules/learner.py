@@ -5,15 +5,26 @@ head, 2 per body edge: a connection atom plus a comparator literal) plus the
 penalties of uncovered examples. An AD example is covered when some rule
 fires on its row of facts, a CN example when none does.
 
+The learner charges net penalties (_net_penalties) from its first step to
+its last: examples with the same facts fire together under every body, so
+where such a group holds both classes, min(A, C) of its AD and CN penalty
+sums A and C is paid by every hypothesis and only |A - C|, on one row of
+the heavier class, is left to decide. Every total falls by one constant
+and a row at 0 changes none, so each reduction below, exact for the net
+totals, is exact for the task's own, tie-break included. Below, penalties
+are net, the AD examples are those left with one, and all others count as
+CN; score reports the task's own.
+
 learn's pre-search, enumerate_candidates, finds candidate rules whose
 coverage signatures exhaust the space (items 1-3); learn then runs a
 branch-and-bound search over rule subsets (item 4):
 
 1. Per edge and comparator, the satisfied example set only changes at
    observed strengths, so thresholds outside the observed values are
-   redundant. Of those, a threshold is kept only when widening the literal
-   by one step would admit a CN example (widening over an all-AD step can
-   never hurt a hypothesis), which is the class-boundary reduction.
+   redundant, and LearningTask makes each edge's domain hold them all. Of
+   those, a threshold is kept only when widening the literal by one step
+   would admit a CN example (widening over an all-AD step can never hurt
+   a hypothesis), which is the class-boundary reduction.
 2. Rules with identical coverage keep one representative with the fewest
    atoms and smallest canonical form, and the visiting order picks it: the
    first body a walk in canonical order reaches, where size s extends the
@@ -46,13 +57,9 @@ branch-and-bound search over rule subsets (item 4):
    explicitly; fire-set ints are built only for what it keeps, and they
    are put in canonical rule order by one lexsort over the bodies'
    literal-index paths, with no Rule built.
-4. The search charges net penalties: examples with the same facts fire
-   together under every body, so where such a group holds both classes,
-   min(A, C) of its AD and CN penalty sums is paid by every hypothesis and
-   only |A - C| on one row of the heavier class is left to decide. It
-   branches on the AD examples left with a penalty, in order: either some
-   specific candidate covers the first undecided one, or none does (its
-   penalty is committed). A node at AD ordinal k has decided every AD example before
+4. The search branches on the AD examples in order: either some specific
+   candidate covers the first undecided one, or none does (its penalty is
+   committed). A node at AD ordinal k has decided every AD example before
    k, so its committed set is implied: the examples before k its rules
    miss, and the AD examples no body fires on, committed at the root. A
    node keeps only k, its rules, their union and atom count, the committed
@@ -80,7 +87,6 @@ import json
 import operator
 import re
 from dataclasses import dataclass
-from itertools import compress
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -330,17 +336,17 @@ class _Walk:
 
 
 def _walk(task: LearningTask, table: _PenaltyTable) -> _Walk:
-    """The rule bodies of the task that fire on an AD example, size by size:
-    size s extends each body of size s - 1, in order, by one literal of a
-    later usable edge. Each edge's literals come in sort-key order and
-    usable edges in canonical order, so the bodies come in (atom count,
-    Rule.sort_key) order, and the first body with a given fire-set is its
-    fewest-atom, smallest-key representative. A body that misses every AD
-    example is dropped, and so are its extensions, which cannot regain one.
-    One step is a few array operations: the bodies of size s - 1 are
-    repeated once per literal they may take, their fire-set rows ANDed
-    with those literals' rows and the literal written into column s - 1 of
-    their paths.
+    """The rule bodies of the task that fire on an AD example of
+    table.ad_mask, size by size: size s extends each body of size s - 1, in
+    order, by one literal of a later usable edge. Each edge's literals come
+    in sort-key order and usable edges in canonical order, so the bodies
+    come in (atom count, Rule.sort_key) order, and the first body with a
+    given fire-set is its fewest-atom, smallest-key representative. A body
+    that misses every AD example is dropped, and so are its extensions,
+    which cannot regain one. One step is a few array operations: the bodies
+    of size s - 1 are repeated once per literal they may take, their
+    fire-set rows ANDed with those literals' rows and the literal written
+    into column s - 1 of their paths.
 
     Each size's floors and single-body totals are taken as it is made, and
     the incumbent is the least total so far, starting from the empty
@@ -478,14 +484,14 @@ def _undominated(h: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class _PenaltyTable:
-    """Groups examples by (class, penalty) so penalty sums are popcounts."""
+    """The penalties the learner charges, one per row of examples, grouped
+    by (class, penalty) so that penalty sums are popcounts. A row at 0 is in
+    no group and, if AD, not in ad_mask."""
 
-    def __init__(self, examples: Examples, penalty: np.ndarray | None = None):
-        """penalty, when given, replaces the examples' own, one per row; a
-        row at 0 is in no group and, if AD, not in ad_mask."""
+    def __init__(self, examples: Examples, penalty: np.ndarray):
         is_ad = examples.is_ad
-        penalty = examples.penalty if penalty is None else penalty
         counted = penalty > 0
+        self.penalty = penalty
         self.ad_mask = _mask(is_ad & counted)
         self.ad_total = int(penalty[is_ad].sum())
         # per class, ascending: (penalty, the examples of the class with it)
@@ -512,34 +518,27 @@ class _PenaltyTable:
         return atoms + self.ad_total - self.ad_over(union) + self.cn_over(union)
 
 
-def _net_penalties(examples: Examples) -> np.ndarray | None:
-    """The penalties learn's search charges, or None when they are the
-    examples' own. Rows with the same facts fire under the same bodies, so
-    a group of them holding both classes pays its AD penalty A when no rule
-    fires on it and its CN penalty C when one does: min(A, C) in every
-    hypothesis, and |A - C| on the heavier side. The group's first row of
-    that class carries |A - C| and its other rows 0, which lowers every
-    hypothesis's total by the same sum of min(A, C), so the optimum and the
-    tie-break stay, and the search branches only on the AD examples left
-    with a penalty. Where every AD example has a CN twin of at least its
-    penalty, none is left, and the root proves the empty hypothesis."""
-    is_ad, penalty = examples.is_ad, examples.penalty
-    rows = examples.facts.tolist()
-    ad_rows = {tuple(row) for row in compress(rows, is_ad.tolist())}
-    if not any(tuple(row) in ad_rows for row in compress(rows, (~is_ad).tolist())):
-        return None  # no row holds both classes: cheaper to see than to group
-    _, group = np.unique(examples.facts, axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    ad_sum = np.zeros(group.max() + 1, np.int64)
-    cn_sum = np.zeros_like(ad_sum)
-    np.add.at(ad_sum, group[is_ad], penalty[is_ad])
-    np.add.at(cn_sum, group[~is_ad], penalty[~is_ad])
-    mixed = (ad_sum > 0) & (cn_sum > 0)
-    diff = (ad_sum - cn_sum)[group]
-    net = np.where(mixed[group], 0, penalty)
-    heavier = np.flatnonzero(mixed[group] & np.where(is_ad, diff > 0, diff < 0))
-    _, first = np.unique(group[heavier], return_index=True)
-    net[heavier[first]] = np.abs(diff[heavier[first]])
+def _net_penalties(examples: Examples) -> np.ndarray:
+    """The penalties the learner charges, one per row (see the module
+    docstring): a group of rows with the same facts that holds both classes,
+    at AD and CN penalty sums A and C, keeps |A - C| on its first row of the
+    heavier class and 0 on its other rows. Every other row keeps its own."""
+    first: dict[tuple, int] = {}  # facts row -> the first row holding it
+    groups: dict[tuple, list[int]] = {}  # facts row -> its rows, where it repeats
+    for k, row in enumerate(map(tuple, examples.facts.tolist())):
+        j = first.setdefault(row, k)
+        if j != k:
+            groups.setdefault(row, [j]).append(k)
+    is_ad = examples.is_ad.tolist()
+    net = examples.penalty.copy()
+    for members in groups.values():
+        ad = [k for k in members if is_ad[k]]
+        cn = [k for k in members if not is_ad[k]]
+        if ad and cn:
+            a, c = int(net[ad].sum()), int(net[cn].sum())
+            net[members] = 0
+            if a != c:
+                net[ad[0] if a > c else cn[0]] = abs(a - c)
     return net
 
 
@@ -587,11 +586,12 @@ class Candidates:
 
 
 def enumerate_candidates(task: LearningTask) -> Candidates:
-    """learn's pre-search, items 1-3 of the module docstring: the walk,
-    cut by the floor, deduplicated, pruned by dominance and put in
-    canonical order. A fire-set's first body has the fewest atoms, so the
-    dedupe keeps it whenever the cut keeps a copy."""
-    table = _PenaltyTable(task.examples)
+    """learn's pre-search, items 1-3 of the module docstring, at the net
+    penalties of one _PenaltyTable: the walk, cut by the floor,
+    deduplicated, pruned by dominance and put in canonical order. A
+    fire-set's first body has the fewest atoms, so the dedupe keeps it
+    whenever the cut keeps a copy."""
+    table = _PenaltyTable(task.examples, _net_penalties(task.examples))
     walk = _walk(task, table)
     rows = np.flatnonzero(walk.floors <= walk.incumbent)
     rows = rows[_first_occurrences(walk.fires.take(rows, axis=0))]
@@ -607,8 +607,9 @@ def enumerate_candidates(task: LearningTask) -> Candidates:
 def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     """Minimal-score hypothesis via branch and bound over the undominated
     candidates of enumerate_candidates, its only pre-search; the result
-    counts the candidates at each stage. The search charges the penalties
-    of _net_penalties, and the result's score is the task's own.
+    counts the candidates at each stage. The search charges the net
+    penalties of the pre-search's table and reads its floors as they are,
+    and the result's score is the task's own.
 
     A node (k, chosen, union, atoms, committed_pen, cn_union) branches on AD
     ordinal k, the first AD example neither covered nor committed. Its
@@ -637,22 +638,14 @@ def learn(task: LearningTask, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         raise ValueError(f"node budget must be >= 1, got {budget}")
     found = enumerate_candidates(task)
     walk, table, fire_sets, atoms_of = found.walk, found.table, found.fire_sets, found.atoms
-    # the search charges the net penalties of _net_penalties, so its totals
-    # and floors are below the task's by one constant
-    is_ad, penalty, floors = task.examples.is_ad, task.examples.penalty, found.floors
-    net = _net_penalties(task.examples)
-    if net is not None:
-        penalty, table = net, _PenaltyTable(task.examples, net)
-        floors = [a + table.cn_over(fires) for a, fires in zip(atoms_of, fire_sets)]
 
     # per AD ordinal (an AD example with a penalty to pay): its bit and
     # penalty, and per body size s up to the largest, its cover list of the
     # records (floor, atoms, fire-set, index) of the candidates firing on it
     # with at most s literals, in (floor, index) order: none at size 0,
     # every record at the largest
-    ordinals = np.flatnonzero(is_ad & (penalty > 0))
-    ad = [(1 << k, p) for k, p in zip(ordinals.tolist(), penalty[ordinals].tolist())]
-    records = sorted(zip(floors, atoms_of, fire_sets, range(len(found))),
+    ad = [(1 << k, p) for k, p in enumerate(table.penalty.tolist()) if table.ad_mask >> k & 1]
+    records = sorted(zip(found.floors, atoms_of, fire_sets, range(len(found))),
                      key=lambda r: (r[0], r[3]))
     max_size = (max(atoms_of, default=1) - 1) // 2
     cover = []

@@ -143,6 +143,11 @@ class LearningTask:
     def __post_init__(self):
         if self.examples.edges != self.space.edges.edges:
             raise ValueError("the examples' fact columns are not the space's edges")
+        # the learner's literals take observed strengths as thresholds
+        for e, column in zip(self.examples.edges, self.examples.facts.T.tolist()):
+            if left_out := set(column).difference(self.space.threshold_domain[e], (-1,)):
+                raise ValueError(f"the thresholds of ({e.i}, {e.j}) leave out its observed "
+                                 f"fact {min(left_out)}")
 
 
 @dataclass(frozen=True)
@@ -287,7 +292,8 @@ def parse_task_text(text: str) -> LearningTask:
     % provenance line that is malformed, a second provenance or #maxv line,
     a second thresholds line for one edge, a repeated #modeb edge or
     example id, a thresholds line or fact for an edge no earlier #modeb
-    declares, a penalty outside 1 .. 2**63 - 1 or a fact above 2**63 - 1."""
+    declares, a penalty outside 1 .. 2**63 - 1 or a fact above 2**63 - 1,
+    and LearningTask does on thresholds that leave out an observed fact."""
     columns: dict[EdgeId, int] = {}  # edge -> its facts column, in #modeb order
     provenance = None
     max_body = None

@@ -298,10 +298,50 @@ def candidates(task) -> list[Candidate]:
             for r, fires in zip(found.rows, found.fire_sets)]
 
 
-def _literals(task) -> tuple[int, dict]:
-    """The task's AD mask and each edge's useful literals, as learn has them."""
+def oracle_net_penalties(task) -> list[int]:
+    """learner._net_penalties as a list: examples grouped by their facts row
+    as a tuple, and each group holding both classes cut to its first row of
+    the heavier class, at the difference of the two classes' penalty sums."""
+    rows: dict[tuple, list[int]] = {}
+    for k, row in enumerate(task.examples.facts.tolist()):
+        rows.setdefault(tuple(row), []).append(k)
+    is_ad = task.examples.is_ad.tolist()
+    net = task.examples.penalty.tolist()
+    for members in rows.values():
+        ad = sum(net[k] for k in members if is_ad[k])
+        cn = sum(net[k] for k in members if not is_ad[k])
+        if ad and cn:
+            for k in members:
+                net[k] = 0
+            if ad != cn:
+                net[next(k for k in members if is_ad[k] == (ad > cn))] = abs(ad - cn)
+    return net
+
+
+def charged(task, own: bool = False) -> list[int]:
+    """The penalties the pre-search oracles charge, one per example: those of
+    oracle_net_penalties, as learn charges, or with own the task's own, as
+    no pre-search step nets them."""
+    return task.examples.penalty.tolist() if own else oracle_net_penalties(task)
+
+
+def _class_penalties(task, is_ad: bool, own: bool) -> list[tuple[int, int]]:
+    """(index, charged penalty) of each example of one class."""
+    return [(k, p) for k, (ad, p) in enumerate(zip(task.examples.is_ad.tolist(),
+                                                   charged(task, own)))
+            if ad == is_ad]
+
+
+def oracle_ad_mask(task, own: bool = False) -> int:
+    """The AD examples with a charged penalty, as a bitmask."""
+    return sum(1 << k for k, p in _class_penalties(task, True, own) if p)
+
+
+def _literals(task, own: bool = False) -> tuple[int, dict]:
+    """The AD mask of oracle_ad_mask and each edge's useful literals, as
+    learn has them: every example outside that mask counts as CN."""
     examples = task.examples
-    ad_mask = sum(1 << k for k, ex in enumerate(example_rows(examples)) if ex.is_ad)
+    ad_mask = oracle_ad_mask(task, own)
     cn_mask = ((1 << len(examples)) - 1) ^ ad_mask
     space = task.space
     return ad_mask, {e: learner._edge_literals(e, examples.column(e),
@@ -310,13 +350,13 @@ def _literals(task) -> tuple[int, dict]:
                      for e in sorted(space.edges.edges)}
 
 
-def oracle_candidates(task) -> list[Candidate]:
+def oracle_candidates(task, own: bool = False) -> list[Candidate]:
     """Every coverage-distinct candidate rule, uncut and unpruned, by
     exhaustion: every body of 1..max_body_edges literals, one per distinct
-    edge, whose fire-set holds an AD example; on each fire-set collision
-    the rule with (atom_count, sort_key) smaller wins. Sorted by rule sort
-    key."""
-    ad_mask, lits = _literals(task)
+    edge, whose fire-set holds an AD example of oracle_ad_mask; on each
+    fire-set collision the rule with (atom_count, sort_key) smaller wins.
+    Sorted by rule sort key."""
+    ad_mask, lits = _literals(task, own)
     best: dict[int, Rule] = {}
     for m in range(1, task.space.max_body_edges + 1):
         for combo in combinations(sorted(lits), m):
@@ -336,10 +376,11 @@ def oracle_candidates(task) -> list[Candidate]:
 
 
 def oracle_walk(task) -> list[tuple[tuple[BodyLiteral, ...], int]]:
-    """Every body that fires on an AD example, with its fire-set, in the
-    walk's order, by a walk over Python ints: size s extends each body of
-    size s - 1, in order, by one literal of a later usable edge. A body
-    that misses every AD example is dropped with its extensions."""
+    """Every body that fires on an AD example of oracle_ad_mask, with its
+    fire-set, in the walk's order, by a walk over Python ints: size s
+    extends each body of size s - 1, in order, by one literal of a later
+    usable edge. A body that misses every such example is dropped with its
+    extensions."""
     ad_mask, lits = _literals(task)
     usable = [e for e in lits if lits[e]]
     walked = []
@@ -385,22 +426,23 @@ def oracle_first_bodies(task) -> dict[int, tuple[BodyLiteral, ...]]:
     return best
 
 
-def oracle_penalty(task, fires: int, is_ad: bool) -> int:
-    """The penalty sum of the task's examples of one class in fires, per example."""
-    return sum(ex.penalty for k, ex in enumerate(example_rows(task.examples))
-               if ex.is_ad == is_ad and fires >> k & 1)
+def oracle_penalty(task, fires: int, is_ad: bool, own: bool = False) -> int:
+    """The charged penalty sum of the task's examples of one class in fires,
+    per example."""
+    return sum(p for k, p in _class_penalties(task, is_ad, own) if fires >> k & 1)
 
 
-def oracle_floor_cut(task) -> tuple[int, list[Candidate]]:
+def oracle_floor_cut(task, own: bool = False) -> tuple[int, list[Candidate]]:
     """The first incumbent total I, the smaller of the empty hypothesis's
     total and the best single candidate's, and the candidates of
     oracle_candidates whose floor (atoms plus the CN penalty of their
-    fire-set) is at most I, in the same order. Penalties are summed per
-    example."""
-    ad_total = oracle_penalty(task, -1, True)
-    cands = oracle_candidates(task)
-    floors = [c.rule.atom_count + oracle_penalty(task, c.fires, False) for c in cands]
-    incumbent = min([ad_total] + [floor + ad_total - oracle_penalty(task, c.fires, True)
+    fire-set) is at most I, in the same order. Charged penalties are
+    summed per example."""
+    ad, cn = (_class_penalties(task, is_ad, own) for is_ad in (True, False))
+    ad_total = sum(p for _, p in ad)
+    cands = oracle_candidates(task, own)
+    floors = [c.rule.atom_count + sum(p for k, p in cn if c.fires >> k & 1) for c in cands]
+    incumbent = min([ad_total] + [floor + ad_total - sum(p for k, p in ad if c.fires >> k & 1)
                                   for c, floor in zip(cands, floors)])
     return incumbent, [c for c, floor in zip(cands, floors) if floor <= incumbent]
 
@@ -409,7 +451,7 @@ def oracle_stop_size(task) -> int | None:
     """The first body size s of oracle_walk whose least atom count, 1 + 2s,
     is above the incumbent of the smaller sizes: the least total of the
     empty hypothesis and of each single body of a size below s, with
-    penalties summed per example. None when no size of the walk is;
+    charged penalties summed per example. None when no size of the walk is;
     learn's walk makes only the sizes below it."""
     ad_total = oracle_penalty(task, -1, True)
     _, lits = _literals(task)
@@ -427,10 +469,11 @@ def oracle_stop_size(task) -> int | None:
 
 def oracle_undominated(task, cands) -> list[Candidate]:
     """The candidates of cands no other one dominates, by an all-pairs check:
-    A dominates B when A fires on every AD example B fires on, on no CN
-    example B does not, and A's rule has the smaller (atom_count, sort_key).
-    Kept in the order given."""
-    ad = {k for k, ex in enumerate(example_rows(task.examples)) if ex.is_ad}
+    A dominates B when A fires on every AD example of oracle_ad_mask B fires
+    on, on no other example B does not, and A's rule has the smaller
+    (atom_count, sort_key). Kept in the order given."""
+    ad_mask = oracle_ad_mask(task)
+    ad = {k for k in range(len(task.examples)) if ad_mask >> k & 1}
 
     def profile(c):
         fired = {k for k in range(len(task.examples)) if c.fires >> k & 1}
@@ -444,10 +487,11 @@ def oracle_undominated(task, cands) -> list[Candidate]:
 
 def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> LearnResult:
     """Exhaustive search over every subset of at most max_rules candidates
-    of oracle_candidates, with learn's tie-break: lowest score, then fewest
-    atoms, then the smallest sorted rule list. Errors out on oversized
+    of oracle_candidates at the task's own penalties, with learn's
+    tie-break: lowest score, then fewest atoms, then the smallest sorted
+    rule list. Nothing in it nets penalties. Errors out on oversized
     instances."""
-    cands = oracle_candidates(task)
+    cands = oracle_candidates(task, own=True)
     if len(cands) > max_candidates:
         raise ValueError(
             f"instance too large: {len(cands)} candidates exceeds {max_candidates}")
@@ -480,35 +524,13 @@ def brute_force_learn(task, max_rules: int = 3, max_candidates: int = 300) -> Le
     return LearnResult(hypothesis, score(hypothesis, task), True)
 
 
-class OraclePenaltyTable(learner._PenaltyTable):
-    """learner._PenaltyTable with min_ad_over, which only oracle_learn calls."""
-
-    def min_ad_over(self, mask: int) -> int:
-        for p, m in self.ad_groups:  # ascending penalty: the first hit is the least
-            if mask & m:
-                return p
-        return 0
-
-
-def oracle_net_penalties(task) -> list[int]:
-    """learner._net_penalties as a list, the task's own penalties when
-    nothing nets: examples grouped by their facts row as a tuple, and each
-    group holding both classes cut to its first row of the heavier class,
-    at the difference of the two classes' penalty sums."""
-    rows: dict[tuple, list[int]] = {}
-    for k, row in enumerate(task.examples.facts.tolist()):
-        rows.setdefault(tuple(row), []).append(k)
-    is_ad = task.examples.is_ad.tolist()
-    net = task.examples.penalty.tolist()
-    for members in rows.values():
-        ad = sum(net[k] for k in members if is_ad[k])
-        cn = sum(net[k] for k in members if not is_ad[k])
-        if ad and cn:
-            for k in members:
-                net[k] = 0
-            if ad != cn:
-                net[next(k for k in members if is_ad[k] == (ad > cn))] = abs(ad - cn)
-    return net
+def min_ad_over(table, mask: int) -> int:
+    """The least AD penalty of a penalty table's groups within mask, 0 when
+    mask holds no AD example with a penalty."""
+    for p, m in table.ad_groups:  # ascending penalty: the first hit is the least
+        if mask & m:
+            return p
+    return 0
 
 
 def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
@@ -516,18 +538,17 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
     recomputes the CN penalty of its union through the penalty table, and
     every child reads the candidate's atoms, floor and fire-set from
     parallel lists, with the floors recomputed from the rules. It shares
-    learn's pre-search (enumerate_candidates), its greedy, its root commit
-    of the AD examples no body fires on and its child test, which compares
-    (bound, atoms) with the incumbent's (total, atoms), so the two must
-    agree on every LearnResult field, node count included. Like learn, it
-    charges oracle_net_penalties and branches only on AD examples left with
-    a penalty. It builds a rule for every candidate and scans each cover
-    list whole."""
+    learn's pre-search (enumerate_candidates) and its penalty table, its
+    greedy, its root commit of the AD examples no body fires on and its
+    child test, which compares (bound, atoms) with the incumbent's (total,
+    atoms), so the two must agree on every LearnResult field, node count
+    included. It branches on the AD examples oracle_net_penalties leaves
+    with a penalty and commits that penalty. It builds a rule for every
+    candidate and scans each cover list whole."""
     examples = example_rows(task.examples)
     net = oracle_net_penalties(task)
-    table = OraclePenaltyTable(task.examples, np.array(net, dtype=np.int64))
     found = enumerate_candidates(task)
-    walk, fire_sets = found.walk, found.fire_sets
+    walk, table, fire_sets = found.walk, found.table, found.fire_sets
     cands = [Candidate(Rule(walk.body(r)), fires) for r, fires in zip(found.rows, fire_sets)]
     atoms_of = [c.rule.atom_count for c in cands]
     cn_solo = [table.cn_over(c.fires) for c in cands]
@@ -578,7 +599,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
             b = atoms2 + committed_pen + table.cn_over(union2)
             remaining = table.ad_mask & ~union2 & ~committed
             if remaining:
-                b += min(3, table.min_ad_over(remaining))
+                b += min(3, min_ad_over(table, remaining))
             if (b, atoms2) <= (best_total, best_key[0]):
                 yield k, chosen + (ci,), union2, atoms2, committed_pen, committed
         # no chosen rule covers this example: commit its penalty
@@ -587,7 +608,7 @@ def oracle_learn(task, budget: int = DEFAULT_NODE_BUDGET) -> LearnResult:
         b = atoms + committed_pen2 + cn_union
         remaining = table.ad_mask & ~union & ~committed2
         if remaining:
-            b += min(3, table.min_ad_over(remaining))
+            b += min(3, min_ad_over(table, remaining))
         if (b, atoms) <= (best_total, best_key[0]):
             yield k + 1, chosen, union, atoms, committed_pen2, committed2
 

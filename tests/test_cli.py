@@ -535,6 +535,30 @@ class TestExitCodes:
             assert "error: penalties too large" in capsys.readouterr().err
         assert not (tmp_path / "tasks").exists()
 
+    def test_thresholds_leaving_out_a_fact_are_2(self, tmp_path, capsys):
+        # CN fact 0 at penalty 1, AD facts 1, 2 and 3 at penalty 5. A domain
+        # without 1 left learn no literal for the AD examples: it returned
+        # the empty hypothesis (15) as optimal, though V0 >= 2 totals 8.
+        # With 1 in the domain, V0 >= 1 covers them all for 3
+        lines = ["#modeb(1, connection(region(1), region(2), var(strength))).", "#maxv(1).",
+                 "% thresholds(1,2): 2"]
+        lines += [f"#pos({eid}@{penalty}, {labels}, {{ connection(region(1), region(2), {v}). }})."
+                  for eid, penalty, labels, v in (("cn_000", 1, "{cn}, {ad}", 0),
+                                                  ("ad_000", 5, "{ad}, {cn}", 1),
+                                                  ("ad_001", 5, "{ad}, {cn}", 2),
+                                                  ("ad_002", 5, "{ad}, {cn}", 3))]
+        task = tmp_path / "t.las"
+        task.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "h.json"
+        assert main(["learn", "--task", str(task), "--out", str(out)]) == 2
+        assert (f"error: {task}: the thresholds of (1, 2) leave out its observed fact 0"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        task.write_text(task.read_text().replace("% thresholds(1,2): 2", "% thresholds(1,2): 0 1 2 3"))
+        assert main(["learn", "--task", str(task), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rules"] == [
+            {"body": [{"edge": [1, 2], "comparator": ">=", "threshold": 1}]}]
+
     def test_garbage_task_is_2(self, tmp_path, capsys):
         task = tmp_path / "garbage.las"
         task.write_text("garbage\n")

@@ -390,8 +390,10 @@ class TestStrictParsing:
         with pytest.raises(ValueError, match=rf"^line 28: example 'cn_001' has fact {2**63}, "
                                              r"above 2\*\*63 - 1"):
             parse_task_text(text)
-        # the largest fact an int64 holds is read exactly
+        # the largest fact an int64 holds is read exactly, beside a domain
+        # that holds it
         text = self.golden_with("region(5), 1700).", f"region(5), {2**63 - 1}).")
+        text = text.replace("2000 2001\n", f"2000 2001 {2**63 - 1}\n", 1)
         assert parse_task_text(text).examples.facts[3, 0] == 2**63 - 1
 
     @pytest.mark.parametrize("penalty", ["0", str(2**63)])
@@ -469,11 +471,6 @@ EDGE_POOL = (edge(0, 1), E1, E2, E3, edge(82, 83))
 @st.composite
 def tasks(draw):
     edges = draw(st.lists(st.sampled_from(EDGE_POOL), min_size=1, max_size=4, unique=True))
-    domain = {e: tuple(sorted(draw(st.sets(st.integers(-1, 3000), max_size=5))))
-              for e in edges}
-    space = HypothesisSpace(
-        SelectedEdges(tuple(edges), draw(st.sampled_from(("dt", "rf", "external")))),
-        draw(st.integers(1, 3)), domain)
     examples = draw(st.lists(st.builds(
         Example,
         st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
@@ -481,6 +478,13 @@ def tasks(draw):
         st.booleans(),
         st.dictionaries(st.sampled_from(edges), st.integers(0, 5000)),
     ), min_size=1, max_size=6, unique_by=lambda ex: ex.id))  # a .las file names each once
+    # each edge's observed facts, which a task's domain must hold, and more
+    domain = {e: tuple(sorted({ex.context[e] for ex in examples if e in ex.context}
+                              | draw(st.sets(st.integers(-1, 3000), max_size=5))))
+              for e in edges}
+    space = HypothesisSpace(
+        SelectedEdges(tuple(edges), draw(st.sampled_from(("dt", "rf", "external")))),
+        draw(st.integers(1, 3)), domain)
     return LearningTask(space, to_examples(examples, edges))
 
 
